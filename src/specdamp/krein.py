@@ -163,10 +163,12 @@ def classify_eigenpairs(
     """Cluster the eigenvalues and sign-classify each cluster's eigenspace.
 
     ``pairs`` is a :class:`~specdamp.spectrum.SpectrumReport` or a sequence
-    of :class:`~specdamp.spectrum.Eigenpair`.  The kernel basis is
-    recomputed from the pencil at each cluster representative, so the
-    classification does not depend on how the input eigenvectors were
-    normalized or paired up inside clusters.
+    of :class:`~specdamp.spectrum.Eigenpair`.  A single eigenvalue is
+    classified from the position block of its own eigenvector, scaled to
+    unit length: the 1x1 Gram ``[v, v]`` does not depend on the phase.
+    For a cluster of several eigenvalues the kernel basis is recomputed
+    from the pencil at the cluster mean, so the verdict does not depend on
+    how the input eigenvectors were paired up inside the cluster.
     """
     if isinstance(pairs, spectrum.SpectrumReport):
         pairs = pairs.eigenpairs
@@ -177,10 +179,14 @@ def classify_eigenpairs(
         mean = complex(np.mean(mem_vals))
         if abs(mean.imag) <= tolerances.snap_real_tol * (1.0 + abs(mean)):
             mean = complex(mean.real)
-        diameter = float(np.max(np.abs(mem_vals - mean)))
-        basis = spectrum.pencil_kernel_basis(
-            model, mean, tolerances.rank_tol, max_dim=len(members), diameter=diameter
-        )
+        if len(members) == 1:
+            x = pairs[members[0]].vector.position
+            basis = (x / np.linalg.norm(x))[:, None]
+        else:
+            diameter = float(np.max(np.abs(mem_vals - mean)))
+            basis = spectrum.pencil_kernel_basis(
+                model, mean, tolerances.rank_tol, max_dim=len(members), diameter=diameter
+            )
         gram, mu, _, tau = _cluster_gram(model, mean, basis, tolerances.neutral_tol)
         dim = basis.shape[1]
         margin = float(np.min(np.abs(mu)) - tau)

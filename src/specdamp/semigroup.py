@@ -11,7 +11,9 @@ contraction in the energy norm ``|x|_E^2 = x^T K x + |y|^2`` because
   dissipative ``A`` to an energy-norm contraction exactly, so computed
   energies stay nonincreasing even near Jordan degeneracies.  The step is
   ``h = min(0.01, 0.1 / ||A||_2)`` and a Richardson halved-step rerun
-  provides the recorded error estimate.
+  provides the recorded error estimate.  The two runs together may take
+  at most ``MAX_TRAPEZOID_STEPS`` steps; past that `evolve` raises
+  instead of stepping.
 
 Resolvent probes quantify how far the generator is from sectorial:
 `resolvent_norm_at` evaluates ``||(A - lam)^{-1}||`` in the energy norm
@@ -57,6 +59,10 @@ __all__ = [
 # too many digits and the trapezoidal path takes over.
 MODAL_CONDITION_LIMIT = 1e8
 
+# Most trapezoid steps, both runs together, that evolve will take; a stiff
+# model with a long horizon would otherwise run for hours.
+MAX_TRAPEZOID_STEPS = 10**7
+
 
 class NearSpectrum(Exception):
     """Requested resolvent point is within cluster tolerance of the spectrum."""
@@ -101,23 +107,26 @@ def _maybe_real(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _span_steps(times: np.ndarray, h_max: float) -> np.ndarray:
+    # Steps of at most h_max covering each interval of the grid, which
+    # starts at t = 0; a repeated time takes none.
+    spans = np.diff(times, prepend=0.0)
+    return np.where(spans > 0.0, np.maximum(1.0, np.ceil(spans / h_max)), 0.0)
+
+
 def _trapezoid_run(a_op: np.ndarray, x0: np.ndarray, times: np.ndarray, h_max: float):
     dim = a_op.shape[0]
     eye = np.eye(dim)
     x = x0.astype(complex) if np.iscomplexobj(x0) else x0.astype(float)
     states = []
-    prev_t = 0.0
-    for t in times:
-        span = float(t) - prev_t
-        if span > 0.0:
-            steps = max(1, int(np.ceil(span / h_max)))
+    for span, steps in zip(np.diff(times, prepend=0.0), _span_steps(times, h_max)):
+        if steps > 0.0:
             h = span / steps
             lu = lu_factor(eye - 0.5 * h * a_op)
             fwd = eye + 0.5 * h * a_op
-            for _ in range(steps):
+            for _ in range(int(steps)):
                 x = lu_solve(lu, fwd @ x)
         states.append(x.copy())
-        prev_t = float(t)
     return states
 
 
@@ -130,8 +139,10 @@ def evolve(
     """Integrate the phase flow from ``x0`` over an ascending time grid.
 
     The method is picked automatically (``exact-modal`` or
-    ``trapezoidal``) and recorded in the report; the fallback never
-    raises, it only costs accuracy that the Richardson estimate reports.
+    ``trapezoidal``) and recorded in the report.  The fallback costs
+    accuracy that the Richardson estimate reports; it raises
+    :class:`~specdamp.linalg.NoConvergence`, before stepping, when its two
+    runs together would take more than ``MAX_TRAPEZOID_STEPS`` steps.
     """
     validate(model)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -150,6 +161,12 @@ def evolve(
     else:
         method = "trapezoidal"
         h = min(0.01, 0.1 / max(linalg.operator_norm_2(a_op), 1e-300))
+        steps = float(np.sum(_span_steps(times, h)) + np.sum(_span_steps(times, 0.5 * h)))
+        if steps > MAX_TRAPEZOID_STEPS:
+            raise linalg.NoConvergence(
+                f"trapezoidal evolution needs {steps:.3e} steps "
+                f"(eigenvector condition number {cond:.2e}), more than {MAX_TRAPEZOID_STEPS:.0e}"
+            )
         run = _trapezoid_run(a_op, z0, times, h)
         half = _trapezoid_run(a_op, z0, times, 0.5 * h)
         err_est = max(

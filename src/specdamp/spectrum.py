@@ -8,23 +8,33 @@ kernel of ``Q(lam)``.  The solver leans on that structure:
 1. the mode-coupling graph of ``|K| + |C|`` is split into connected
    components, so exactly decoupled systems (single-patch beams, diagonal
    test models) are solved per mode,
-2. per component, eigenvalues come from the dense nonsymmetric kernel on
-   the block operator; near-real values are snapped onto the axis and
+2. per component, eigenpairs come from LAPACK on the block operator.
+   When its moduli split cleanly into ``n`` small and ``n`` large ones,
+   the small ones are taken from the reversed, energy-scaled companion
+   ``[[0, I], [-K^{-1}, -K^{-1/2} C K^{-1/2}]]`` instead, whose
+   eigenvalues are ``1 / lam`` and whose coefficients stay of order one
+   however stiff the model.  Each ``x`` is read from the eigenvector
+   block that carries it; near-real values are snapped onto the axis and
    close values are clustered,
-3. per cluster, an orthonormal kernel basis of ``Q`` is extracted by SVD
-   and each eigenvalue is polished through the scalar Rayleigh quadratic
-   ``(x^H x) lam^2 + (x^H C x) lam + (x^H K x)``,
+3. each eigenvalue is polished through the scalar Rayleigh quadratic
+   ``(x^H x) lam^2 + (x^H C x) lam + (x^H K x)`` of its own ``x``.  For a
+   tight cluster (diameter within ``cluster_tol``) an orthonormal kernel
+   basis of ``Q`` at the cluster mean is extracted by SVD; when it has
+   fewer directions than the cluster has members, the cluster is a Jordan
+   block and the members are polished with the basis directions instead,
 4. eigenvectors are rebuilt as ``(x, lam x)``, so the structural identity
    between position and velocity blocks holds exactly.
 
 Step 3 matters: for stiff models the raw eigenvalues of the block matrix
 carry absolute errors on the scale of ``eps * ||A||``, which drowns the
-small magnitudes.  The polish restores relative accuracy, and because the
-Rayleigh coefficients are quadratic forms of the definite matrices, the
-polished values provably stay in the closed left half plane and above the
-magnitude lower bound.  The polish is only trusted when it cannot confuse
-neighbouring eigenvalues: inside a spread-out cluster a member may move
-at most a fraction of the distance to its nearest sibling.
+small magnitudes.  The reversed companion and the polish restore relative
+accuracy, and because the Rayleigh coefficients are quadratic forms of
+the definite matrices, the polished values provably stay in the closed
+left half plane and above the magnitude lower bound.  The polish is only
+trusted when it cannot confuse neighbouring eigenvalues: a member of a
+tight cluster (a singleton included) may move at most ten cluster
+tolerances, and inside a spread-out cluster a member may move at most a
+fraction of the distance to its nearest sibling.
 """
 
 from __future__ import annotations
@@ -37,7 +47,15 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import linalg
-from .model import PhaseVector, SystemModel, BeamSpec, beam_assemble, phase_operator, validate
+from .model import (
+    BeamSpec,
+    PhaseVector,
+    SystemModel,
+    ValidationReport,
+    beam_assemble,
+    phase_operator,
+    validate,
+)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
 
 __all__ = [
@@ -245,13 +263,70 @@ def _coupling_components(model: SystemModel) -> list[np.ndarray]:
     return [np.flatnonzero(labels == c) for c in range(count)]
 
 
+def _block_vectors(values: np.ndarray, vecs: np.ndarray, n: int) -> list[np.ndarray]:
+    # Companion eigenvectors are (x, lam x): read x from the block that
+    # carries it, the top one for |lam| <= 1 and the bottom one / lam above.
+    out = []
+    for j, lam in enumerate(values):
+        x = vecs[:n, j] if abs(lam) <= 1.0 else vecs[n:, j] / lam
+        out.append(x / np.linalg.norm(x))
+    return out
+
+
+def _linearized_eigenpairs(model: SystemModel) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Starting eigenvalues and pencil vectors of one block, all from LAPACK.
+
+    The large-magnitude eigenvalues come from the phase operator.  When
+    its moduli split cleanly ``n``/``n``, the ``n`` small ones come from the
+    reversed companion in ``g = K^{1/2} x``, whose absolute error is
+    ``eps`` times coefficients of order one rather than ``eps * ||A||``.
+    """
+    n = model.n
+    dec = linalg.nonsym_eig(phase_operator(model))
+    values = dec.eigenvalues
+    if n == 1:
+        # Q(lam) is 1x1, so its kernel is spanned by 1 for every root.
+        return values, [np.ones(1), np.ones(1)]
+    xs = _block_vectors(values, dec.eigenvectors, n)
+    mods = np.abs(values)
+    order = np.argsort(mods, kind="stable")
+    if not mods[order[n - 1]] < 0.5 * mods[order[n]]:
+        return values, xs
+
+    _, root_inv = linalg.spd_sqrt_pair(model.K)
+    k_inv = root_inv @ root_inv
+    weighted = root_inv @ model.C @ root_inv
+    rev = np.block(
+        [
+            [np.zeros((n, n)), np.eye(n)],
+            [-0.5 * (k_inv + k_inv.T), -0.5 * (weighted + weighted.T)],
+        ]
+    )
+    rdec = linalg.nonsym_eig(rev)
+    rorder = np.argsort(-np.abs(rdec.eigenvalues), kind="stable")
+    mu = rdec.eigenvalues[rorder[:n]]
+    small = 1.0 / mu
+    # Both linearizations must agree on where the gap is, or a conjugate
+    # pair of equal modulus could be cut in two.
+    cut = 0.5 * min(mods[order[n]], 1.0 / abs(rdec.eigenvalues[rorder[n]]))
+    if not np.max(np.abs(small)) < cut:
+        return values, xs
+    # Eigenvectors (g, mu g) of the reversed companion map to (x, mu x).
+    rvecs = rdec.eigenvectors[:, rorder[:n]]
+    lifted = np.vstack([root_inv @ rvecs[:n], root_inv @ rvecs[n:]])
+    return (
+        np.concatenate([small, values[order[n:]]]),
+        _block_vectors(mu, lifted, n) + [xs[i] for i in order[n:]],
+    )
+
+
 def _dense_eigensolve(
     model: SystemModel, tolerances: ToleranceProfile
 ) -> list[tuple[complex, np.ndarray]]:
     """Eigenvalues plus pencil-kernel vectors for one fully coupled block."""
-    a_op = phase_operator(model)
-    values = _snap_real(linalg.nonsym_eig(a_op).eigenvalues, tolerances.snap_real_tol)
-    xs: list[np.ndarray] = [np.empty(0)] * values.shape[0]
+    values, starts = _linearized_eigenpairs(model)
+    values = _snap_real(values, tolerances.snap_real_tol)
+    xs = list(starts)
 
     for _pass in range(2):
         refined = np.array(values, copy=True)
@@ -261,38 +336,31 @@ def _dense_eigensolve(
             if abs(mean.imag) <= tolerances.snap_real_tol * (1.0 + abs(mean)):
                 mean = complex(mean.real)
             diameter = float(np.max(np.abs(mem_vals - mean)))
-            if diameter <= tolerances.cluster_tol * (1.0 + abs(mean)):
-                # Genuine numerical coincidence: shared kernel basis at the mean.
+            tight = diameter <= tolerances.cluster_tol * (1.0 + abs(mean))
+            vectors = [starts[i] for i in members]
+            if tight and len(members) > 1:
+                # Genuine numerical coincidence.  The kernel basis at the mean
+                # tells a Jordan block (fewer kernel directions than members)
+                # from a semisimple cluster; only then do its directions
+                # replace the members' own vectors.
                 basis = pencil_kernel_basis(
                     model, mean, tolerances.rank_tol, max_dim=len(members), diameter=diameter
                 )
                 dim = basis.shape[1]
-                for rank, idx in enumerate(members):
-                    x = basis[:, min(rank, dim - 1)]
-                    lam0 = complex(values[idx])
-                    lam = _nearest_root(_rayleigh_roots(model, x), lam0)
-                    if abs(lam - lam0) > 10.0 * tolerances.cluster_tol * (1.0 + abs(lam0)):
-                        lam = lam0
-                    refined[idx] = lam
-                    xs[idx] = x
-            else:
-                # Spread-out chain of neighbours: polish each member with its
-                # own kernel direction, and only accept a move that stays well
-                # inside the gap to the nearest sibling (no two members can
-                # then collapse onto the same root).
-                for idx in members:
-                    lam0 = complex(values[idx])
-                    basis = pencil_kernel_basis(model, lam0, tolerances.rank_tol, max_dim=1)
-                    x = basis[:, 0]
-                    lam = _nearest_root(_rayleigh_roots(model, x), lam0)
-                    gap = min(
-                        (abs(lam0 - complex(values[j])) for j in members if j != idx),
-                        default=np.inf,
-                    )
-                    if abs(lam - lam0) > 0.4 * gap:
-                        lam = lam0
-                    refined[idx] = lam
-                    xs[idx] = x
+                if dim < len(members):
+                    vectors = [basis[:, min(rank, dim - 1)] for rank in range(len(members))]
+            for idx, x in zip(members, vectors):
+                # A tight cluster member may move ten cluster tolerances; a
+                # member of a spread-out chain only well inside the gap to its
+                # nearest sibling, so no two can collapse onto one root.
+                lam0 = complex(values[idx])
+                if tight:
+                    limit = 10.0 * tolerances.cluster_tol * (1.0 + abs(lam0))
+                else:
+                    limit = 0.4 * min(abs(lam0 - complex(values[j])) for j in members if j != idx)
+                lam = _nearest_root(_rayleigh_roots(model, x), lam0)
+                refined[idx] = lam0 if abs(lam - lam0) > limit else lam
+                xs[idx] = x
         values = _snap_real(refined, tolerances.snap_real_tol)
 
     return [(complex(values[i]), xs[i]) for i in range(values.shape[0])]
@@ -315,10 +383,12 @@ def solve_qep(model: SystemModel, tolerances: ToleranceProfile = DEFAULT_TOLERAN
     """All ``2n`` eigenpairs of the phase operator, structure-refined.
 
     Returns eigenpairs sorted by ``(Re, Im)``.  Raises
-    :class:`~specdamp.linalg.NoConvergence` if any final residual exceeds
-    ``tolerances.residual_tol`` relative to the Frobenius norm of the
-    phase operator.
+    :class:`~specdamp.model.InvalidModel` before any factorization if the
+    model breaks (A1) or (A2), and :class:`~specdamp.linalg.NoConvergence`
+    if any final residual exceeds ``tolerances.residual_tol`` relative to
+    the Frobenius norm of the phase operator.
     """
+    validation = validate(model)
     a_op = phase_operator(model)
     comps = _coupling_components(model)
     found: list[tuple[complex, np.ndarray]] = []
@@ -358,7 +428,7 @@ def solve_qep(model: SystemModel, tolerances: ToleranceProfile = DEFAULT_TOLERAN
             f"worst eigenpair residual {worst:.3e} exceeds {tolerances.residual_tol:.1e}"
         )
 
-    bound = eigenvalue_lower_bound(model)
+    bound = _lower_bound(model, validation)
     return SpectrumReport(eigenpairs=tuple(pairs), bound=bound, disk_radius=bound.value)
 
 
@@ -369,11 +439,14 @@ def eigenvalue_lower_bound(model: SystemModel) -> EigenvalueBound:
     spectral norm of ``K^{-1/2} C K^{-1/2}`` (equal to its largest
     eigenvalue, the sharp damping/stiffness comparison constant).
     """
-    report = validate(model)
+    return _lower_bound(model, validate(model))
+
+
+def _lower_bound(model: SystemModel, report: ValidationReport) -> EigenvalueBound:
     k_min = float(linalg.sym_eig(model.K).eigenvalues[0])
     v = 1.0 / k_min
-    w = linalg.sym_eig(report.weighted_damping).eigenvalues
-    d = float(max(abs(w[0]), abs(w[-1])))
+    # gamma and alpha are the extreme eigenvalues of K^{-1/2} C K^{-1/2}.
+    d = float(max(abs(report.gamma), abs(report.alpha)))
     value = (np.sqrt(d * d + 4.0 * v) - d) / (2.0 * v)
     return EigenvalueBound(norm_ainv=v, norm_ainv_d=d, value=float(value))
 

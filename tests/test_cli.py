@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -69,6 +70,17 @@ class TestAnalyze:
         assert cli.main(["analyze", "--config", path, "--out", str(out2)]) == 0
         for name in ("report.json", "eigenvalues.csv", "spectrum.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_artifacts_follow_umask(self, tmp_path):
+        path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)
+        out = tmp_path / "out"
+        saved = os.umask(0o022)
+        try:
+            assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+        finally:
+            os.umask(saved)
+        for name in ("report.json", "eigenvalues.csv", "spectrum.svg"):
+            assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o644
 
     def test_report_floats_roundtrip(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)
@@ -252,6 +264,24 @@ class TestSimulate:
         assert cli.main(base + ["--x0", "explicit:1,2,3"]) == 2
         assert cli.main(base + ["--x0", "eigenvector:99"]) == 2
         assert cli.main(base + ["--x0", "nonsense"]) == 2
+
+    def test_stiff_trapezoid_exits_numerical(self, tmp_path):
+        # Nearly dependent eigenvectors force the trapezoid, whose step
+        # 0.1 / ||A|| would take about 1.2e10 steps to reach t = 1.
+        rng = np.random.default_rng(64)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        kw = 1e8 * np.array([1.0, 1.0, 4.0, 4.0])
+        stiff, root = (q * kw) @ q.T, (q * np.sqrt(kw)) @ q.T
+        cfg = {
+            "model": {"type": "generic", "K": (0.5 * (stiff + stiff.T)).tolist(),
+                      "C": (root + root.T).tolist()},
+            "analyses": ["spectrum"],
+        }
+        path = write_config(tmp_path / "cfg.json", cfg)
+        proc = run_module(["simulate", "--config", path, "--out", str(tmp_path / "out")],
+                          tmp_path)
+        assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+        assert "steps" in proc.stderr
 
     def test_bad_horizon(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)

@@ -1,10 +1,12 @@
 """Tests for the phase-flow integrator and resolvent statistics."""
 
+import time
+
 import numpy as np
 import pytest
 
 import specdamp as sd
-from specdamp import semigroup
+from specdamp import linalg, semigroup
 from specdamp.model import phase_operator
 
 import oracles
@@ -92,6 +94,21 @@ class TestEvolve:
         )
         assert diff <= 1e-3
         assert diff <= 4.0 * stepped.step_error_estimate + 1e-12
+
+    def test_stiff_trapezoid_refused_before_stepping(self):
+        # Rotated critically damped blocks, K eigenvalues 1e8 * {1, 1, 4, 4}:
+        # the eigenvectors are nearly dependent, and the trapezoid would
+        # need about 1.2e10 steps of h = 0.1 / ||A|| to reach t = 1.
+        rng = np.random.default_rng(64)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        kw = 1e8 * np.array([1.0, 1.0, 4.0, 4.0])
+        stiff, root = (q * kw) @ q.T, (q * np.sqrt(kw)) @ q.T
+        m = sd.SystemModel(K=0.5 * (stiff + stiff.T), C=root + root.T)
+        x0 = sd.solve_qep(m).eigenpairs[0].vector
+        start = time.perf_counter()
+        with pytest.raises(linalg.NoConvergence, match="steps"):
+            semigroup.evolve(m, x0, np.linspace(0.0, 1.0, 200))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPropagator:

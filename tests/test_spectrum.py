@@ -115,6 +115,52 @@ class TestSolveQep:
         assert rep.disk_radius == rep.bound.value
 
 
+class TestCoupledSolver:
+    def test_svd_count_does_not_grow_with_size(self, monkeypatch):
+        rng = np.random.default_rng(39)
+        n = 64
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        stiff = (q * rng.uniform(0.2, 5.0, n)) @ q.T
+        b = rng.standard_normal((n, n))
+        m = sd.SystemModel(K=0.5 * (stiff + stiff.T), C=b @ b.T / n)
+        real_svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rep = sd.solve_qep(m)
+        assert len(rep.eigenpairs) == 2 * n
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("order", [64, 128])
+    def test_two_patch_rod_real_with_small_backward_error(self, order):
+        # margin +1.3: the QEP is overdamped, so every eigenvalue is real
+        patches = (sd.Patch(1.2, 0.0, 0.5), sd.Patch(2.5, 0.5, 1.0))
+        m = sd.beam_assemble(sd.BeamSpec(E=1.0, patches=patches, N=order))
+        rep = sd.solve_qep(m)
+        assert np.all(rep.eigenvalues.imag == 0.0)
+        norm_k, norm_c = np.linalg.norm(m.K, 2), np.linalg.norm(m.C, 2)
+        for p in rep.eigenpairs:
+            lam, x = p.value, p.vector.position
+            q = lam * lam * np.eye(order) + lam * m.C + m.K
+            scale = (abs(lam) ** 2 + abs(lam) * norm_c + norm_k) * np.linalg.norm(x)
+            assert np.linalg.norm(q @ x) / scale <= 1e-12
+
+    @pytest.mark.parametrize("c", [1.0, 3.0, 6.0])
+    def test_equal_moduli_match_charpoly(self, c):
+        # K = 4 I with rank-one C: every nonreal eigenvalue has |lam| = 2,
+        # so no modulus gap separates a small from a large half.
+        u = np.array([0.6, 0.8])
+        m = sd.SystemModel(K=4.0 * np.eye(2), C=c * np.outer(u, u))
+        got = sd.solve_qep(m).eigenvalues
+        want = oracles.polynomial_spectrum(phase_operator(m))
+        assert oracles.multiset_distance(got, want) <= 1e-9
+        assert np.array_equal(np.sort_complex(got), np.sort_complex(got.conj()))
+
+
 class TestEigenvalueBound:
     def test_undamped_equality(self):
         m = sd.SystemModel(K=np.diag([4.0, 9.0]), C=np.zeros((2, 2)))

@@ -25,7 +25,8 @@ def trajectory(model, x0, label, t_max=2.0):
 
 
 def resolvent(model):
-    scan = sd.resolvent_scan(model, re_offset=1.0, im_grid=np.logspace(0, 4, 17))
+    rep = sd.solve_qep(model)
+    scan = sd.resolvent_scan(model, rep, re_offset=1.0, im_grid=np.logspace(0, 4, 17))
     print("resolvent along lam = 1 + it:")
     for lam, norm, product in scan.samples[::4]:
         print(f"  t={lam.imag:10.1f}  ||R|| {norm:.3e}  t ||R|| {product:.3f}")

@@ -76,7 +76,6 @@ from .spectrum import (
     accumulation_experiment,
     eigenvalue_lower_bound,
     quadratic_pencil,
-    resolvent_disk_radius,
     solve_qep,
 )
 from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
@@ -139,7 +138,6 @@ __all__ = [
     "phase_symmetry_defect",
     "propagator",
     "quadratic_pencil",
-    "resolvent_disk_radius",
     "resolvent_norm_at",
     "resolvent_scan",
     "smoothing_probe",

@@ -305,7 +305,7 @@ def _spectrum_section(report: spectrum.SpectrumReport) -> dict:
             "norm_ainv_d": report.bound.norm_ainv_d,
             "value": report.bound.value,
         },
-        "disk_radius": report.disk_radius,
+        "disk_radius": report.bound.value,
         "min_abs": report.min_abs,
         "max_real": report.max_real,
     }
@@ -426,9 +426,11 @@ def _default_state(model: SystemModel) -> PhaseVector:
     return PhaseVector(x, np.zeros(model.n))
 
 
-def _semigroup_section(model: SystemModel, tol: ToleranceProfile) -> dict:
+def _semigroup_section(
+    model: SystemModel, report: spectrum.SpectrumReport, tol: ToleranceProfile
+) -> dict:
     scan = semigroup.resolvent_scan(
-        model, re_offset=1.0, im_grid=np.logspace(0.0, 4.0, 25), tolerances=tol
+        model, report, re_offset=1.0, im_grid=np.logspace(0.0, 4.0, 25), tolerances=tol
     )
     x0 = _default_state(model)
     traj = semigroup.evolve(model, x0, np.linspace(0.0, 1.0, 21), tol)
@@ -717,7 +719,7 @@ def run_analyze(config_path: str, out_dir: str = ".", seed: int | None = None) -
         )
         doc["conditions"] = _conditions_section(crep)
     if "semigroup" in analyses:
-        doc["semigroup"] = _semigroup_section(model, tol)
+        doc["semigroup"] = _semigroup_section(model, report, tol)
     if "accumulation" in analyses:
         doc["accumulation"] = _accumulation_section(model, tol)
 
@@ -802,8 +804,9 @@ def run_check(config_path: str, seed: int | None = None, stream=None) -> int:
     tol = _parse_tolerances(cfg.get("tolerances"))
     seed_val = _resolve_seed(seed, cfg.get("seed", 0))
 
+    report = spectrum.solve_qep(model, tol)
     rep = conditions.condition_report(
-        model, tolerances=tol, seeds=tuple(range(seed_val, seed_val + 32))
+        model, report, tolerances=tol, seeds=tuple(range(seed_val, seed_val + 32))
     )
     rows: list[tuple[str, str, bool | None]] = []
     od = rep.overdamping

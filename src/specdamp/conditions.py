@@ -30,6 +30,10 @@ enters, ``8 / (pi^2 sqrt(E))`` and ``8 sqrt(E) / pi^2`` (equal at
 ``E = 1``), plus the norm-gap threshold ``4 sqrt(E) / pi^2``, and attaches
 the measured margin so the data adjudicates which modulus scaling is the
 true sufficient constant.  The report states no preference.
+
+Functions here that take a model together with its solved spectrum or its
+overdamping report, ``(model, report, ...)``, read those and never solve
+the model again; the caller solves once and hands the results down.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import krein, linalg, spectrum
-from .model import BeamSpec, SystemModel, beam_assemble, validate
+from .model import BeamSpec, SystemModel, validate
 from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
 
 __all__ = [
@@ -295,7 +299,7 @@ def check_condition_iii(
         k_min = spec.E * (0.5 * np.pi) ** 4
     elif isinstance(target, SystemModel):
         spec = target.beam
-        k_min = float(linalg.sym_eig(target.K).eigenvalues[0])
+        k_min = validate(target).k_min_eigenvalue
     else:
         raise TypeError(f"expected SystemModel or BeamSpec, got {type(target)!r}")
 
@@ -350,9 +354,12 @@ class PatchThresholdReport:
 
 
 def patch_threshold_report(
-    spec: BeamSpec, tolerances: ToleranceProfile = DEFAULT_TOLERANCES
+    spec: BeamSpec, overdamping: OverdampingReport, report: spectrum.SpectrumReport
 ) -> PatchThresholdReport:
-    """Evaluate every patch against the closed-form thresholds and measure."""
+    """Evaluate every patch against the closed-form thresholds.
+
+    ``overdamping`` and ``report`` belong to the model assembled from ``spec``.
+    """
     e = spec.E
     t_inv = 8.0 / (np.pi**2 * np.sqrt(e))
     t_sqrt = 8.0 * np.sqrt(e) / np.pi**2
@@ -371,16 +378,13 @@ def patch_threshold_report(
         )
         for p in spec.patches
     )
-    model = beam_assemble(spec)
-    od = check_overdamping(model, tolerances)
-    spect = spectrum.solve_qep(model, tolerances)
-    nonreal = int(np.count_nonzero(spect.eigenvalues.imag != 0.0))
+    nonreal = int(np.count_nonzero(report.eigenvalues.imag != 0.0))
     return PatchThresholdReport(
         modulus=float(e),
         order=spec.N,
         entries=entries,
-        margin=od.margin,
-        margin_positive=od.overdamped,
+        margin=overdamping.margin,
+        margin_positive=overdamping.overdamped,
         nonreal_count=nonreal,
     )
 
@@ -395,8 +399,7 @@ def riesz_basis_condition_number(
     the eigenvectors form a well-conditioned basis in the energy inner
     product (the finite-order analog of a Riesz basis bound).
     """
-    root, _ = linalg.spd_sqrt_pair(model.K)
-    n = model.n
+    root = validate(model).k_sqrt
     cols = []
     for pair in report.eigenpairs:
         v = pair.vector
@@ -433,7 +436,7 @@ class ConditionReport:
 
 def condition_report(
     model: SystemModel,
-    report: spectrum.SpectrumReport | None = None,
+    report: spectrum.SpectrumReport,
     essential_candidates=None,
     essential_proxy: float | None = None,
     tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
@@ -444,10 +447,9 @@ def condition_report(
     For beam models the candidate values ``-a_k / E`` and the norm-gap
     floor come from the patch data automatically; generic models check
     condition ``ii``/``iii`` only against explicitly supplied candidates
-    and proxy (sections are omitted, not guessed, when absent).
+    and proxy (sections are omitted, not guessed, when absent).  ``report``
+    is the solved spectrum of ``model``.
     """
-    if report is None:
-        report = spectrum.solve_qep(model, tolerances)
     od = check_overdamping(model, tolerances, seeds=seeds)
 
     if essential_candidates is None and model.beam is not None:
@@ -466,7 +468,7 @@ def condition_report(
     else:
         ciii = None
 
-    thresholds = patch_threshold_report(model.beam, tolerances) if model.beam else None
+    thresholds = patch_threshold_report(model.beam, od, report) if model.beam else None
     val = validate(model)
     return ConditionReport(
         overdamping_margin=od.margin,

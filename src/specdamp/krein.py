@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, spectrum
-from .model import PhaseVector, SystemModel
+from . import spectrum
+from .model import PhaseVector, SystemModel, validate
 from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
 
 __all__ = [
@@ -369,7 +369,7 @@ def phase_symmetry_defect(model: SystemModel) -> float:
     when the phase operator is self-adjoint in the Krein product.  Returns
     ``||J S - (J S)^T||_F / ||J S||_F``.
     """
-    root, _ = linalg.spd_sqrt_pair(model.K)
+    root = validate(model).k_sqrt
     n = model.n
     js = np.zeros((2 * n, 2 * n))
     js[:n, n:] = root

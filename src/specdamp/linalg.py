@@ -8,9 +8,9 @@ The package standardizes on a handful of primitives with fixed conventions:
 * eigenpair residuals are ``||M v - lam v||_2`` measured relative to the
   Frobenius norm of ``M``.
 
-Eigenvalue and LU factorizations are delegated to LAPACK (via numpy and
-scipy); the positive-definiteness probe is a direct Cholesky loop so that
-the failing pivot index is available to callers.
+Eigenvalue, LU and Cholesky factorizations are delegated to LAPACK (via
+numpy and scipy); the Cholesky probe reports the failing pivot index from
+``potrf``'s ``info`` so that it is available to callers.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "LinalgError",
@@ -32,6 +33,7 @@ __all__ = [
     "solve",
     "operator_norm_2",
     "spd_sqrt_pair",
+    "sqrt_pair_from_eig",
 ]
 
 # Max relative asymmetry accepted by ops that require symmetric input.
@@ -137,10 +139,10 @@ def _residuals(m: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.nda
 def cholesky(m) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
 
-    Runs the standard column-by-column elimination and raises
-    :class:`NotPositiveDefinite` with the failing pivot index as soon as a
-    pivot drops to zero or below.  This is the package's working definition
-    of positive definiteness.
+    Factors with LAPACK ``potrf`` and raises :class:`NotPositiveDefinite`
+    with the failing pivot index when a leading minor is not positive
+    definite.  This is the package's working definition of positive
+    definiteness.
 
     Parameters
     ----------
@@ -152,16 +154,16 @@ def cholesky(m) -> np.ndarray:
     numpy.ndarray
         Lower-triangular ``L`` with ``L @ L.T == m`` up to roundoff.
     """
-    a = _require_symmetric(_as_square(m).astype(float), "cholesky input")
-    n = a.shape[0]
-    low = np.zeros((n, n))
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if not np.isfinite(d) or d <= 0.0:
-            raise NotPositiveDefinite(pivot_index=j)
-        low[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    a = _as_square(m).astype(float)
+    # potrf reports info = 0 for a NaN pivot, so non-finite input is
+    # rejected here, at the first row whose lower part holds such an entry.
+    bad_rows = ~np.all(np.isfinite(np.tril(a)), axis=1)
+    if np.any(bad_rows):
+        raise NotPositiveDefinite(pivot_index=int(np.argmax(bad_rows)))
+    a = _require_symmetric(a, "cholesky input")
+    low, info = dpotrf(a, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefinite(pivot_index=info - 1)
     return low
 
 
@@ -247,7 +249,11 @@ def spd_sqrt_pair(m) -> tuple[np.ndarray, np.ndarray]:
     Both factors are built from one :func:`sym_eig` call; the smallest
     eigenvalue must be strictly positive.
     """
-    dec = sym_eig(m)
+    return sqrt_pair_from_eig(sym_eig(m))
+
+
+def sqrt_pair_from_eig(dec: EigenDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`spd_sqrt_pair` from an existing :func:`sym_eig` decomposition."""
     w = dec.eigenvalues
     if w[0] <= 0.0:
         raise NotPositiveDefinite(pivot_index=0, message="spd_sqrt_pair requires a positive definite matrix")

@@ -142,6 +142,9 @@ class SystemModel:
     source: str = "generic"
     beam: BeamSpec | None = None
     perturbation_alpha: float | None = None
+    _validation: ValidationReport | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         k = np.asarray(self.K, dtype=float)
@@ -207,7 +210,8 @@ class ValidationReport:
 
     ``gamma`` and ``alpha`` are the extreme eigenvalues of
     ``K^{-1/2} C K^{-1/2}``: the tightest constants with
-    ``gamma * x^T K x <= x^T C x <= alpha * x^T K x``.
+    ``gamma * x^T K x <= x^T C x <= alpha * x^T K x``.  ``k_min_eigenvalue``,
+    ``k_sqrt`` and ``k_inv_sqrt`` come from the check's one eigendecomposition of ``K``.
     """
 
     n: int
@@ -216,10 +220,16 @@ class ValidationReport:
     gamma: float
     alpha: float
     weighted_damping: np.ndarray = field(repr=False)
+    k_min_eigenvalue: float
+    k_sqrt: np.ndarray = field(repr=False)
+    k_inv_sqrt: np.ndarray = field(repr=False)
 
 
 def validate(model: SystemModel) -> ValidationReport:
     """Check (A1) and (A2) and compute the damping equivalence constants.
+
+    The checks run once per model instance, whose ``K`` and ``C`` are
+    read-only; later calls return the stored report.
 
     Raises
     ------
@@ -227,6 +237,8 @@ def validate(model: SystemModel) -> ValidationReport:
         If ``K`` fails the Cholesky probe (A1) or ``C`` has an eigenvalue
         below ``-1e-10 * ||C||_F`` (A2).
     """
+    if model._validation is not None:
+        return model._validation
     try:
         linalg.cholesky(model.K)
     except linalg.NotPositiveDefinite as exc:
@@ -242,18 +254,26 @@ def validate(model: SystemModel) -> ValidationReport:
             f"damping matrix has negative eigenvalue {c_min:.6e}",
             assumption="A2",
         )
-    _, k_inv_half = linalg.spd_sqrt_pair(model.K)
+    k_dec = linalg.sym_eig(model.K)
+    k_half, k_inv_half = linalg.sqrt_pair_from_eig(k_dec)
     weighted = k_inv_half @ model.C @ k_inv_half
     weighted = 0.5 * (weighted + weighted.T)
     w_eigs = linalg.sym_eig(weighted).eigenvalues
-    return ValidationReport(
+    for shared in (weighted, k_half, k_inv_half):
+        shared.setflags(write=False)  # every later validate() returns these
+    report = ValidationReport(
         n=model.n,
         k_positive_definite=True,
         c_min_eigenvalue=c_min,
         gamma=float(w_eigs[0]),
         alpha=float(w_eigs[-1]),
         weighted_damping=weighted,
+        k_min_eigenvalue=float(k_dec.eigenvalues[0]),
+        k_sqrt=k_half,
+        k_inv_sqrt=k_inv_half,
     )
+    object.__setattr__(model, "_validation", report)
+    return report
 
 
 def phase_operator(model: SystemModel) -> np.ndarray:
@@ -284,27 +304,26 @@ def beam_frequencies(order: int) -> np.ndarray:
     return (k - 0.5) * np.pi
 
 
-def _sinpi(u: float) -> float:
+def _sinpi(u: np.ndarray) -> np.ndarray:
     # sin(pi * u) with argument reduction done on u itself, so the result
     # is exactly zero at integer u (np.sin(np.pi * m) is not).
-    m = round(u)
-    s = float(np.sin(np.pi * (u - m)))
-    return -s if m % 2 else s
+    m = np.round(u)
+    s = np.sin(np.pi * (u - m))
+    return np.where(m % 2, -s, s)
 
 
-def _sine_overlap(j: int, k: int, lo: float, hi: float) -> float:
+def _sine_overlap(j, k, lo: float, hi: float) -> np.ndarray:
     # integral over [lo, hi] of 2 sin(w_j r) sin(w_k r) dr for 1-based mode
-    # indices, w_m = (m - 1/2) pi, by the cosine-difference antiderivative.
-    # Every sine argument is pi * (integer * r), routed through _sinpi so
-    # that full-interval overlaps of distinct modes vanish exactly and a
-    # beam with one patch over [0, 1] assembles exactly diagonal matrices.
-    if j == k:
-        d = 2 * j - 1
-        return (hi - lo) - (_sinpi(d * hi) - _sinpi(d * lo)) / (d * np.pi)
-    dm, dp = j - k, j + k - 1
-    return (_sinpi(dm * hi) - _sinpi(dm * lo)) / (dm * np.pi) - (
-        _sinpi(dp * hi) - _sinpi(dp * lo)
-    ) / (dp * np.pi)
+    # indices (integer arrays), w_m = (m - 1/2) pi, by the cosine-difference
+    # antiderivative.  Every sine argument is pi * (integer * r), routed
+    # through _sinpi so that full-interval overlaps of distinct modes vanish
+    # exactly and a beam with one patch over [0, 1] assembles exactly
+    # diagonal matrices.
+    dm, dp = np.subtract(j, k), np.add(j, k) - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = (_sinpi(dm * hi) - _sinpi(dm * lo)) / (dm * np.pi)
+    same = np.where(dm == 0, hi - lo, diff)
+    return same - (_sinpi(dp * hi) - _sinpi(dp * lo)) / (dp * np.pi)
 
 
 def beam_assemble(spec: BeamSpec) -> SystemModel:
@@ -320,11 +339,11 @@ def beam_assemble(spec: BeamSpec) -> SystemModel:
     stiff = np.diag(spec.E * w**4)
     damp = np.zeros((spec.N, spec.N))
     w2 = w**2
+    j, k = np.indices((spec.N, spec.N)) + 1
     for patch in spec.patches:
-        overlap = np.empty((spec.N, spec.N))
-        for j in range(spec.N):
-            for k in range(j, spec.N):
-                overlap[j, k] = overlap[k, j] = _sine_overlap(j + 1, k + 1, patch.lo, patch.hi)
+        overlap = _sine_overlap(j, k, patch.lo, patch.hi)
+        # Mirror the upper triangle so the matrix is symmetric bit for bit.
+        overlap = np.where(j <= k, overlap, overlap.T)
         damp += patch.a * (w2[:, None] * overlap * w2[None, :])
     damp = 0.5 * (damp + damp.T)
     model = SystemModel(K=stiff, C=damp, source="beam", beam=spec)
@@ -346,7 +365,6 @@ def perturbed_kelvin_voigt(stiffness, alpha: float, perturbation) -> tuple[Syste
     if b.shape != k.shape:
         raise InvalidModel(f"perturbation shape {b.shape} does not match stiffness shape {k.shape}")
     model = SystemModel(K=k, C=alpha * k + b, source="perturbed", perturbation_alpha=float(alpha))
-    validate(model)
-    _, k_inv_half = linalg.spd_sqrt_pair(model.K)
+    k_inv_half = validate(model).k_inv_sqrt
     proxy = linalg.operator_norm_2(k_inv_half @ b @ k_inv_half)
     return model, float(proxy)

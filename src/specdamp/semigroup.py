@@ -22,9 +22,9 @@ Resolvent probes quantify how far the generator is from sectorial:
 `resolvent_scan` walks a vertical line ``Re lam = re_offset``, recording
 ``norm * |Im lam|``.  Bounded products along the line plus a finite
 spectral sector angle ``max |Im lam_k| / |Re lam_k|`` together make the
-sectoriality verdict; each alone has blind spots at finite order.  The
-near-axis refinement fields are placeholders by design: no exponent
-fitting is attempted there.
+sectoriality verdict; each alone has blind spots at finite order.
+Both take the solved spectrum, ``(model, report, ...)``, and never solve
+the model again; the caller solves once and hands it down.
 
 Every truncation order generates a trivially analytic semigroup, so the
 honest finite-order statement is uniformity: bounded ``fitted_M`` and
@@ -40,7 +40,7 @@ from scipy.linalg import expm, lu_factor, lu_solve
 
 from . import linalg
 from .model import PhaseVector, SystemModel, phase_operator, validate
-from .spectrum import SpectrumReport, solve_qep
+from .spectrum import SpectrumReport, solve_qep  # noqa: F401 (perfbench tests patch this binding)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
 
 __all__ = [
@@ -196,42 +196,31 @@ def propagator(model: SystemModel, t: float) -> np.ndarray:
     return expm(t * a_op)
 
 
-def _energy_transform(model: SystemModel):
-    root, root_inv = linalg.spd_sqrt_pair(model.K)
-    n = model.n
-
-    def transform(m: np.ndarray) -> np.ndarray:
-        out = np.array(m, dtype=complex, copy=True)
-        out[:n, :] = root @ out[:n, :]
-        out[:, :n] = out[:, :n] @ root_inv
-        return out
-
-    return transform
-
-
 def resolvent_norm_at(
     model: SystemModel,
+    report: SpectrumReport,
     lam: complex,
     tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
-    spectrum_report: SpectrumReport | None = None,
 ) -> float:
     """Energy-norm resolvent ``||(A - lam)^{-1}||`` at one point.
 
     Raises :class:`NearSpectrum` when ``lam`` is within cluster tolerance
-    of a computed eigenvalue.  The norm is the operator 2-norm after the
+    of an eigenvalue in ``report``, the solved spectrum.  The norm is the operator 2-norm after the
     energy similarity ``diag(K^{1/2}, I)``; in that norm a contraction
     semigroup obeys ``norm <= 1 / Re lam`` for ``Re lam > 0``.
     """
     lam = complex(lam)
-    if spectrum_report is None:
-        spectrum_report = solve_qep(model, tolerances)
-    dist = float(np.min(np.abs(spectrum_report.eigenvalues - lam)))
+    dist = float(np.min(np.abs(report.eigenvalues - lam)))
     if dist <= tolerances.cluster_tol * (1.0 + abs(lam)):
         raise NearSpectrum(lam, dist)
     a_op = phase_operator(model)
     shifted = a_op.astype(complex) - lam * np.eye(2 * model.n)
     resolvent = linalg.solve(shifted, np.eye(2 * model.n, dtype=complex))
-    return linalg.operator_norm_2(_energy_transform(model)(resolvent))
+    # Energy similarity diag(K^{1/2}, I) . R . diag(K^{-1/2}, I).
+    validation, n = validate(model), model.n
+    resolvent[:n, :] = validation.k_sqrt @ resolvent[:n, :]
+    resolvent[:, :n] = resolvent[:, :n] @ validation.k_inv_sqrt
+    return linalg.operator_norm_2(resolvent)
 
 
 @dataclass(frozen=True)
@@ -243,9 +232,7 @@ class ResolventScan:
     ``tail_slope`` is the log-log slope of the product over the top third
     of the line; near zero it certifies the ``M / |Im lam|`` decay.  The
     verdict ``sectorial`` additionally requires a finite spectral sector
-    angle.  ``near_axis_exponent``/``near_axis_band`` stay ``None``:
-    behaviour of the resolvent as ``Im lam -> 0`` near the real axis is
-    deliberately not fitted.
+    angle.
     """
 
     samples: tuple[tuple[complex, float, float], ...]
@@ -254,29 +241,28 @@ class ResolventScan:
     products_bounded: bool
     sector_angle: float
     sectorial: bool
-    near_axis_exponent: None = None
-    near_axis_band: None = None
 
 
 def resolvent_scan(
     model: SystemModel,
+    report: SpectrumReport,
     re_offset: float,
     im_grid,
     tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
 ) -> ResolventScan:
     """Scan ``lam = re_offset + i t`` over ``im_grid`` and fit boundedness.
 
+    ``report``, the solved spectrum of ``model``, gives the sector angle.
     ``im_grid`` should be an ascending positive (ideally log-spaced)
     grid.  :class:`NearSpectrum` from any sample propagates out.
     """
     im_grid = np.atleast_1d(np.asarray(im_grid, dtype=float))
     if im_grid.size < 2 or np.any(im_grid <= 0.0) or np.any(np.diff(im_grid) <= 0.0):
         raise ValueError("im_grid must be ascending and strictly positive")
-    report = solve_qep(model, tolerances)
     samples = []
     for t in im_grid:
         lam = complex(re_offset, float(t))
-        nrm = resolvent_norm_at(model, lam, tolerances, spectrum_report=report)
+        nrm = resolvent_norm_at(model, report, lam, tolerances)
         samples.append((lam, nrm, nrm * float(t)))
 
     products = np.array([s[2] for s in samples])

@@ -51,7 +51,6 @@ from .model import (
     BeamSpec,
     PhaseVector,
     SystemModel,
-    ValidationReport,
     beam_assemble,
     phase_operator,
     validate,
@@ -65,7 +64,6 @@ __all__ = [
     "AccumulationReport",
     "solve_qep",
     "eigenvalue_lower_bound",
-    "resolvent_disk_radius",
     "accumulation_experiment",
     "quadratic_pencil",
     "pencil_kernel_basis",
@@ -104,12 +102,15 @@ class EigenvalueBound:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Sorted eigenpairs plus the magnitude bound and resolvent disk radius."""
+    """Sorted eigenpairs plus the magnitude lower bound.
+
+    ``bound.value`` is also the radius of the spectrum-free disk around the
+    origin: a Neumann-series argument on the inverse phase operator gives
+    the same expression.
+    """
 
     eigenpairs: tuple[Eigenpair, ...]
     bound: EigenvalueBound
-    disk_radius: float
-    accumulation: "AccumulationReport | None" = None
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -293,13 +294,13 @@ def _linearized_eigenpairs(model: SystemModel) -> tuple[np.ndarray, list[np.ndar
     if not mods[order[n - 1]] < 0.5 * mods[order[n]]:
         return values, xs
 
-    _, root_inv = linalg.spd_sqrt_pair(model.K)
+    validation = validate(model)
+    root_inv = validation.k_inv_sqrt
     k_inv = root_inv @ root_inv
-    weighted = root_inv @ model.C @ root_inv
     rev = np.block(
         [
             [np.zeros((n, n)), np.eye(n)],
-            [-0.5 * (k_inv + k_inv.T), -0.5 * (weighted + weighted.T)],
+            [-0.5 * (k_inv + k_inv.T), -validation.weighted_damping],
         ]
     )
     rdec = linalg.nonsym_eig(rev)
@@ -388,7 +389,7 @@ def solve_qep(model: SystemModel, tolerances: ToleranceProfile = DEFAULT_TOLERAN
     if any final residual exceeds ``tolerances.residual_tol`` relative to
     the Frobenius norm of the phase operator.
     """
-    validation = validate(model)
+    validate(model)
     a_op = phase_operator(model)
     comps = _coupling_components(model)
     found: list[tuple[complex, np.ndarray]] = []
@@ -428,8 +429,7 @@ def solve_qep(model: SystemModel, tolerances: ToleranceProfile = DEFAULT_TOLERAN
             f"worst eigenpair residual {worst:.3e} exceeds {tolerances.residual_tol:.1e}"
         )
 
-    bound = _lower_bound(model, validation)
-    return SpectrumReport(eigenpairs=tuple(pairs), bound=bound, disk_radius=bound.value)
+    return SpectrumReport(eigenpairs=tuple(pairs), bound=eigenvalue_lower_bound(model))
 
 
 def eigenvalue_lower_bound(model: SystemModel) -> EigenvalueBound:
@@ -439,27 +439,12 @@ def eigenvalue_lower_bound(model: SystemModel) -> EigenvalueBound:
     spectral norm of ``K^{-1/2} C K^{-1/2}`` (equal to its largest
     eigenvalue, the sharp damping/stiffness comparison constant).
     """
-    return _lower_bound(model, validate(model))
-
-
-def _lower_bound(model: SystemModel, report: ValidationReport) -> EigenvalueBound:
-    k_min = float(linalg.sym_eig(model.K).eigenvalues[0])
-    v = 1.0 / k_min
+    report = validate(model)
+    v = 1.0 / report.k_min_eigenvalue
     # gamma and alpha are the extreme eigenvalues of K^{-1/2} C K^{-1/2}.
     d = float(max(abs(report.gamma), abs(report.alpha)))
     value = (np.sqrt(d * d + 4.0 * v) - d) / (2.0 * v)
     return EigenvalueBound(norm_ainv=v, norm_ainv_d=d, value=float(value))
-
-
-def resolvent_disk_radius(model: SystemModel) -> float:
-    """Radius of the spectrum-free disk around the origin.
-
-    The disk comes from requiring ``|lam| ||K^{-1} C|| + |lam|^2 ||K^{-1}||``
-    to stay below one (a Neumann-series argument on the inverse phase
-    operator); solving the quadratic gives the same expression as the
-    eigenvalue magnitude bound, so the two coincide by construction.
-    """
-    return eigenvalue_lower_bound(model).value
 
 
 def accumulation_experiment(

@@ -205,6 +205,53 @@ def quad_overlap(j: int, k: int, lo: float, hi: float) -> float:
     return float(val)
 
 
+def _scalar_sinpi(u: float) -> float:
+    m = round(u)
+    s = float(np.sin(np.pi * (u - m)))
+    return -s if m % 2 else s
+
+
+def closed_form_overlap(j: int, k: int, lo: float, hi: float) -> float:
+    """The closed-form patch overlap for one pair of 1-based modes, one call per entry.
+
+    Same antiderivative as the library's, evaluated scalar by scalar, so a
+    vectorized assembly can be compared with it bit for bit.
+    """
+    if j == k:
+        d = 2 * j - 1
+        return (hi - lo) - (_scalar_sinpi(d * hi) - _scalar_sinpi(d * lo)) / (d * np.pi)
+    dm, dp = j - k, j + k - 1
+    return (_scalar_sinpi(dm * hi) - _scalar_sinpi(dm * lo)) / (dm * np.pi) - (
+        _scalar_sinpi(dp * hi) - _scalar_sinpi(dp * lo)
+    ) / (dp * np.pi)
+
+
+def closed_form_damping(spec: sd.BeamSpec) -> np.ndarray:
+    """Beam ``C`` entry by entry from :func:`closed_form_overlap`.
+
+    Each overlap is evaluated once for ``j <= k`` and mirrored, and each
+    entry sums ``a * (w_j^2 * overlap * w_k^2)`` over the patches in order.
+    """
+    n = spec.N
+    w = [(k - 0.5) * np.pi for k in range(1, n + 1)]
+    w2 = [x * x for x in w]
+    overlaps = []
+    for p in spec.patches:
+        ov = np.zeros((n, n))
+        for j in range(n):
+            for k in range(j, n):
+                ov[j, k] = ov[k, j] = closed_form_overlap(j + 1, k + 1, p.lo, p.hi)
+        overlaps.append((p.a, ov))
+    damp = np.zeros((n, n))
+    for j in range(n):
+        for k in range(n):
+            c = 0.0
+            for a, ov in overlaps:
+                c += a * (w2[j] * ov[j, k] * w2[k])
+            damp[j, k] = c
+    return 0.5 * (damp + damp.T)
+
+
 # ---------------------------------------------------------------------------
 # multiset comparison
 

@@ -291,13 +291,16 @@ def test_08_contraction_semigroup():
     worst_res = 0.0
     for _ in range(25):
         model = oracles.random_model(rng, int(rng.integers(1, 5)))
+        rep = sd.solve_qep(model)
         for lam in (0.1 + 0.0j, 1.0 + 2.0j, 3.0 - 5.0j, 0.25 + 40.0j):
-            val = sd.resolvent_norm_at(model, lam)
+            val = sd.resolvent_norm_at(model, rep, lam)
             worst_res = max(worst_res, val * lam.real)
             assert val <= (1.0 / lam.real) * (1.0 + 1e-12)
 
+    beam = sd.beam_assemble(uniform_beam(1.0, 2.0, 16))
     scan = sd.resolvent_scan(
-        sd.beam_assemble(uniform_beam(1.0, 2.0, 16)),
+        beam,
+        sd.solve_qep(beam),
         re_offset=1.0,
         im_grid=np.logspace(0.0, 4.0, 33),
     )

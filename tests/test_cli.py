@@ -1,5 +1,6 @@
 """Tests for the command-line front end: schema, artifacts, exit codes."""
 
+import collections
 import csv
 import importlib
 import json
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import specdamp
-from specdamp import cli
+from specdamp import cli, conditions, linalg, model, spectrum
 
 
 BEAM_CONFIG = {
@@ -295,15 +296,20 @@ class TestSimulate:
 PACKAGE_ROOT = Path(specdamp.__file__).resolve().parents[1]
 
 
-def run_module(args, cwd):
-    """Run ``python -m specdamp ARGS`` in a fresh interpreter."""
+def package_env():
+    """The environment with ``PACKAGE_ROOT`` first on ``PYTHONPATH``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_module(args, cwd):
+    """Run ``python -m specdamp ARGS`` in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "specdamp", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
+        capture_output=True, text=True, cwd=cwd, env=package_env(),
     )
 
 
@@ -341,6 +347,59 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "report.json").exists()
+
+
+def count_calls(monkeypatch, fn, counter, record=None):
+    """Count calls of ``fn`` through every binding of it in the specdamp modules."""
+
+    def wrapper(*args, **kwargs):
+        counter[fn.__name__] += 1
+        if record is not None:
+            record.append(args[0])
+        return fn(*args, **kwargs)
+
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "specdamp"]:
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, wrapper)
+
+
+class TestComputeOnce:
+    def test_analyze_solves_and_factors_each_model_once(self, tmp_path, monkeypatch):
+        cfg = {
+            "model": {"type": "beam", "E": 1.0, "N": 16,
+                      "patches": [{"a": 1.2, "from": 0.0, "to": 0.5},
+                                  {"a": 2.5, "from": 0.5, "to": 1.0}]},
+            "analyses": ["spectrum", "krein", "conditions", "semigroup", "accumulation"],
+        }
+        path = write_config(tmp_path / "cfg.json", cfg)
+        calls = collections.Counter()
+        models, eig_args = [], []
+        count_calls(monkeypatch, spectrum.solve_qep, calls)
+        count_calls(monkeypatch, conditions.check_overdamping, calls)
+        count_calls(monkeypatch, model.beam_assemble, calls)
+        count_calls(monkeypatch, model.validate, calls, record=models)
+        count_calls(monkeypatch, linalg.sym_eig, calls, record=eig_args)
+        assert cli.main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+        # One solve of the configured rod plus one per accumulation order.
+        assert calls["solve_qep"] == 1 + len(cli.ACCUMULATION_ORDERS)
+        assert calls["check_overdamping"] == 1
+        assert calls["beam_assemble"] == 1 + len(cli.ACCUMULATION_ORDERS)
+        distinct = list({id(m): m for m in models}.values())
+        assert len(distinct) == 1 + len(cli.ACCUMULATION_ORDERS)
+        k_eigs = [sum(a is m.K for a in eig_args) for m in distinct]
+        assert k_eigs == [1] * len(distinct)
+
+
+class TestDemos:
+    DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+    @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+    def test_demo_runs(self, demo, tmp_path):
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                              text=True, cwd=tmp_path, env=package_env())
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCheck:

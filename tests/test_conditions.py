@@ -129,10 +129,17 @@ class TestConditionIII:
         assert rep.lhs == pytest.approx(0.5) and rep.rhs == 1.0 and rep.holds
 
 
+def patch_thresholds(spec):
+    m = sd.beam_assemble(spec)
+    return conditions.patch_threshold_report(
+        spec, conditions.check_overdamping(m), sd.solve_qep(m)
+    )
+
+
 class TestPatchThresholds:
     def test_threshold_values(self):
         spec = sd.BeamSpec(E=4.0, patches=(sd.Patch(1.0, 0.0, 1.0),), N=16)
-        rep = conditions.patch_threshold_report(spec)
+        rep = patch_thresholds(spec)
         e = rep.entries[0]
         assert e.threshold_inv_sqrt_modulus == pytest.approx(8.0 / (np.pi**2 * 2.0), rel=1e-12)
         assert e.threshold_sqrt_modulus == pytest.approx(8.0 * 2.0 / np.pi**2, rel=1e-12)
@@ -143,7 +150,7 @@ class TestPatchThresholds:
         # real: that scaling of the constant cannot be sufficient, while
         # the sqrt-modulus scaling correctly refuses to certify
         spec = sd.BeamSpec(E=4.0, patches=(sd.Patch(1.0, 0.0, 1.0),), N=16)
-        rep = conditions.patch_threshold_report(spec)
+        rep = patch_thresholds(spec)
         e = rep.entries[0]
         assert e.above_inv_sqrt and not e.above_sqrt
         assert rep.margin < 0.0 and not rep.margin_positive
@@ -151,7 +158,7 @@ class TestPatchThresholds:
 
     def test_certifying_case(self):
         spec = sd.BeamSpec(E=1.0, patches=(sd.Patch(0.85, 0.0, 1.0),), N=16)
-        rep = conditions.patch_threshold_report(spec)
+        rep = patch_thresholds(spec)
         assert rep.entries[0].above_sqrt
         assert rep.margin > 0.0 and rep.margin_positive
         assert rep.nonreal_count == 0
@@ -189,7 +196,7 @@ class TestConditionReport:
     def test_beam_assembles_all_sections(self):
         spec = sd.BeamSpec(E=1.0, patches=(sd.Patch(2.0, 0.0, 1.0),), N=8)
         m = sd.beam_assemble(spec)
-        rep = conditions.condition_report(m)
+        rep = conditions.condition_report(m, sd.solve_qep(m))
         assert rep.overdamping.overdamped
         assert rep.hyperbolicity_certificate is not None
         assert [v.mu for v in rep.condition_ii] == [-2.0]
@@ -202,7 +209,7 @@ class TestConditionReport:
 
     def test_generic_model_omits_beam_sections(self):
         m = scalar_model(1.0, 3.0)
-        rep = conditions.condition_report(m)
+        rep = conditions.condition_report(m, sd.solve_qep(m))
         assert rep.condition_iii is None
         assert rep.patch_thresholds is None
         assert rep.condition_ii == ()
@@ -210,7 +217,7 @@ class TestConditionReport:
     def test_explicit_candidates_and_proxy(self):
         m = scalar_model(1.0, 3.0)
         rep = conditions.condition_report(
-            m, essential_candidates=[-0.5], essential_proxy=2.0
+            m, sd.solve_qep(m), essential_candidates=[-0.5], essential_proxy=2.0
         )
         assert len(rep.condition_ii) == 1
         assert rep.condition_iii is not None and rep.condition_iii.rhs == 2.0

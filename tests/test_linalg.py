@@ -39,6 +39,14 @@ class TestCholesky:
         with pytest.raises(linalg.NotPositiveDefinite):
             linalg.cholesky(a)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        for i, j in ((0, 0), (2, 2), (2, 1)):
+            a = np.diag([4.0, 1.0, 3.0])
+            a[i, j] = a[j, i] = bad
+            with pytest.raises(linalg.NotPositiveDefinite):
+                linalg.cholesky(a)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             linalg.cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))

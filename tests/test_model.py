@@ -221,6 +221,19 @@ class TestBeamAssemble:
                 atol=1e-11,
             )
 
+    @pytest.mark.parametrize("N", [1, 7, 64, 256])
+    @pytest.mark.parametrize(
+        "patches",
+        [
+            ((1.2, 0.0, 0.5), (2.5, 0.5, 1.0)),
+            ((0.3, 0.0, 0.1), (5.0, 0.1, 0.77), (1.7, 0.77, 1.0)),
+        ],
+        ids=["two-patch", "three-patch"],
+    )
+    def test_damping_matches_scalar_closed_form_exactly(self, N, patches):
+        spec = sd.BeamSpec(E=1.0, patches=tuple(sd.Patch(*p) for p in patches), N=N)
+        assert np.array_equal(sd.beam_assemble(spec).C, oracles.closed_form_damping(spec))
+
     def test_assembled_model_is_valid(self):
         spec = sd.BeamSpec(
             E=1.0, patches=(sd.Patch(0.5, 0.0, 0.5), sd.Patch(2.0, 0.5, 1.0)), N=6

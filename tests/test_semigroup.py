@@ -150,7 +150,7 @@ class TestResolvent:
         # energy-norm resolvent of the rotation generator at lam = 1:
         # distance to the spectrum {+-i} in the unitary coordinates
         m = scalar_model(1.0, 0.0)
-        assert semigroup.resolvent_norm_at(m, 1.0 + 0.0j) == pytest.approx(
+        assert semigroup.resolvent_norm_at(m, sd.solve_qep(m), 1.0 + 0.0j) == pytest.approx(
             1.0 / np.sqrt(2.0), rel=1e-12
         )
 
@@ -159,14 +159,15 @@ class TestResolvent:
         probes = [0.5 + 0.0j, 1.0 + 2.0j, 3.0 - 1.0j, 0.05 + 5.0j]
         for _ in range(15):
             m = oracles.random_model(rng, int(rng.integers(1, 5)))
+            rep = sd.solve_qep(m)
             for lam in probes:
-                val = semigroup.resolvent_norm_at(m, lam)
+                val = semigroup.resolvent_norm_at(m, rep, lam)
                 assert val <= 1.0 / lam.real + 1e-9
 
     def test_zero_matches_inverse_energy_norm(self):
         rng = np.random.default_rng(67)
         m = oracles.random_model(rng, 3)
-        val = semigroup.resolvent_norm_at(m, 0.0 + 0.0j)
+        val = semigroup.resolvent_norm_at(m, sd.solve_qep(m), 0.0 + 0.0j)
         vals, vecs = np.linalg.eigh(m.K)
         kh = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
         kih = vecs @ np.diag(vals**-0.5) @ vecs.T
@@ -178,33 +179,33 @@ class TestResolvent:
     def test_near_spectrum_raises(self):
         m = scalar_model(1.0, 0.0)
         with pytest.raises(semigroup.NearSpectrum):
-            semigroup.resolvent_norm_at(m, 1.0j)
+            semigroup.resolvent_norm_at(m, sd.solve_qep(m), 1.0j)
 
 
 class TestResolventScan:
     def test_damped_beam_bounded_products(self):
         spec = sd.BeamSpec(E=1.0, patches=(sd.Patch(2.0, 0.0, 1.0),), N=16)
         m = sd.beam_assemble(spec)
-        scan = semigroup.resolvent_scan(m, 1.0, np.logspace(0.0, 4.0, 25))
+        scan = semigroup.resolvent_scan(m, sd.solve_qep(m), 1.0, np.logspace(0.0, 4.0, 25))
         assert scan.products_bounded
         assert np.isfinite(scan.fitted_M) and scan.fitted_M > 0.0
         assert scan.tail_slope <= 0.1
         # fully real spectrum: zero sector angle, sectorial verdict
         assert scan.sector_angle == 0.0 and scan.sectorial
-        assert scan.near_axis_exponent is None and scan.near_axis_band is None
 
     def test_undamped_flagged_nonsectorial(self):
         m = sd.SystemModel(K=np.eye(2), C=np.zeros((2, 2)))
-        scan = semigroup.resolvent_scan(m, 0.5, np.logspace(0.0, 3.0, 15))
+        scan = semigroup.resolvent_scan(m, sd.solve_qep(m), 0.5, np.logspace(0.0, 3.0, 15))
         assert scan.sector_angle == np.inf
         assert not scan.sectorial
 
     def test_grid_validation(self):
         m = scalar_model(1.0, 1.0)
+        rep = sd.solve_qep(m)
         with pytest.raises(ValueError):
-            semigroup.resolvent_scan(m, 1.0, np.array([2.0, 1.0]))
+            semigroup.resolvent_scan(m, rep, 1.0, np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
-            semigroup.resolvent_scan(m, 1.0, np.array([-1.0, 1.0]))
+            semigroup.resolvent_scan(m, rep, 1.0, np.array([-1.0, 1.0]))
 
 
 class TestSmoothingProbe:

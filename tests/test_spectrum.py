@@ -112,7 +112,6 @@ class TestSolveQep:
         rep = sd.solve_qep(scalar_model(4.0, 0.0))
         assert rep.min_abs == 2.0
         assert rep.max_real == 0.0
-        assert rep.disk_radius == rep.bound.value
 
 
 class TestCoupledSolver:
@@ -190,11 +189,6 @@ class TestEigenvalueBound:
             m = oracles.random_model(rng, int(rng.integers(1, 7)))
             rep = sd.solve_qep(m)
             assert np.min(np.abs(rep.eigenvalues)) >= rep.bound.value - 1e-10
-
-    def test_disk_radius_equals_bound(self):
-        rng = np.random.default_rng(38)
-        m = oracles.random_model(rng, 3)
-        assert sd.resolvent_disk_radius(m) == sd.eigenvalue_lower_bound(m).value
 
 
 class TestKernelBasis:

@@ -26,6 +26,25 @@ sectoriality verdict; each alone has blind spots at finite order.
 Both take the solved spectrum, ``(model, report, ...)``, and never solve
 the model again; the caller solves once and hands it down.
 
+Each resolvent point costs one LU factorization of ``A - lam``, which
+keeps the value accurate to a few ulps against a 40-digit oracle.  One
+Schur form shared by the whole scan was rejected: its backward error is
+eps times the norm of the energy-scaled operator, whose damping block
+grows like the fourth power of the rod's top frequency, and that cost up
+to 1e-8 relative at N = 128.
+
+What follows the LU depends only on the operator dimension ``2n``.
+Below ``LANCZOS_MIN_DIMENSION`` the explicit energy-scaled inverse is
+formed and its spectral norm taken densely, the faster route at that
+size.  From there on the inverse is never formed: Lanczos with full
+reorthogonalization on ``R_E^H R_E`` (``R_E`` the energy-scaled
+resolvent), from a seeded random start, applies it through the LU
+factors, two triangular solve pairs per step (Trefethen & Embree,
+*Spectra and Pseudospectra*, 2005; Wright & Trefethen, SISC 23, 2001).
+It stops when the top Ritz residual falls to ``LANCZOS_RTOL`` of the
+Ritz value and returns ``||R_E u|| / ||u||`` for that Ritz vector ``u``,
+through a residual-checked solve.
+
 Every truncation order generates a trivially analytic semigroup, so the
 honest finite-order statement is uniformity: bounded ``fitted_M`` and
 sector angle as the order grows, which callers check across orders.
@@ -36,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.linalg import eigh_tridiagonal, expm, lu_factor, lu_solve
 
 from . import linalg
 from .model import PhaseVector, SystemModel, phase_operator, validate
@@ -62,6 +81,18 @@ MODAL_CONDITION_LIMIT = 1e8
 # Most trapezoid steps, both runs together, that evolve will take; a stiff
 # model with a long horizon would otherwise run for hours.
 MAX_TRAPEZOID_STEPS = 10**7
+
+# From this operator dimension on, resolvent_norm_at runs Lanczos through
+# the LU factors; below it the explicit inverse is faster.
+LANCZOS_MIN_DIMENSION = 128
+
+# Lanczos stops once the top Ritz residual is at most this times the Ritz
+# value, which puts the Ritz value within that relative distance of an
+# eigenvalue of R_E^H R_E.
+LANCZOS_RTOL = 1e-13
+
+# Seed of the Lanczos start vector, fixed so the norms are reproducible.
+LANCZOS_SEED = 0
 
 
 class NearSpectrum(Exception):
@@ -205,22 +236,81 @@ def resolvent_norm_at(
     """Energy-norm resolvent ``||(A - lam)^{-1}||`` at one point.
 
     Raises :class:`NearSpectrum` when ``lam`` is within cluster tolerance
-    of an eigenvalue in ``report``, the solved spectrum.  The norm is the operator 2-norm after the
-    energy similarity ``diag(K^{1/2}, I)``; in that norm a contraction
-    semigroup obeys ``norm <= 1 / Re lam`` for ``Re lam > 0``.
+    of an eigenvalue in ``report``, the solved spectrum, and
+    :class:`~specdamp.linalg.Singular` when the LU factorization of
+    ``A - lam`` has a negligible pivot.  The norm is the operator 2-norm
+    of ``R_E = diag(K^{1/2}, I) (A - lam)^{-1} diag(K^{-1/2}, I)``; in
+    that norm a contraction semigroup obeys ``norm <= 1 / Re lam`` for
+    ``Re lam > 0``.
+
+    Below ``LANCZOS_MIN_DIMENSION`` the explicit ``R_E`` is formed and its
+    norm taken densely.  From there on ``R_E`` is never formed: Lanczos on
+    ``R_E^H R_E`` applies it through the one LU factorization and returns
+    ``||R_E u|| / ||u||`` for its converged Ritz vector ``u``, computed
+    through a residual-checked solve.
     """
     lam = complex(lam)
     dist = float(np.min(np.abs(report.eigenvalues - lam)))
     if dist <= tolerances.cluster_tol * (1.0 + abs(lam)):
         raise NearSpectrum(lam, dist)
-    a_op = phase_operator(model)
-    shifted = a_op.astype(complex) - lam * np.eye(2 * model.n)
-    resolvent = linalg.solve(shifted, np.eye(2 * model.n, dtype=complex))
-    # Energy similarity diag(K^{1/2}, I) . R . diag(K^{-1/2}, I).
     validation, n = validate(model), model.n
+    shifted = phase_operator(model).astype(complex) - lam * np.eye(2 * n)
+    if 2 * n >= LANCZOS_MIN_DIMENSION:
+        return _lanczos_norm(linalg.LUFactors(shifted), validation.k_sqrt, validation.k_inv_sqrt)
+    resolvent = linalg.solve(shifted, np.eye(2 * n, dtype=complex))
+    # Energy similarity diag(K^{1/2}, I) . R . diag(K^{-1/2}, I).
     resolvent[:n, :] = validation.k_sqrt @ resolvent[:n, :]
     resolvent[:, :n] = resolvent[:, :n] @ validation.k_inv_sqrt
     return linalg.operator_norm_2(resolvent)
+
+
+def _lanczos_norm(lu: linalg.LUFactors, k_sqrt: np.ndarray, k_inv_sqrt: np.ndarray) -> float:
+    # sigma_max of R_E = S R S^{-1}, S = diag(K^{1/2}, I), R = lu's inverse,
+    # by Lanczos with full reorthogonalization on the Hermitian R_E^H R_E.
+    dim, n = lu.matrix.shape[0], k_sqrt.shape[0]
+
+    def scale_top(mat, v):
+        # mat @ v[:n] for real mat and complex v, without a complex copy of mat
+        w = v.copy()
+        w[:n] = (mat @ v[:n].view(float).reshape(n, 2)).view(complex).ravel()
+        return w
+
+    def r_e(v):
+        return scale_top(k_sqrt, lu.apply_inverse(scale_top(k_inv_sqrt, v)))
+
+    def r_e_adjoint(v):
+        return scale_top(k_inv_sqrt, lu.apply_inverse(scale_top(k_sqrt, v), adjoint=True))
+
+    # A fixed generic start: a structured one (all ones, say) can be
+    # orthogonal to the top singular vector of a symmetric model.
+    rng = np.random.default_rng(LANCZOS_SEED)
+    basis = np.empty((dim, dim), dtype=complex)  # one Lanczos vector per row
+    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = [], []
+    for j in range(dim):
+        q = basis[j]
+        w = r_e_adjoint(r_e(q))
+        alpha.append(float(np.vdot(q, w).real))
+        w -= alpha[-1] * q
+        if j:
+            w -= beta[-1] * basis[j - 1]
+        done = basis[: j + 1]
+        for _ in range(2):
+            w -= (done.conj() @ w) @ done
+        b = float(np.linalg.norm(w))
+        theta, s = eigh_tridiagonal(
+            np.array(alpha), np.array(beta), select="i", select_range=(j, j), check_finite=False
+        )
+        # b * |s_j| is the Ritz residual ||H u - theta u|| of the top Ritz
+        # pair, u = s @ done.  A full basis makes the Ritz pair exact.
+        if b * abs(s[-1, 0]) <= LANCZOS_RTOL * theta[0] or j + 1 == dim:
+            break
+        beta.append(b)
+        basis[j + 1] = w / b
+    u = s[:, 0] @ done
+    x = scale_top(k_sqrt, lu.solve(scale_top(k_inv_sqrt, u)))
+    return float(np.linalg.norm(x) / np.linalg.norm(u))
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,36 @@ def beam_mode_roots(E: float, a: float, N: int) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
+# energy-norm resolvent in 40-digit arithmetic
+
+
+def resolvent_norm_mp(model: sd.SystemModel, lam: complex, dps: int = 40) -> float:
+    """Energy-norm ``||(A - lam)^{-1}||`` as ``1 / sigma_min(B - lam)`` in mpmath.
+
+    ``B = [[0, K^{1/2}], [-K^{1/2}, -C]]`` is the phase operator after the
+    energy similarity ``diag(K^{1/2}, I)``; it is built from the float
+    ``K`` and ``C`` with ``K^{1/2}`` taken entrywise, so ``K`` must be
+    diagonal (as it is for beams).
+    """
+    stiff, damp, n = model.K, model.C, model.n
+    if np.any(stiff != np.diag(np.diag(stiff))):
+        raise ValueError("resolvent_norm_mp needs a diagonal K")
+    with mp.workdps(dps):
+        z = mp.mpc(repr(lam.real), repr(lam.imag))
+        shifted = mp.matrix(2 * n, 2 * n)
+        for i in range(n):
+            root = mp.sqrt(mp.mpf(repr(float(stiff[i, i]))))
+            shifted[i, i] = -z
+            shifted[i, n + i] = root
+            shifted[n + i, i] = -root
+            for j in range(n):
+                shifted[n + i, n + j] = -mp.mpf(repr(float(damp[i, j])))
+            shifted[n + i, n + i] -= z
+        sigma = mp.svd_c(shifted, compute_uv=False)
+        return float(1 / min(sigma[k] for k in range(2 * n)))
+
+
+# ---------------------------------------------------------------------------
 # brute-force sphere minimum for the overdamping margin (n = 2 only)
 
 

@@ -1,6 +1,7 @@
 """Tests for the phase-flow integrator and resolvent statistics."""
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,6 +181,105 @@ class TestResolvent:
         m = scalar_model(1.0, 0.0)
         with pytest.raises(semigroup.NearSpectrum):
             semigroup.resolvent_norm_at(m, sd.solve_qep(m), 1.0j)
+
+    def test_two_patch_matches_mp_oracle(self):
+        m = two_patch_rod(16)
+        rep = sd.solve_qep(m)
+        for t in (1.0, 46.4, 1000.0, 1e4):
+            lam = complex(1.0, t)
+            want = oracles.resolvent_norm_mp(m, lam)
+            assert semigroup.resolvent_norm_at(m, rep, lam) == pytest.approx(want, rel=1e-13)
+
+
+def two_patch_rod(N):
+    return sd.beam_assemble(
+        sd.BeamSpec(E=1.0, patches=(sd.Patch(1.2, 0.0, 0.5), sd.Patch(2.5, 0.5, 1.0)), N=N)
+    )
+
+
+def dense_resolvent_norm(m, lam):
+    # The energy-scaled inverse formed explicitly, normed by numpy's SVD.
+    vals, vecs = np.linalg.eigh(m.K)
+    scale = np.eye(2 * m.n)
+    inv_scale = np.eye(2 * m.n)
+    scale[: m.n, : m.n] = (vecs * np.sqrt(vals)) @ vecs.T
+    inv_scale[: m.n, : m.n] = (vecs / np.sqrt(vals)) @ vecs.T
+    inverse = np.linalg.inv(phase_operator(m) - lam * np.eye(2 * m.n))
+    return float(np.linalg.norm(scale @ inverse @ inv_scale, 2))
+
+
+CLI_GRID = np.logspace(0.0, 4.0, 25)
+
+
+class TestResolventLanczos:
+    """Operators of dimension >= LANCZOS_MIN_DIMENSION: no explicit inverse."""
+
+    def test_two_patch_N64_matches_dense(self):
+        m = two_patch_rod(64)
+        rep = sd.solve_qep(m)
+        for t in CLI_GRID:
+            lam = complex(1.0, t)
+            want = dense_resolvent_norm(m, lam)
+            assert semigroup.resolvent_norm_at(m, rep, lam) == pytest.approx(want, rel=1e-13)
+
+    def test_swap_symmetric_antisymmetric_maximum(self):
+        # K = [[A, A/2], [A/2, A]], C = [[D, .98 D], [.98 D, D]] splits under
+        # the swap of its two halves: K acts as A/2 and C as D/50 on the
+        # antisymmetric half, which carries the maximum at low |Im lam|.  A
+        # start vector with no antisymmetric part would miss it there.
+        rng = np.random.default_rng(3)
+
+        def spd(vals):
+            q = np.linalg.qr(rng.standard_normal((32, 32)))[0]
+            a = (q * vals) @ q.T
+            return 0.5 * (a + a.T)
+
+        a, d = spd(np.logspace(0.0, 4.0, 32)), spd(rng.uniform(0.5, 2.0, 32))
+        m = sd.SystemModel(K=np.block([[a, a / 2], [a / 2, a]]), C=np.block([[d, 0.98 * d], [0.98 * d, d]]))
+        anti = sd.SystemModel(K=a / 2, C=0.02 * d)
+        sym = sd.SystemModel(K=1.5 * a, C=1.98 * d)
+        rep = sd.solve_qep(m)
+        anti_wins = 0
+        for t in CLI_GRID:
+            lam = complex(1.0, t)
+            want = dense_resolvent_norm(m, lam)
+            anti_wins += dense_resolvent_norm(anti, lam) > 1.4 * dense_resolvent_norm(sym, lam)
+            assert semigroup.resolvent_norm_at(m, rep, lam) == pytest.approx(want, rel=1e-13)
+        assert anti_wins >= 8
+
+    def test_near_spectrum_raises(self):
+        m = two_patch_rod(64)
+        rep = sd.solve_qep(m)
+        with pytest.raises(semigroup.NearSpectrum):
+            semigroup.resolvent_norm_at(m, rep, rep.eigenvalues[0])
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_raises(self):
+        # The spectrum handed in misses lam = i, an eigenvalue of the
+        # undamped unit model, so only the pivot test can catch it.
+        m = sd.SystemModel(K=np.eye(64), C=np.zeros((64, 64)))
+        with pytest.raises(linalg.Singular):
+            semigroup.resolvent_norm_at(m, SimpleNamespace(eigenvalues=np.array([-1.0])), 1.0j)
+
+    def test_one_lu_and_no_dense_eigensolve(self, monkeypatch):
+        m = two_patch_rod(64)
+        rep = sd.solve_qep(m)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(linalg, "lu_factor", counted("lu", linalg.lu_factor))
+        monkeypatch.setattr(semigroup, "lu_factor", counted("lu", semigroup.lu_factor))
+        for name in ("eig", "eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        semigroup.resolvent_norm_at(m, rep, 1.0 + 10.0j)
+        assert [c for c in calls if c[0] == "lu"] == [("lu", (128, 128))]
+        assert not [c for c in calls if c[0] != "lu" and c[1] == (128, 128)]
 
 
 class TestResolventScan:

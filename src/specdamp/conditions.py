@@ -8,12 +8,17 @@ Three independently checkable conditions are implemented:
   4 (f^T f)(f^T K f)`` (normalized to ``f^T K f = 1``) into this form.  A
   positive margin forces every eigenvalue real and semisimple.  The
   minimum is found by projected-gradient descent over the unit sphere
-  from deterministic seeded restarts, and cross-checked by an independent
-  convex detector: ``margin > 0`` iff some ``s < 0`` makes
-  ``L(s) = s^2 I + s Wt + K^{-1}`` negative definite.  ``lam_max(L(s))``
-  is a maximum of convex parabolas, hence convex in ``s``, so a
-  golden-section search finds its global minimum; the two detectors must
-  agree outside a small band around zero or the check aborts.
+  from deterministic seeded restarts, stopped when its best value stalls,
+  and cross-checked by an independent convex detector: ``margin > 0`` iff
+  some ``s < 0`` makes ``L(s) = s^2 I + s Wt + K^{-1}`` negative definite
+  (the hyperbolicity certificate).  ``phi(s) = lam_max(L(s))`` is a
+  maximum of convex parabolas, hence convex in ``s``, and its slope comes
+  with the top eigenvector, so a tangent-cut search finds its global
+  minimum, kinks included, and stops once the best value is within
+  roundoff of the tangents' lower bound.  The two detectors must agree
+  outside a small band around zero or the check aborts.  ``K^{-1}``,
+  ``||Wt||``, ``||K^{-1}||`` and the two deterministic starts come from
+  the model's validation report.
 
 * **Kernel nondegeneracy at candidate accumulation values** (condition
   ``ii``): for each declared essential value ``mu`` of ``-K^{-1} C``, the
@@ -41,8 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from . import krein, linalg, spectrum
+from . import krein, spectrum
 from .model import BeamSpec, SystemModel, validate
 from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
 
@@ -62,6 +68,17 @@ __all__ = [
     "riesz_basis_condition_number",
     "condition_report",
 ]
+
+# The sphere minimizer stops once its best value has improved by at most
+# STALL_RTOL * (1 + |best|) over the last STALL_WINDOW iterations.
+STALL_WINDOW = 20
+STALL_RTOL = 1e-14
+
+# The definiteness search stops once the best value is within CUT_ROUNDOFF
+# roundoff units of the tangent lower bound, or the bracket is that narrow,
+# and after MAX_CUTS evaluations at most.
+CUT_ROUNDOFF = 8.0
+MAX_CUTS = 200
 
 
 class OptimizerDisagreement(Exception):
@@ -84,10 +101,14 @@ class MissingEssentialSpectrumProxy(Exception):
 class OverdampingReport:
     """Result of the two-detector overdamping check.
 
-    ``margin`` and ``minimizer`` come from the sphere minimization;
-    ``certificate_s`` is the minimizer of the convex definiteness search
-    and doubles as the hyperbolicity certificate when its value
-    ``certificate_value`` is negative.
+    ``margin`` and ``minimizer`` come from the sphere minimization over
+    ``restarts`` start vectors.  ``certificate_s`` is the best point the
+    tangent-cut search on ``phi(s) = lam_max(s^2 I + s Wt + K^{-1})``
+    evaluated, and ``certificate_value = phi(certificate_s)``; it doubles as
+    the hyperbolicity certificate when that value is negative.  The value is
+    within roundoff of ``min phi``; at a smooth minimum, where ``phi`` is
+    flat, ``certificate_s`` itself is determined only to about
+    ``sqrt(eps)``.
     """
 
     margin: float
@@ -110,19 +131,23 @@ def _sphere_objective(g: np.ndarray, wt: np.ndarray, kinv: np.ndarray) -> np.nda
 
 
 def _minimize_margin(
-    wt: np.ndarray, kinv: np.ndarray, seeds, max_iter: int = 400
+    wt: np.ndarray,
+    kinv: np.ndarray,
+    wt_norm: float,
+    kinv_norm: float,
+    starts,
+    seeds,
+    max_iter: int = 400,
 ) -> tuple[float, np.ndarray, int]:
     n = wt.shape[0]
     cols = [np.random.default_rng(int(s)).standard_normal(n) for s in seeds]
-    cols.append(linalg.sym_eig(kinv).eigenvectors[:, -1])  # largest compliance
-    cols.append(linalg.sym_eig(wt).eigenvectors[:, 0])  # weakest damping
+    cols.extend(starts)
     g = np.column_stack(cols)
     g = g / _colnorm(g)
 
-    wt_norm = linalg.operator_norm_2(wt)
-    kinv_norm = linalg.operator_norm_2(kinv)
     eta = np.full(g.shape[1], 1.0 / (4.0 * wt_norm**2 + 8.0 * kinv_norm + 1.0))
     f = _sphere_objective(g, wt, kinv)
+    best = [float(np.min(f))]  # best value after each iteration, nonincreasing
     for _ in range(max_iter):
         w = wt @ g
         w1 = np.einsum("ij,ij->j", g, w)
@@ -139,35 +164,54 @@ def _minimize_margin(
         eta = np.where(accept, eta * 1.25, eta * 0.5)
         if np.max(t2) <= 1e-30 * (1.0 + wt_norm**2 + kinv_norm) ** 2:
             break
-    best = int(np.argmin(f))
-    return float(f[best]), g[:, best], g.shape[1]
+        best.append(float(np.min(f)))
+        if len(best) > STALL_WINDOW and best[-STALL_WINDOW - 1] - best[-1] <= STALL_RTOL * (
+            1.0 + abs(best[-1])
+        ):
+            break
+    i = int(np.argmin(f))
+    return float(f[i]), g[:, i], g.shape[1]
 
 
-def _definiteness_search(wt: np.ndarray, kinv: np.ndarray) -> tuple[float, float]:
-    # Convex in s: lam_max of a family of parabolas opening upward.
+def _definiteness_search(
+    wt: np.ndarray, kinv: np.ndarray, wt_norm: float, kinv_norm: float
+) -> tuple[float, float]:
+    # phi(s) = lam_max(s^2 I + s Wt + K^{-1}) is a maximum of upward
+    # parabolas, so it is convex; with top eigenvector v its slope (a
+    # subgradient at a kink) is 2 s + v^T Wt v.  The bracket [a, b] keeps
+    # slope(a) < 0 < slope(b), so it holds the minimum.  The tangents at its
+    # ends meet at the next point, and their common value there bounds
+    # min phi from below.
     n = wt.shape[0]
     eye = np.eye(n)
 
-    def phi(s: float) -> float:
-        return float(np.linalg.eigvalsh(s * s * eye + s * wt + kinv)[-1])
+    def phi(s: float) -> tuple[float, float]:
+        value, v = scipy.linalg.eigh(s * s * eye + s * wt + kinv, subset_by_index=[n - 1, n - 1])
+        return float(value[0]), 2.0 * s + float(v[:, 0] @ wt @ v[:, 0])
 
-    lo = -(linalg.operator_norm_2(wt) + np.sqrt(linalg.operator_norm_2(kinv)) + 1.0)
-    hi = 0.0
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = phi(c), phi(d)
-    for _ in range(120):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = phi(c)
+    a, b = -(wt_norm + np.sqrt(kinv_norm) + 1.0), 0.0
+    (fa, ga), (fb, gb) = phi(a), phi(b)
+    s_best, f_best = (a, fa) if fa < fb else (b, fb)
+    eps = np.finfo(float).eps
+    for _ in range(MAX_CUTS):
+        if gb <= 0.0:  # b is a minimizer (slope(a) < 0 holds from the start)
+            break
+        s = (fb - fa + ga * a - gb * b) / (ga - gb)
+        lower = fa + ga * (s - a)
+        # phi is evaluated to about eps * ||L(s)||, bounded here at s = a.
+        scale = a * a - a * wt_norm + kinv_norm
+        if f_best - lower <= CUT_ROUNDOFF * eps * scale or b - a <= CUT_ROUNDOFF * eps * -a:
+            break
+        if not a < s < b:
+            s = 0.5 * (a + b)
+        fs, gs = phi(s)
+        if fs < f_best:
+            s_best, f_best = s, fs
+        if gs < 0.0:
+            a, fa, ga = s, fs, gs
         else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = phi(d)
-    s_star = 0.5 * (lo + hi)
-    return s_star, phi(s_star)
+            b, fb, gb = s, fs, gs
+    return float(s_best), float(f_best)
 
 
 def check_overdamping(
@@ -184,11 +228,15 @@ def check_overdamping(
     """
     report = validate(model)
     wt = report.weighted_damping
-    kinv = linalg.solve(model.K, np.eye(model.n))
+    kinv = report.k_inv_sqrt @ report.k_inv_sqrt
     kinv = 0.5 * (kinv + kinv.T)
+    wt_norm = max(abs(report.gamma), abs(report.alpha))
+    kinv_norm = 1.0 / report.k_min_eigenvalue
 
-    margin, minimizer, restarts = _minimize_margin(wt, kinv, seeds)
-    s_star, value = _definiteness_search(wt, kinv)
+    # Deterministic starts: the largest compliance and the weakest damping.
+    starts = (report.k_min_eigenvector, report.gamma_eigenvector)
+    margin, minimizer, restarts = _minimize_margin(wt, kinv, wt_norm, kinv_norm, starts, seeds)
+    s_star, value = _definiteness_search(wt, kinv, wt_norm, kinv_norm)
     definite = value < 0.0
     if margin > agreement_band and not definite:
         raise OptimizerDisagreement(margin, value)

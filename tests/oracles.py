@@ -3,14 +3,16 @@
 Everything here deliberately avoids the code paths under test: polynomial
 roots come from a hand-rolled Faddeev-LeVerrier + Durand-Kerner pipeline
 instead of any eigensolver, beam mode roots from 50-digit arithmetic,
-sphere minima from brute-force angular scanning, and overlap integrals
-from adaptive quadrature.
+sphere minima from brute-force angular scanning or closed form, overlap
+integrals from adaptive quadrature, and the spectrum of an overdamped model
+from a Hermitian-definite linearization.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
 import numpy as np
+import scipy.linalg
 from scipy import integrate
 
 import specdamp as sd
@@ -219,6 +221,58 @@ def definiteness_minimum(model: sd.SystemModel, points: int = 240) -> float:
         f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10, "maxiter": 80}
     )
     return min(float(res.fun), float(vals[i]))
+
+
+# ---------------------------------------------------------------------------
+# closed-form overdamping of modal damping C = gamma (K + I), K diagonal
+
+
+def modal_overdamping(k, gamma: float) -> tuple[float, float, float]:
+    """``(margin, s*, phi(s*))`` for diagonal ``K = diag(k)``, ``C = gamma (K + I)``.
+
+    Then ``Wt = gamma (I + K^{-1})``, and a unit ``g`` enters the margin only
+    through ``u = sum g_i^2 / k_i``, which ranges over ``[1/k_max, 1/k_min]``:
+    ``margin = min_u gamma^2 (1 + u)^2 - 4 u``.  ``L(s)`` is diagonal with
+    entries ``s^2 + gamma s + u_i (1 + gamma s)``, parabolas that all cross
+    at ``s = -1/gamma``.  When ``u* = 2/gamma^2 - 1`` lies in the range, that
+    crossing is the minimum of ``phi(s) = lam_max(L(s))`` (a kink) and the
+    margin is ``4 (1 - 1/gamma^2)``.  Otherwise both minima sit at the
+    nearer end ``u`` of the range, where ``phi`` is the smooth parabola with
+    vertex ``s* = -gamma (1 + u) / 2``.
+    """
+    k = np.asarray(k, dtype=float)
+    u_lo, u_hi = 1.0 / float(np.max(k)), 1.0 / float(np.min(k))
+    u_star = 2.0 / gamma**2 - 1.0
+    if u_lo <= u_star <= u_hi:
+        return 4.0 * (1.0 - 1.0 / gamma**2), -1.0 / gamma, 1.0 / gamma**2 - 1.0
+    u = u_hi if u_star > u_hi else u_lo
+    margin = gamma**2 * (1.0 + u) ** 2 - 4.0 * u
+    return margin, -0.5 * gamma * (1.0 + u), -0.25 * margin
+
+
+# ---------------------------------------------------------------------------
+# Hermitian-definite linearization of an overdamped model
+
+
+def definite_pencil_eigenvalues(model: sd.SystemModel, sigma: float) -> np.ndarray:
+    """All ``2n`` eigenvalues of ``lam^2 I + lam C + K``, ascending, via a definite pencil.
+
+    ``A = [[-K, 0], [0, I]]`` and ``B = [[C, I], [I, 0]]`` linearize the
+    QEP: ``(A - lam B) [x; lam x] = [-Q(lam) x; 0]``.  The Schur complement
+    of the identity block in ``A - sigma B`` is ``-Q(sigma)``, so a
+    Cholesky factorization of ``A - sigma B`` proves that ``Q(sigma)`` is
+    negative definite (``numpy.linalg.LinAlgError`` otherwise).  The pencil
+    ``(B, A - sigma B)`` is then Hermitian-definite with real eigenvalues
+    ``theta = 1 / (lam - sigma)``.
+    """
+    n = model.n
+    eye, zero = np.eye(n), np.zeros((n, n))
+    a = np.block([[-model.K, zero], [zero, eye]])
+    b = np.block([[model.C, eye], [eye, zero]])
+    shifted = a - sigma * b
+    np.linalg.cholesky(shifted)
+    theta = scipy.linalg.eigh(b, shifted, eigvals_only=True)
+    return np.sort(sigma + 1.0 / theta)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,24 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import specdamp as sd
-from specdamp import conditions
+from specdamp import conditions, krein
+from specdamp.model import validate
 
 import oracles
 
 
 def scalar_model(k, c):
     return sd.SystemModel(K=np.array([[float(k)]]), C=np.array([[float(c)]]))
+
+
+def modal_model(n, gamma, seed=0):
+    # The benchmark's modal-check family: diagonal K over [1, 100] plus one
+    # unit mode, C = gamma (K + I).
+    k = np.concatenate([[1.0], np.random.default_rng(seed).uniform(1.0, 100.0, n - 1)])
+    return sd.SystemModel(K=np.diag(k), C=gamma * (np.diag(k) + np.eye(n))), k
 
 
 class TestOverdamping:
@@ -52,6 +61,16 @@ class TestOverdamping:
             val = (g @ wt @ g) ** 2 - 4.0 * (g @ kinv @ g)
             assert val == pytest.approx(od.margin, abs=1e-9 * (1.0 + abs(od.margin)))
 
+    def test_detectors_agree_in_value_on_rod(self):
+        # For n >= 3 the image of the unit sphere under
+        # g -> (g^T Wt g, g^T K^{-1} g) is convex (Brickman, 1961), so by
+        # minimax min_s lam_max(L(s)) = -margin / 4 exactly.  On the rod the
+        # sphere minimizer converges only linearly, so this holds to 1e-12
+        # only when it runs until its best value has stopped moving.
+        spec = sd.BeamSpec(E=1.0, patches=((1.2, 0.0, 0.5), (2.5, 0.5, 1.0)), N=32)
+        od = conditions.check_overdamping(sd.beam_assemble(spec))
+        assert od.margin == pytest.approx(-4.0 * od.certificate_value, rel=1e-12)
+
     def test_deterministic_given_seeds(self):
         rng = np.random.default_rng(53)
         m = oracles.random_model(rng, 3)
@@ -71,6 +90,89 @@ class TestOverdamping:
                 rep = sd.solve_qep(m)
                 assert np.all(rep.eigenvalues.imag == 0.0)
         assert checked >= 5
+
+
+class TestModalClosedForm:
+    # gamma = 1.3 puts u* = 2/gamma^2 - 1 inside [1/k_max, 1/k_min]: phi has
+    # its minimum at the kink s = -1/gamma.  gamma = 0.6 and 2.0 put the
+    # minimum at the smooth vertex of the parabola of the largest and the
+    # smallest compliance.  phi is flat at a smooth vertex, so there its
+    # argument is determined only to about sqrt(eps).
+    @pytest.mark.parametrize("gamma, kink", [(0.6, False), (1.3, True), (2.0, False)])
+    def test_margin_and_certificate(self, gamma, kink):
+        m, k = modal_model(256, gamma)
+        margin, s_star, value = oracles.modal_overdamping(k, gamma)
+        assert (s_star == -1.0 / gamma) == kink
+        od = conditions.check_overdamping(m)
+        assert od.margin == pytest.approx(margin, rel=0, abs=1e-12 * (1.0 + abs(margin)))
+        assert od.certificate_value == pytest.approx(value, rel=0, abs=1e-12 * (1.0 + abs(value)))
+        assert od.certificate_s == pytest.approx(s_star, rel=0, abs=1e-12 if kink else 1e-7)
+        assert od.overdamped == (margin > 0.0)
+        assert od.definite_point_exists == (value < 0.0)
+
+
+class TestEigensolveBudget:
+    @pytest.mark.parametrize("gamma", [0.6, 1.3])
+    def test_check_overdamping_eigensolves(self, monkeypatch, gamma):
+        m, _ = modal_model(128, gamma)
+        validate(m)  # the model's one shared validation is not the check's cost
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for mod, name in (
+            (np.linalg, "eigh"),
+            (np.linalg, "eigvalsh"),
+            (scipy.linalg, "eigh"),
+            (scipy.linalg, "eigvalsh"),
+        ):
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+        conditions.check_overdamping(m)
+        assert 0 < len(calls) <= 40
+
+
+class TestDefinitePencil:
+    # The certificate s* must make A - B/s* positive definite in the
+    # Hermitian-definite linearization; that pencil then gives all 2n
+    # eigenvalues as real numbers, n of positive type above 1/s* and n of
+    # negative type below it.  The pencil computes theta = 1/(lam - 1/s*)
+    # to an absolute accuracy of about eps * max|theta|, so the comparison
+    # is made in theta; the rod's fast eigenvalues (|lam| ~ 1e8 at N = 32)
+    # come out of the pencil only to about 1e-9 relative.
+    def check_against_pencil(self, m):
+        od = conditions.check_overdamping(m)
+        assert od.definite_point_exists and od.certificate_s < 0.0
+        sigma = 1.0 / od.certificate_s
+        want = oracles.definite_pencil_eigenvalues(m, sigma)
+        rep = sd.solve_qep(m)
+        assert np.all(rep.eigenvalues.imag == 0.0)
+        theta_want = 1.0 / (want - sigma)
+        theta_got = 1.0 / (np.sort(rep.eigenvalues.real) - sigma)
+        assert np.max(np.abs(theta_got - theta_want)) <= 1e-12 * np.max(np.abs(theta_want))
+        signs = {"positive": [], "negative": []}
+        for c in krein.classify_eigenpairs(m, rep).clusters:
+            assert c.sign_type in signs
+            signs[c.sign_type].extend(rep.eigenvalues[i].real for i in c.member_indices)
+        assert len(signs["positive"]) == len(signs["negative"]) == m.n
+        assert min(signs["positive"]) > sigma > max(signs["negative"])
+
+    def test_random_overdamped_models(self):
+        rng = np.random.default_rng(56)
+        checked = 0
+        while checked < 8:
+            m = oracles.random_model(rng, int(rng.integers(1, 7)))
+            if conditions.check_overdamping(m).margin > 1e-3:
+                self.check_against_pencil(m)
+                checked += 1
+
+    def test_two_patch_rod(self):
+        spec = sd.BeamSpec(E=1.0, patches=((1.2, 0.0, 0.5), (2.5, 0.5, 1.0)), N=32)
+        self.check_against_pencil(sd.beam_assemble(spec))
 
 
 class TestConditionII:

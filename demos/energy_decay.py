@@ -14,9 +14,9 @@ import numpy as np
 import specdamp as sd
 
 
-def trajectory(model, x0, label, t_max=2.0):
+def trajectory(model, rep, x0, label, t_max=2.0):
     times = np.linspace(0.0, t_max, 9)
-    traj = sd.evolve(model, x0, times)
+    traj = sd.evolve(model, rep, x0, times)
     print(f"{label} (integrator: {traj.method})")
     for t, e in zip(traj.times, traj.energies):
         print(f"  t={t:5.2f}  energy {e:.6e}  ({e / traj.energies[0]:.3e} of start)")
@@ -24,8 +24,7 @@ def trajectory(model, x0, label, t_max=2.0):
     print(f"  max energy increase along the path: {drift:.2e}\n")
 
 
-def resolvent(model):
-    rep = sd.solve_qep(model)
+def resolvent(model, rep):
     scan = sd.resolvent_scan(model, rep, re_offset=1.0, im_grid=np.logspace(0, 4, 17))
     print("resolvent along lam = 1 + it:")
     for lam, norm, product in scan.samples[::4]:
@@ -37,18 +36,19 @@ def resolvent(model):
 def main():
     spec = sd.BeamSpec(E=1.0, patches=(sd.Patch(2.0, 0.0, 1.0),), N=16)
     model = sd.beam_assemble(spec)
+    rep = sd.solve_qep(model)
     n = model.n
 
     smooth = np.zeros(n)
     smooth[0] = 1.0
-    trajectory(model, sd.PhaseVector(smooth, np.zeros(n)), "fundamental mode at rest")
+    trajectory(model, rep, sd.PhaseVector(smooth, np.zeros(n)), "fundamental mode at rest")
 
     rng = np.random.default_rng(7)
     rough = rng.standard_normal(n)
-    trajectory(model, sd.PhaseVector(rough / np.linalg.norm(rough), np.zeros(n)),
+    trajectory(model, rep, sd.PhaseVector(rough / np.linalg.norm(rough), np.zeros(n)),
                "rough initial displacement")
 
-    resolvent(model)
+    resolvent(model, rep)
 
 
 if __name__ == "__main__":

@@ -433,9 +433,9 @@ def _semigroup_section(
         model, report, re_offset=1.0, im_grid=np.logspace(0.0, 4.0, 25), tolerances=tol
     )
     x0 = _default_state(model)
-    traj = semigroup.evolve(model, x0, np.linspace(0.0, 1.0, 21), tol)
+    traj = semigroup.evolve(model, report, x0, np.linspace(0.0, 1.0, 21), tol)
     drift = float(np.max(np.diff(traj.energies))) if traj.energies.size > 1 else 0.0
-    probe = semigroup.smoothing_probe(model, x0, np.logspace(-3.0, 0.0, 13), tol)
+    probe = semigroup.smoothing_probe(model, report, x0, np.logspace(-3.0, 0.0, 13), tol)
     return {
         "resolvent_scan": {
             "samples": [
@@ -781,7 +781,7 @@ def run_simulate(
     report = spectrum.solve_qep(model, tol)
     x0 = _parse_x0(x0_spec, model, report)
     times = np.linspace(0.0, float(t_max), int(samples))
-    traj = semigroup.evolve(model, x0, times, tol)
+    traj = semigroup.evolve(model, report, x0, times, tol)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")

@@ -278,7 +278,8 @@ def check_condition_ii(
     """Check kernel nondegeneracy at the reciprocals of candidate values.
 
     ``candidates`` lists real values ``mu`` (for beams, ``-a_k / E``);
-    each is tested at the would-be eigenvalue ``1 / mu``.
+    each is tested at the would-be eigenvalue ``1 / mu``, over the span of
+    the solved eigenvectors within cluster tolerance of it.
     """
     values = report.eigenvalues
     out = []
@@ -301,13 +302,11 @@ def check_condition_ii(
             )
             continue
         inside = np.flatnonzero(dist <= tolerances.cluster_tol * (1.0 + abs(lam)))
-        diameter = float(np.max(np.abs(values[inside] - lam))) if inside.size else 0.0
         nd = krein.kernel_gram_nondegeneracy(
             model,
             lam,
+            cluster=[report.eigenpairs[i].vector for i in inside],
             tolerances=tolerances,
-            max_dim=max(1, inside.size),
-            diameter=diameter,
         )
         out.append(
             ConditionIIVerdict(

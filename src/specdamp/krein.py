@@ -16,6 +16,13 @@ symmetry forces the familiar indefinite spectral rules checked here:
 ``decompose`` splits the real spectrum into a fast, negative-type branch
 and the rest, reporting the decay cut ``M_cut`` and the numerical
 orthogonality between the two halves.
+
+Every eigenvector these verdicts use is one of ``solve_qep``'s: a
+cluster's eigenspace is the span of its members' position blocks,
+orthonormalized by a thin SVD, and nothing is re-derived from the pencil.
+A Jordan cluster is no exception, because ``solve_qep`` already gives its
+members the pencil-kernel directions, repeated, so the span has fewer
+directions than the cluster has members.
 """
 
 from __future__ import annotations
@@ -69,9 +76,11 @@ def indefinite_product(model: SystemModel, u: PhaseVector, v: PhaseVector) -> co
     )
 
 
-def _energy_sq(model: SystemModel, v: PhaseVector) -> float:
-    x, y = v.position, v.velocity
-    return float(np.real(np.vdot(x, model.K @ x)) + np.real(np.vdot(y, y)))
+def _stacked_blocks(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
+    # Position and velocity blocks of the chosen eigenvectors, one column each.
+    x = np.column_stack([pairs[i].vector.position for i in indices])
+    y = np.column_stack([pairs[i].vector.velocity for i in indices])
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -79,7 +88,10 @@ class ClusterClassification:
     """Sign-type verdict for one eigenvalue cluster.
 
     ``gram`` is the Hermitian matrix of ``[v_i, v_j]`` over an orthonormal
-    pencil-kernel basis lifted to phase vectors ``(x_i, lam x_i)``.
+    basis ``x_i`` of the span of the members' eigenvector positions,
+    lifted to phase vectors ``(x_i, lam x_i)`` at the cluster mean
+    ``lam``.  ``kernel_dim`` is that span's dimension, so
+    ``jordan_defect = size - kernel_dim``.
     ``margin`` is ``min |eig(gram)| - threshold``; a nonpositive margin
     means the Gram is numerically degenerate.  ``nonpositive_directions``
     counts Gram eigenvalues at or below the neutral threshold.
@@ -124,20 +136,30 @@ class SignClassification:
         return sum(c.jordan_defect for c in self.clusters)
 
 
+def _orthonormal_range(columns: np.ndarray, rank_tol: float) -> np.ndarray:
+    # Orthonormal basis of the span of the columns: the left singular
+    # vectors whose singular value exceeds rank_tol times the largest.
+    if columns.shape[1] == 1:
+        return columns / np.linalg.norm(columns)
+    u, sigma, _ = np.linalg.svd(columns, full_matrices=False)
+    return u[:, sigma > rank_tol * sigma[0]]
+
+
 def _cluster_gram(
     model: SystemModel,
     lam: complex,
     basis: np.ndarray,
     neutral_tol: float,
 ):
-    dim = basis.shape[1]
-    vecs = [PhaseVector(basis[:, i], lam * basis[:, i]) for i in range(dim)]
-    gram = np.empty((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            gram[i, j] = indefinite_product(model, vecs[i], vecs[j])
+    # For the phase vectors v_i = (b_i, lam b_i), [v_i, v_j] is entry (j, i)
+    # of B^H K B - |lam|^2 B^H B; the energy of v_i is entry (i, i) of
+    # B^H K B + |lam|^2 B^H B.
+    bkb = basis.conj().T @ (model.K @ basis)
+    bb = basis.conj().T @ basis
+    lam2 = abs(lam) ** 2
+    gram = (bkb - lam2 * bb).T
     gram = 0.5 * (gram + gram.conj().T)
-    scale = max(_energy_sq(model, v) for v in vecs)
+    scale = float(np.max(np.real(np.diag(bkb)) + lam2 * np.real(np.diag(bb))))
     if not (np.isfinite(scale) and scale > 0.0 and np.all(np.isfinite(gram))):
         raise IllConditionedCluster(lam, "non-finite Gram or zero energy scale")
     tau = neutral_tol * scale
@@ -163,12 +185,12 @@ def classify_eigenpairs(
     """Cluster the eigenvalues and sign-classify each cluster's eigenspace.
 
     ``pairs`` is a :class:`~specdamp.spectrum.SpectrumReport` or a sequence
-    of :class:`~specdamp.spectrum.Eigenpair`.  A single eigenvalue is
-    classified from the position block of its own eigenvector, scaled to
-    unit length: the 1x1 Gram ``[v, v]`` does not depend on the phase.
-    For a cluster of several eigenvalues the kernel basis is recomputed
-    from the pencil at the cluster mean, so the verdict does not depend on
-    how the input eigenvectors were paired up inside the cluster.
+    of :class:`~specdamp.spectrum.Eigenpair`.  Each cluster is classified
+    over the span of its members' eigenvector positions, orthonormalized
+    by a thin SVD that keeps the directions whose singular value exceeds
+    ``rank_tol`` times the largest.  The sign type is the inertia of the
+    Gram over that span, so it does not depend on how the eigenvectors
+    were paired up inside the cluster.
     """
     if isinstance(pairs, spectrum.SpectrumReport):
         pairs = pairs.eigenpairs
@@ -179,14 +201,8 @@ def classify_eigenpairs(
         mean = complex(np.mean(mem_vals))
         if abs(mean.imag) <= tolerances.snap_real_tol * (1.0 + abs(mean)):
             mean = complex(mean.real)
-        if len(members) == 1:
-            x = pairs[members[0]].vector.position
-            basis = (x / np.linalg.norm(x))[:, None]
-        else:
-            diameter = float(np.max(np.abs(mem_vals - mean)))
-            basis = spectrum.pencil_kernel_basis(
-                model, mean, tolerances.rank_tol, max_dim=len(members), diameter=diameter
-            )
+        positions = np.column_stack([pairs[i].vector.position for i in members])
+        basis = _orthonormal_range(positions, tolerances.rank_tol)
         gram, mu, _, tau = _cluster_gram(model, mean, basis, tolerances.neutral_tol)
         dim = basis.shape[1]
         margin = float(np.min(np.abs(mu)) - tau)
@@ -237,25 +253,23 @@ def kernel_gram_nondegeneracy(
     lam: complex,
     cluster=None,
     tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
-    max_dim: int | None = None,
-    diameter: float = 0.0,
 ) -> NondegeneracyReport:
     """Test whether ``[.,.]`` restricted to ``ker Q(lam)`` is nondegenerate.
 
-    ``cluster`` may supply the eigenvectors (phase vectors) to use as the
-    eigenspace basis; by default an orthonormal kernel basis is recomputed
-    from the pencil at ``lam``.
+    ``cluster`` supplies the eigenvectors (phase vectors) whose position
+    blocks span the eigenspace, orthonormalized as in
+    :func:`classify_eigenpairs`; condition ii passes the solved
+    eigenvectors near ``lam`` here.  Without it, an orthonormal kernel
+    basis is computed from the pencil at ``lam``.
     """
     lam = complex(lam)
     if cluster is not None:
         vecs = list(cluster)
         if not vecs:
             raise ValueError("cluster must contain at least one phase vector")
-        basis = np.column_stack([v.position for v in vecs])
+        basis = _orthonormal_range(np.column_stack([v.position for v in vecs]), tolerances.rank_tol)
     else:
-        basis = spectrum.pencil_kernel_basis(
-            model, lam, tolerances.rank_tol, max_dim=max_dim, diameter=diameter
-        )
+        basis = spectrum.pencil_kernel_basis(model, lam, tolerances.rank_tol)
     gram, mu, coeff, tau = _cluster_gram(model, lam, basis, tolerances.neutral_tol)
     k = int(np.argmin(np.abs(mu)))
     min_abs = float(np.abs(mu[k]))
@@ -341,13 +355,14 @@ def decompose(
     neutral = tuple(c.eigenvalue for c in real if c.sign_type == "neutral")
 
     cross = 0.0
-    for i in hprime:
-        vi = pairs[i].vector
-        ei = _energy_sq(model, vi)
-        for j in hsecond:
-            vj = pairs[j].vector
-            g = abs(indefinite_product(model, vi, vj))
-            cross = max(cross, g / np.sqrt(ei * _energy_sq(model, vj)))
+    if hprime and hsecond:
+        x, y = _stacked_blocks(pairs, hprime + hsecond)
+        kx = model.K @ x
+        energy = np.real(np.sum(x.conj() * kx, axis=0)) + np.sum(np.abs(y) ** 2, axis=0)
+        p = len(hprime)
+        # Entry (j, i) is [v_i, v_j] for v_i fast and v_j slow.
+        g = x[:, p:].conj().T @ kx[:, :p] - y[:, p:].conj().T @ y[:, :p]
+        cross = float(np.max(np.abs(g) / np.sqrt(np.outer(energy[p:], energy[:p]))))
 
     return Decomposition(
         classification=classification,

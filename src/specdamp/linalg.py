@@ -33,7 +33,6 @@ __all__ = [
     "sym_eig",
     "nonsym_eig",
     "solve",
-    "operator_norm_2",
     "spd_sqrt_pair",
     "sqrt_pair_from_eig",
 ]
@@ -271,23 +270,6 @@ def solve(m, b, pivot_rtol: float = 1e-13):
     residual, as :class:`LUFactors` does.
     """
     return LUFactors(m, pivot_rtol).solve(b)
-
-
-def operator_norm_2(m) -> float:
-    """Spectral norm, computed as ``sqrt(lam_max(M^H M))`` via :func:`sym_eig`.
-
-    Accepts real or complex, square or rectangular input.
-    """
-    a = np.asarray(m)
-    if a.ndim != 2:
-        raise ValueError("operator_norm_2 expects a 2-D matrix")
-    gram = a.conj().T @ a
-    if np.iscomplexobj(gram):
-        gram = 0.5 * (gram + gram.conj().T)
-        w = np.linalg.eigvalsh(gram)
-    else:
-        w = sym_eig(gram).eigenvalues
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
 
 
 def spd_sqrt_pair(m) -> tuple[np.ndarray, np.ndarray]:

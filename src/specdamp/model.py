@@ -373,5 +373,5 @@ def perturbed_kelvin_voigt(stiffness, alpha: float, perturbation) -> tuple[Syste
         raise InvalidModel(f"perturbation shape {b.shape} does not match stiffness shape {k.shape}")
     model = SystemModel(K=k, C=alpha * k + b, source="perturbed", perturbation_alpha=float(alpha))
     k_inv_half = validate(model).k_inv_sqrt
-    proxy = linalg.operator_norm_2(k_inv_half @ b @ k_inv_half)
+    proxy = np.linalg.norm(k_inv_half @ b @ k_inv_half, 2)
     return model, float(proxy)

@@ -5,7 +5,8 @@ contraction in the energy norm ``|x|_E^2 = x^T K x + |y|^2`` because
 ``Re <A u, u>_E = -y^H C y <= 0``.  `evolve` integrates it two ways:
 
 * **exact-modal** when the eigenvector matrix is well conditioned
-  (condition number at most 1e8): ``x(t) = V exp(L t) V^{-1} x0``;
+  (condition number at most 1e8): ``x(t) = V exp(L t) V^{-1} x0``, with
+  ``V`` and ``L`` the eigenpairs ``(x, lam x)`` of the solved spectrum;
 * **trapezoidal** otherwise: the Cayley step
   ``x_{k+1} = (I - h/2 A)^{-1} (I + h/2 A) x_k``, which maps the
   dissipative ``A`` to an energy-norm contraction exactly, so computed
@@ -23,8 +24,9 @@ Resolvent probes quantify how far the generator is from sectorial:
 ``norm * |Im lam|``.  Bounded products along the line plus a finite
 spectral sector angle ``max |Im lam_k| / |Re lam_k|`` together make the
 sectoriality verdict; each alone has blind spots at finite order.
-Both take the solved spectrum, ``(model, report, ...)``, and never solve
-the model again; the caller solves once and hands it down.
+Like `evolve`, `propagator` and `smoothing_probe`, both take the solved
+spectrum, ``(model, report, ...)``, and never solve the model or
+eigendecompose ``A`` again; the caller solves once and hands it down.
 
 Each resolvent point costs one LU factorization of ``A - lam``, which
 keeps the value accurate to a few ulps against a 40-digit oracle.  One
@@ -121,13 +123,11 @@ class TrajectoryReport:
     step_error_estimate: float | None = None
 
 
-def _modal_data(model: SystemModel):
-    a_op = phase_operator(model)
-    dec = linalg.nonsym_eig(a_op)
-    v = dec.eigenvectors
+def _modal_data(model: SystemModel, report: SpectrumReport):
+    v = np.column_stack([p.vector.stacked() for p in report.eigenpairs])
     sig = np.linalg.svd(v, compute_uv=False)
     cond = np.inf if sig[-1] == 0.0 else float(sig[0] / sig[-1])
-    return a_op, dec.eigenvalues, v, cond
+    return phase_operator(model), report.eigenvalues, v, cond
 
 
 def _maybe_real(arr: np.ndarray) -> np.ndarray:
@@ -163,14 +163,17 @@ def _trapezoid_run(a_op: np.ndarray, x0: np.ndarray, times: np.ndarray, h_max: f
 
 def evolve(
     model: SystemModel,
+    report: SpectrumReport,
     x0: PhaseVector,
     times,
     tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
 ) -> TrajectoryReport:
     """Integrate the phase flow from ``x0`` over an ascending time grid.
 
-    The method is picked automatically (``exact-modal`` or
-    ``trapezoidal``) and recorded in the report.  The fallback costs
+    ``report`` is the solved spectrum of ``model``; its eigenvectors are
+    the columns of the modal matrix ``V``.  The method is picked from the
+    condition number of ``V`` (``exact-modal`` or ``trapezoidal``) and
+    recorded in the report.  The fallback costs
     accuracy that the Richardson estimate reports; it raises
     :class:`~specdamp.linalg.NoConvergence`, before stepping, when its two
     runs together would take more than ``MAX_TRAPEZOID_STEPS`` steps.
@@ -183,7 +186,7 @@ def evolve(
     if z0.shape[0] != 2 * model.n:
         raise ValueError("initial state dimension does not match the model")
 
-    a_op, lam, v, cond = _modal_data(model)
+    a_op, lam, v, cond = _modal_data(model, report)
     err_est = None
     if cond <= MODAL_CONDITION_LIMIT:
         method = "exact-modal"
@@ -191,7 +194,7 @@ def evolve(
         raw = [_maybe_real(v @ (np.exp(lam * t) * coeff)) for t in times]
     else:
         method = "trapezoidal"
-        h = min(0.01, 0.1 / max(linalg.operator_norm_2(a_op), 1e-300))
+        h = min(0.01, 0.1 / max(float(np.linalg.norm(a_op, 2)), 1e-300))
         steps = float(np.sum(_span_steps(times, h)) + np.sum(_span_steps(times, 0.5 * h)))
         if steps > MAX_TRAPEZOID_STEPS:
             raise linalg.NoConvergence(
@@ -216,11 +219,15 @@ def evolve(
     )
 
 
-def propagator(model: SystemModel, t: float) -> np.ndarray:
-    """Time-``t`` solution operator ``exp(t A)`` as a dense matrix."""
+def propagator(model: SystemModel, report: SpectrumReport, t: float) -> np.ndarray:
+    """Time-``t`` solution operator ``exp(t A)`` as a dense matrix.
+
+    ``report`` is the solved spectrum of ``model``; the modal formula and
+    its condition-number rule are those of :func:`evolve`.
+    """
     if t < 0.0:
         raise ValueError("propagator is defined for t >= 0")
-    a_op, lam, v, cond = _modal_data(model)
+    a_op, lam, v, cond = _modal_data(model, report)
     if cond <= MODAL_CONDITION_LIMIT:
         coeff = linalg.solve(v, np.eye(2 * model.n, dtype=complex))
         return _maybe_real(v @ (np.exp(lam * t)[:, None] * coeff))
@@ -261,7 +268,7 @@ def resolvent_norm_at(
     # Energy similarity diag(K^{1/2}, I) . R . diag(K^{-1/2}, I).
     resolvent[:n, :] = validation.k_sqrt @ resolvent[:n, :]
     resolvent[:, :n] = resolvent[:, :n] @ validation.k_inv_sqrt
-    return linalg.operator_norm_2(resolvent)
+    return float(np.linalg.norm(resolvent, 2))
 
 
 def _lanczos_norm(lu: linalg.LUFactors, k_sqrt: np.ndarray, k_inv_sqrt: np.ndarray) -> float:
@@ -381,6 +388,7 @@ def resolvent_scan(
 
 def smoothing_probe(
     model: SystemModel,
+    report: SpectrumReport,
     x0: PhaseVector,
     t_grid,
     tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
@@ -398,7 +406,7 @@ def smoothing_probe(
     if base == 0.0:
         return 0.0
     a_op = phase_operator(model)
-    traj = evolve(model, x0, np.sort(t_grid), tolerances)
+    traj = evolve(model, report, x0, np.sort(t_grid), tolerances)
     worst = 0.0
     for t, state in zip(traj.times, traj.states):
         ax = PhaseVector.from_stacked(a_op @ state.stacked())

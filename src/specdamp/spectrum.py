@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -367,19 +366,6 @@ def _dense_eigensolve(
     return [(complex(values[i]), xs[i]) for i in range(values.shape[0])]
 
 
-def _pencil_inverse_step(model: SystemModel, lam: complex, x: np.ndarray) -> np.ndarray:
-    # One inverse-iteration sweep on Q(lam) to sharpen a kernel vector.
-    q = quadratic_pencil(model, lam)
-    try:
-        y = lu_solve(lu_factor(q), x)
-    except Exception:
-        return x
-    nrm = np.linalg.norm(y)
-    if not np.isfinite(nrm) or nrm == 0.0:
-        return x
-    return y / nrm
-
-
 def solve_qep(model: SystemModel, tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> SpectrumReport:
     """All ``2n`` eigenpairs of the phase operator, structure-refined.
 
@@ -411,13 +397,6 @@ def solve_qep(model: SystemModel, tolerances: ToleranceProfile = DEFAULT_TOLERAN
         stacked = np.concatenate([x, lam * x]).astype(complex)
         stacked = linalg.normalize_columns(stacked[:, None])[:, 0]
         resid = float(np.linalg.norm(a_op @ stacked - lam * stacked) / scale)
-        if resid > 0.5 * tolerances.residual_tol:
-            x2 = _pencil_inverse_step(model, lam, x)
-            cand = np.concatenate([x2, lam * x2]).astype(complex)
-            cand = linalg.normalize_columns(cand[:, None])[:, 0]
-            r2 = float(np.linalg.norm(a_op @ cand - lam * cand) / scale)
-            if r2 < resid:
-                stacked, resid = cand, r2
         if lam.imag == 0.0 and np.max(np.abs(stacked.imag)) <= 1e-14:
             stacked = stacked.real.astype(float)
         pairs.append(Eigenpair(value=lam, vector=PhaseVector.from_stacked(stacked), residual=resid))

@@ -150,6 +150,41 @@ def resolvent_norm_mp(model: sd.SystemModel, lam: complex, dps: int = 40) -> flo
 
 
 # ---------------------------------------------------------------------------
+# phase-flow energies from a 40-digit matrix exponential
+
+
+def flow_energies_mp(model: sd.SystemModel, x0: sd.PhaseVector, times, dps: int = 40) -> np.ndarray:
+    """Energies ``x^T K x + |y|^2`` of ``exp(t A) x0`` at ascending ``times``.
+
+    ``A = [[0, I], [-K, -C]]`` is built from the float ``K`` and ``C``
+    (converted exactly) and exponentiated with ``mp.expm``, independent of
+    any eigendecomposition.  The state steps from one time to the next, so
+    equal increments share one exponential.
+    """
+    n = model.n
+    with mp.workdps(dps):
+        a_op = mp.matrix(2 * n, 2 * n)
+        for i in range(n):
+            a_op[i, n + i] = 1
+            for j in range(n):
+                a_op[n + i, j] = -mp.mpf(float(model.K[i, j]))
+                a_op[n + i, n + j] = -mp.mpf(float(model.C[i, j]))
+        stiff = mp.matrix(model.K.tolist())
+        state = mp.matrix([float(v) for v in x0.stacked()])
+        steps, energies, t_prev = {}, [], 0.0
+        for t in times:
+            dt = float(t) - t_prev
+            if dt > 0.0:
+                if dt not in steps:
+                    steps[dt] = mp.expm(a_op * mp.mpf(dt))
+                state = steps[dt] * state
+            t_prev = float(t)
+            x, y = state[:n, 0], state[n:, 0]
+            energies.append(float((x.T * stiff * x)[0] + (y.T * y)[0]))
+    return np.array(energies)
+
+
+# ---------------------------------------------------------------------------
 # brute-force sphere minimum for the overdamping margin (n = 2 only)
 
 

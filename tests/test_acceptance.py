@@ -271,7 +271,7 @@ def test_08_contraction_semigroup():
         model = oracles.random_model(rng, n)
         x0 = sd.PhaseVector(rng.standard_normal(n), rng.standard_normal(n))
         t_max = float(rng.uniform(0.5, 3.0))
-        traj = sd.evolve(model, x0, np.linspace(0.0, t_max, 21))
+        traj = sd.evolve(model, sd.solve_qep(model), x0, np.linspace(0.0, t_max, 21))
         e0 = traj.energies[0]
         drift = float(np.max(np.diff(traj.energies))) if e0 > 0 else 0.0
         worst_drift = max(worst_drift, drift / max(e0, 1e-300))
@@ -281,9 +281,10 @@ def test_08_contraction_semigroup():
     for _ in range(50):
         n = int(rng.integers(1, 5))
         model = oracles.random_model(rng, n)
-        lams = sd.solve_qep(model).eigenvalues
+        rep = sd.solve_qep(model)
+        lams = rep.eigenvalues
         for t in (0.3, 1.0):
-            pe = np.linalg.eigvals(sd.propagator(model, t))
+            pe = np.linalg.eigvals(sd.propagator(model, rep, t))
             dist = oracles.multiset_distance(pe, np.exp(t * lams))
             worst_prop = max(worst_prop, dist)
             assert dist <= 1e-8

@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import functools
 import importlib
 import json
 import os
@@ -349,19 +350,47 @@ class TestEntryPoint:
         assert (out / "report.json").exists()
 
 
+def patch_bindings(monkeypatch, fn, wrapper):
+    """Replace every binding of ``fn`` in the specdamp modules with ``wrapper``."""
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "specdamp"]:
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, wrapper)
+
+
 def count_calls(monkeypatch, fn, counter, record=None):
     """Count calls of ``fn`` through every binding of it in the specdamp modules."""
 
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         counter[fn.__name__] += 1
         if record is not None:
             record.append(args[0])
         return fn(*args, **kwargs)
 
-    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "specdamp"]:
-        for attr, value in list(vars(mod).items()):
-            if value is fn:
-                monkeypatch.setattr(mod, attr, wrapper)
+    patch_bindings(monkeypatch, fn, wrapper)
+
+
+def count_calls_outside(monkeypatch, fn, outer, counter):
+    """Count calls of ``fn`` made while no call of ``outer`` is running."""
+    depth = [0]
+
+    @functools.wraps(outer)
+    def outer_wrapper(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return outer(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if not depth[0]:
+            counter[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    patch_bindings(monkeypatch, outer, outer_wrapper)
+    patch_bindings(monkeypatch, fn, wrapper)
 
 
 class TestComputeOnce:
@@ -380,6 +409,10 @@ class TestComputeOnce:
         count_calls(monkeypatch, model.beam_assemble, calls)
         count_calls(monkeypatch, model.validate, calls, record=models)
         count_calls(monkeypatch, linalg.sym_eig, calls, record=eig_args)
+        count_calls(monkeypatch, linalg.nonsym_eig, calls)
+        stray = collections.Counter()
+        for fn in (linalg.nonsym_eig, spectrum.pencil_kernel_basis):
+            count_calls_outside(monkeypatch, fn, spectrum.solve_qep, stray)
         assert cli.main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
         # One solve of the configured rod plus one per accumulation order.
@@ -390,6 +423,10 @@ class TestComputeOnce:
         assert len(distinct) == 1 + len(cli.ACCUMULATION_ORDERS)
         k_eigs = [sum(a is m.K for a in eig_args) for m in distinct]
         assert k_eigs == [1] * len(distinct)
+        # Every eigendecomposition of the phase operator and every pencil
+        # kernel basis is made inside solve_qep; the layers reuse its eigenpairs.
+        assert calls["nonsym_eig"] > 0
+        assert stray == {}
 
 
 class TestDemos:

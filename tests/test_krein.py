@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import specdamp as sd
-from specdamp import krein
+from specdamp import conditions, krein
 
 import oracles
 
@@ -218,3 +218,20 @@ class TestDecompose:
         m = sd.SystemModel(K=np.diag([1.0, 4.0]), C=np.zeros((2, 2)))
         dec = krein.decompose(m, sd.solve_qep(m))
         assert dec.h_prime == () and len(dec.h_doubleprime) == 4
+
+
+class TestTwoPatchRod:
+    # The overdamped two-patch rod (a = 1.2 on [0, 1/2], 2.5 on [1/2, 1])
+    # accumulates real eigenvalues at -E/a_k = -5/6 and -0.4.  Every member
+    # there is of positive type, so the clusters must be too, the two-branch
+    # split must exist, and condition ii must hold at both points.
+    @pytest.mark.parametrize("N", [128, 256])
+    def test_accumulating_clusters_definite(self, N):
+        spec = sd.BeamSpec(E=1.0, patches=(sd.Patch(1.2, 0.0, 0.5), sd.Patch(2.5, 0.5, 1.0)), N=N)
+        m = sd.beam_assemble(spec)
+        rep = sd.solve_qep(m)
+        clf = krein.classify_eigenpairs(m, rep)
+        assert clf.counts["mixed"] == 0
+        assert krein.decompose(m, rep, classification=clf).orthogonal
+        verdicts = conditions.check_condition_ii(m, rep, [-1.2, -2.5])
+        assert [v.verdict for v in verdicts] == ["holds", "holds"]

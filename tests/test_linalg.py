@@ -153,18 +153,6 @@ class TestSolve:
             assert np.allclose(a.conj().T @ lu.apply_inverse(b, adjoint=True), b, atol=1e-12)
 
 
-class TestNorms:
-    def test_operator_norm_matches_numpy(self):
-        rng = np.random.default_rng(10)
-        for shape in ((3, 3), (4, 2), (2, 5)):
-            a = rng.standard_normal(shape)
-            assert np.isclose(linalg.operator_norm_2(a), np.linalg.norm(a, 2), rtol=1e-12)
-
-    def test_operator_norm_complex(self):
-        a = np.array([[1.0 + 1.0j, 0.0], [0.0, 0.5]])
-        assert np.isclose(linalg.operator_norm_2(a), np.sqrt(2.0))
-
-
 class TestSqrtPair:
     def test_roots_multiply_back(self):
         rng = np.random.default_rng(11)

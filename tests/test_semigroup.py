@@ -35,13 +35,13 @@ class TestEvolve:
     def test_time_zero_is_identity(self):
         m = scalar_model(1.0, 0.5)
         x0 = sd.PhaseVector(np.array([1.0]), np.array([-2.0]))
-        traj = semigroup.evolve(m, x0, np.array([0.0]))
+        traj = semigroup.evolve(m, sd.solve_qep(m), x0, np.array([0.0]))
         assert np.allclose(traj.states[0].stacked(), x0.stacked(), atol=1e-14)
 
     def test_harmonic_quarter_period(self):
         m = scalar_model(1.0, 0.0)
         x0 = sd.PhaseVector(np.array([1.0]), np.array([0.0]))
-        traj = semigroup.evolve(m, x0, np.array([0.0, np.pi / 2.0]))
+        traj = semigroup.evolve(m, sd.solve_qep(m), x0, np.array([0.0, np.pi / 2.0]))
         end = traj.states[-1].stacked()
         assert np.allclose(end, [0.0, -1.0], atol=1e-12)
 
@@ -50,7 +50,7 @@ class TestEvolve:
         # e^{-t}; the integrator must fall back to time stepping here
         m = scalar_model(1.0, 2.0)
         x0 = sd.PhaseVector(np.array([1.0]), np.array([-1.0]))
-        traj = semigroup.evolve(m, x0, np.array([0.0, 1.0]))
+        traj = semigroup.evolve(m, sd.solve_qep(m), x0, np.array([0.0, 1.0]))
         assert traj.method == "trapezoidal"
         assert traj.step_error_estimate is not None
         want = np.exp(-1.0) * np.array([1.0, -1.0])
@@ -59,7 +59,7 @@ class TestEvolve:
     def test_undamped_energy_constant(self):
         m = scalar_model(1.0, 0.0)
         x0 = sd.PhaseVector(np.array([1.0]), np.array([0.0]))
-        traj = semigroup.evolve(m, x0, np.linspace(0.0, 2.0 * np.pi, 40))
+        traj = semigroup.evolve(m, sd.solve_qep(m), x0, np.linspace(0.0, 2.0 * np.pi, 40))
         assert np.max(np.abs(traj.energies - traj.energies[0])) <= 1e-10
 
     def test_energy_nonincreasing_random(self):
@@ -68,33 +68,47 @@ class TestEvolve:
             n = int(rng.integers(1, 5))
             m = oracles.random_model(rng, n)
             x0 = sd.PhaseVector(rng.standard_normal(n), rng.standard_normal(n))
-            traj = semigroup.evolve(m, x0, np.linspace(0.0, 2.0, 15))
+            traj = semigroup.evolve(m, sd.solve_qep(m), x0, np.linspace(0.0, 2.0, 15))
             e0 = traj.energies[0]
             assert np.all(np.diff(traj.energies) <= 1e-10 * max(e0, 1.0))
 
     def test_times_validation(self):
         m = scalar_model(1.0, 0.0)
         x0 = sd.PhaseVector(np.array([1.0]), np.array([0.0]))
+        rep = sd.solve_qep(m)
         with pytest.raises(ValueError):
-            semigroup.evolve(m, x0, np.array([1.0, 0.5]))
+            semigroup.evolve(m, rep, x0, np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
-            semigroup.evolve(m, x0, np.array([-1.0, 0.5]))
+            semigroup.evolve(m, rep, x0, np.array([-1.0, 0.5]))
 
     def test_trapezoid_route_matches_modal_route(self, monkeypatch):
         rng = np.random.default_rng(63)
         m = oracles.random_model(rng, 2)
         x0 = sd.PhaseVector(rng.standard_normal(2), rng.standard_normal(2))
         times = np.linspace(0.0, 1.0, 9)
-        exact = semigroup.evolve(m, x0, times)
+        rep = sd.solve_qep(m)
+        exact = semigroup.evolve(m, rep, x0, times)
         assert exact.method == "exact-modal"
         monkeypatch.setattr(semigroup, "MODAL_CONDITION_LIMIT", 0.0)
-        stepped = semigroup.evolve(m, x0, times)
+        stepped = semigroup.evolve(m, rep, x0, times)
         assert stepped.method == "trapezoidal"
         diff = np.max(
             np.abs(stepped.states[-1].stacked() - exact.states[-1].stacked())
         )
         assert diff <= 1e-3
         assert diff <= 4.0 * stepped.step_error_estimate + 1e-12
+
+    def test_two_patch_energies_match_40_digit_expm(self):
+        # The CLI's default state (unit positions at rest) on the coupled rod:
+        # the modal formula over solve_qep's eigenpairs must reproduce a
+        # 40-digit exp(tA) to roundoff.  Equal steps share one exponential.
+        m = two_patch_rod(16)
+        x0 = sd.PhaseVector(np.ones(m.n), np.zeros(m.n))
+        times = np.linspace(0.0, 1.0, 5)
+        traj = semigroup.evolve(m, sd.solve_qep(m), x0, times)
+        want = oracles.flow_energies_mp(m, x0, times)
+        assert traj.method == "exact-modal"
+        assert np.max(np.abs(traj.energies - want)) <= 1e-13 * want[0]
 
     def test_stiff_trapezoid_refused_before_stepping(self):
         # Rotated critically damped blocks, K eigenvalues 1e8 * {1, 1, 4, 4}:
@@ -105,25 +119,27 @@ class TestEvolve:
         kw = 1e8 * np.array([1.0, 1.0, 4.0, 4.0])
         stiff, root = (q * kw) @ q.T, (q * np.sqrt(kw)) @ q.T
         m = sd.SystemModel(K=0.5 * (stiff + stiff.T), C=root + root.T)
-        x0 = sd.solve_qep(m).eigenpairs[0].vector
+        rep = sd.solve_qep(m)
+        x0 = rep.eigenpairs[0].vector
         start = time.perf_counter()
         with pytest.raises(linalg.NoConvergence, match="steps"):
-            semigroup.evolve(m, x0, np.linspace(0.0, 1.0, 200))
+            semigroup.evolve(m, rep, x0, np.linspace(0.0, 1.0, 200))
         assert time.perf_counter() - start < 1.0
 
 
 class TestPropagator:
     def test_zero_time_identity(self):
         m = scalar_model(2.0, 1.0)
-        assert np.allclose(semigroup.propagator(m, 0.0), np.eye(2), atol=1e-14)
+        assert np.allclose(semigroup.propagator(m, sd.solve_qep(m), 0.0), np.eye(2), atol=1e-14)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(64)
         m = oracles.random_model(rng, 3)
         s, t = 0.3, 0.9
-        ps = semigroup.propagator(m, s)
-        pt = semigroup.propagator(m, t)
-        pst = semigroup.propagator(m, s + t)
+        rep = sd.solve_qep(m)
+        ps = semigroup.propagator(m, rep, s)
+        pt = semigroup.propagator(m, rep, t)
+        pst = semigroup.propagator(m, rep, s + t)
         assert np.allclose(ps @ pt, pst, atol=1e-10)
 
     def test_eigenvalues_exponentiate(self):
@@ -132,8 +148,9 @@ class TestPropagator:
             n = int(rng.integers(1, 4))
             m = oracles.random_model(rng, n)
             t = 0.7
-            lam = sd.solve_qep(m).eigenvalues
-            pe = np.linalg.eigvals(semigroup.propagator(m, t))
+            rep = sd.solve_qep(m)
+            lam = rep.eigenvalues
+            pe = np.linalg.eigvals(semigroup.propagator(m, rep, t))
             assert oracles.multiset_distance(pe, np.exp(t * lam)) <= 1e-8
 
     def test_defective_closed_form(self):
@@ -143,7 +160,7 @@ class TestPropagator:
         t = 0.8
         nil = phase_operator(m) + np.eye(2)
         want = np.exp(-t) * (np.eye(2) + t * nil)
-        assert np.allclose(semigroup.propagator(m, t), want, atol=1e-10)
+        assert np.allclose(semigroup.propagator(m, sd.solve_qep(m), t), want, atol=1e-10)
 
 
 class TestResolvent:
@@ -312,7 +329,7 @@ class TestSmoothingProbe:
     def test_damped_statistic_finite(self):
         m = scalar_model(1.0, 1.0)
         x0 = sd.PhaseVector(np.array([1.0]), np.array([0.0]))
-        val = semigroup.smoothing_probe(m, x0, np.logspace(-2.0, 0.0, 9))
+        val = semigroup.smoothing_probe(m, sd.solve_qep(m), x0, np.logspace(-2.0, 0.0, 9))
         assert np.isfinite(val) and val > 0.0
 
     def test_scales_linearly_for_undamped(self):
@@ -320,6 +337,7 @@ class TestSmoothingProbe:
         # t_max * const and doubling the horizon doubles it
         m = scalar_model(1.0, 0.0)
         x0 = sd.PhaseVector(np.array([1.0]), np.array([0.0]))
-        v1 = semigroup.smoothing_probe(m, x0, np.array([1.0]))
-        v2 = semigroup.smoothing_probe(m, x0, np.array([2.0]))
+        rep = sd.solve_qep(m)
+        v1 = semigroup.smoothing_probe(m, rep, x0, np.array([1.0]))
+        v2 = semigroup.smoothing_probe(m, rep, x0, np.array([2.0]))
         assert v2 == pytest.approx(2.0 * v1, rel=1e-9)

@@ -454,7 +454,6 @@ def _semigroup_section(
             "initial_energy": float(traj.energies[0]),
             "final_energy": float(traj.energies[-1]),
             "max_energy_increase": drift,
-            "step_error_estimate": traj.step_error_estimate,
         },
         "smoothing_statistic": probe,
     }

@@ -70,15 +70,20 @@ __all__ = [
 ]
 
 # The sphere minimizer stops once its best value has improved by at most
-# STALL_RTOL * (1 + |best|) over the last STALL_WINDOW iterations.
+# STALL_RTOL * (1 + |best|) over the last STALL_WINDOW iterations, and
+# after MAX_SPHERE_ITERATIONS iterations at most.
 STALL_WINDOW = 20
 STALL_RTOL = 1e-14
+MAX_SPHERE_ITERATIONS = 400
 
 # The definiteness search stops once the best value is within CUT_ROUNDOFF
 # roundoff units of the tangent lower bound, or the bracket is that narrow,
 # and after MAX_CUTS evaluations at most.
 CUT_ROUNDOFF = 8.0
 MAX_CUTS = 200
+
+# Outside this band around zero the two overdamping detectors must agree.
+AGREEMENT_BAND = 1e-6
 
 
 class OptimizerDisagreement(Exception):
@@ -137,7 +142,6 @@ def _minimize_margin(
     kinv_norm: float,
     starts,
     seeds,
-    max_iter: int = 400,
 ) -> tuple[float, np.ndarray, int]:
     n = wt.shape[0]
     cols = [np.random.default_rng(int(s)).standard_normal(n) for s in seeds]
@@ -148,7 +152,7 @@ def _minimize_margin(
     eta = np.full(g.shape[1], 1.0 / (4.0 * wt_norm**2 + 8.0 * kinv_norm + 1.0))
     f = _sphere_objective(g, wt, kinv)
     best = [float(np.min(f))]  # best value after each iteration, nonincreasing
-    for _ in range(max_iter):
+    for _ in range(MAX_SPHERE_ITERATIONS):
         w = wt @ g
         w1 = np.einsum("ij,ij->j", g, w)
         grad = 4.0 * w1 * w - 8.0 * (kinv @ g)
@@ -218,13 +222,12 @@ def check_overdamping(
     model: SystemModel,
     tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
     seeds=tuple(range(32)),
-    agreement_band: float = 1e-6,
 ) -> OverdampingReport:
     """Minimize the overdamping functional and cross-check definiteness.
 
     Raises :class:`OptimizerDisagreement` when the sign of the margin and
     the existence of a negative-definiteness point ``s*`` conflict while
-    ``|margin| > agreement_band``; agreement is never assumed silently.
+    ``|margin| > AGREEMENT_BAND``; agreement is never assumed silently.
     """
     report = validate(model)
     wt = report.weighted_damping
@@ -238,9 +241,9 @@ def check_overdamping(
     margin, minimizer, restarts = _minimize_margin(wt, kinv, wt_norm, kinv_norm, starts, seeds)
     s_star, value = _definiteness_search(wt, kinv, wt_norm, kinv_norm)
     definite = value < 0.0
-    if margin > agreement_band and not definite:
+    if margin > AGREEMENT_BAND and not definite:
         raise OptimizerDisagreement(margin, value)
-    if margin < -agreement_band and definite:
+    if margin < -AGREEMENT_BAND and definite:
         raise OptimizerDisagreement(margin, value)
     return OverdampingReport(
         margin=margin,
@@ -442,23 +445,13 @@ def riesz_basis_condition_number(
     """Condition number of the energy-normalized eigenvector matrix.
 
     Columns are the eigenvectors mapped through ``diag(K^{1/2}, I)`` and
-    scaled to unit energy norm; a modest condition number certifies that
-    the eigenvectors form a well-conditioned basis in the energy inner
-    product (the finite-order analog of a Riesz basis bound).
+    scaled to unit energy norm (:func:`~specdamp.spectrum.energy_basis`); a
+    modest condition number certifies that the eigenvectors form a
+    well-conditioned basis in the energy inner product (the finite-order
+    analog of a Riesz basis bound).  The same number picks the modal or the
+    ``expm`` path in :mod:`~specdamp.semigroup`.
     """
-    root = validate(model).k_sqrt
-    cols = []
-    for pair in report.eigenpairs:
-        v = pair.vector
-        col = np.concatenate([root @ v.position, v.velocity]).astype(complex)
-        nrm = np.linalg.norm(col)
-        if nrm == 0.0 or not np.isfinite(nrm):
-            return float("inf")
-        cols.append(col / nrm)
-    sig = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-    if sig[-1] <= 0.0:
-        return float("inf")
-    return float(sig[0] / sig[-1])
+    return spectrum.energy_basis(model, report).condition_number
 
 
 @dataclass(frozen=True)

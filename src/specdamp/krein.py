@@ -251,25 +251,20 @@ class NondegeneracyReport:
 def kernel_gram_nondegeneracy(
     model: SystemModel,
     lam: complex,
-    cluster=None,
+    cluster,
     tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
 ) -> NondegeneracyReport:
     """Test whether ``[.,.]`` restricted to ``ker Q(lam)`` is nondegenerate.
 
-    ``cluster`` supplies the eigenvectors (phase vectors) whose position
-    blocks span the eigenspace, orthonormalized as in
-    :func:`classify_eigenpairs`; condition ii passes the solved
-    eigenvectors near ``lam`` here.  Without it, an orthonormal kernel
-    basis is computed from the pencil at ``lam``.
+    ``cluster`` supplies the solved eigenvectors (phase vectors) near
+    ``lam``; their position blocks, orthonormalized as in
+    :func:`classify_eigenpairs`, span the eigenspace.
     """
     lam = complex(lam)
-    if cluster is not None:
-        vecs = list(cluster)
-        if not vecs:
-            raise ValueError("cluster must contain at least one phase vector")
-        basis = _orthonormal_range(np.column_stack([v.position for v in vecs]), tolerances.rank_tol)
-    else:
-        basis = spectrum.pencil_kernel_basis(model, lam, tolerances.rank_tol)
+    vecs = list(cluster)
+    if not vecs:
+        raise ValueError("cluster must contain at least one phase vector")
+    basis = _orthonormal_range(np.column_stack([v.position for v in vecs]), tolerances.rank_tol)
     gram, mu, coeff, tau = _cluster_gram(model, lam, basis, tolerances.neutral_tol)
     k = int(np.argmin(np.abs(mu)))
     min_abs = float(np.abs(mu[k]))

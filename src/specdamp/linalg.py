@@ -40,6 +40,9 @@ __all__ = [
 # Max relative asymmetry accepted by ops that require symmetric input.
 SYMMETRY_RTOL = 1e-12
 
+# An LU pivot at most this times the matrix's Frobenius norm is negligible.
+PIVOT_RTOL = 1e-13
+
 
 class LinalgError(Exception):
     """Base class for numerical failures raised by this module."""
@@ -206,19 +209,19 @@ class LUFactors:
     """LU factorization with partial pivoting of a square matrix.
 
     Construction runs one ``lu_factor`` and raises :class:`Singular` when
-    an upper-triangular pivot is negligible relative to the matrix scale,
+    an upper-triangular pivot is at most ``PIVOT_RTOL`` of the matrix scale,
     with ``rank_estimate`` set to the number of healthy pivots.
     :meth:`solve` checks the residual of its solution; :meth:`apply_inverse`
     does not, and suits inner loops whose end result goes through
     :meth:`solve`.
     """
 
-    def __init__(self, m, pivot_rtol: float = 1e-13):
+    def __init__(self, m):
         self.matrix = _as_square(m)
         self.scale = _frobenius_scale(self.matrix)
         self.factors = lu_factor(self.matrix)
         diag = np.abs(np.diag(self.factors[0]))
-        healthy = int(np.count_nonzero(diag > pivot_rtol * self.scale))
+        healthy = int(np.count_nonzero(diag > PIVOT_RTOL * self.scale))
         if healthy < self.matrix.shape[0]:
             raise Singular(rank_estimate=healthy)
         self._perm = None  # built by the first apply_inverse
@@ -262,14 +265,14 @@ class LUFactors:
         return x
 
 
-def solve(m, b, pivot_rtol: float = 1e-13):
+def solve(m, b):
     """Solve ``m @ x = b`` by LU factorization with partial pivoting.
 
     Accepts one right-hand side vector or a matrix of stacked columns.
     Raises :class:`Singular` on a negligible pivot or an excessive
     residual, as :class:`LUFactors` does.
     """
-    return LUFactors(m, pivot_rtol).solve(b)
+    return LUFactors(m).solve(b)
 
 
 def spd_sqrt_pair(m) -> tuple[np.ndarray, np.ndarray]:

@@ -2,19 +2,22 @@
 
 The phase flow ``x'(t) = A x(t)`` with ``A = [[0, I], [-K, -C]]`` is a
 contraction in the energy norm ``|x|_E^2 = x^T K x + |y|^2`` because
-``Re <A u, u>_E = -y^H C y <= 0``.  `evolve` integrates it two ways:
+``Re <A u, u>_E = -y^H C y <= 0``.  In energy coordinates
+``y = S x``, ``S = diag(K^{1/2}, I)``, that norm is the Euclidean one.
+`evolve` and `propagator` work from one basis per solved spectrum, the
+energy-normalized eigenvectors ``V_E``
+(:func:`~specdamp.spectrum.energy_basis`), and its condition number, the
+Riesz number that `riesz_basis_condition_number` reports, is the only
+thing that picks the method:
 
-* **exact-modal** when the eigenvector matrix is well conditioned
-  (condition number at most 1e8): ``x(t) = V exp(L t) V^{-1} x0``, with
-  ``V`` and ``L`` the eigenpairs ``(x, lam x)`` of the solved spectrum;
-* **trapezoidal** otherwise: the Cayley step
-  ``x_{k+1} = (I - h/2 A)^{-1} (I + h/2 A) x_k``, which maps the
-  dissipative ``A`` to an energy-norm contraction exactly, so computed
-  energies stay nonincreasing even near Jordan degeneracies.  The step is
-  ``h = min(0.01, 0.1 / ||A||_2)`` and a Richardson halved-step rerun
-  provides the recorded error estimate.  The two runs together may take
-  at most ``MAX_TRAPEZOID_STEPS`` steps; past that `evolve` raises
-  instead of stepping.
+* **exact-modal** while that number is at most ``MODAL_CONDITION_LIMIT``:
+  ``y(t) = V_E exp(L t) V_E^{-1} S x0``, energies read as ``|y(t)|^2``
+  and states mapped back through ``K^{-1/2}``;
+* **expm** otherwise (Jordan blocks, nearly dependent eigenvectors): each
+  sample is ``expm(t A) x0`` by scaling and squaring (Higham, SIMAX 26,
+  2005), whose cost grows only with ``log ||t A||``.
+
+`smoothing_probe` takes its states from `evolve`.
 
 Resolvent probes quantify how far the generator is from sectorial:
 `resolvent_norm_at` evaluates ``||(A - lam)^{-1}||`` in the energy norm
@@ -57,11 +60,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm, lu_factor, lu_solve
+from scipy.linalg import eigh_tridiagonal, expm
 
 from . import linalg
 from .model import PhaseVector, SystemModel, phase_operator, validate
-from .spectrum import SpectrumReport, solve_qep  # noqa: F401 (perfbench tests patch this binding)
+from .spectrum import SpectrumReport, energy_basis, solve_qep  # noqa: F401 (perfbench tests patch this binding)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
 
 __all__ = [
@@ -76,13 +79,9 @@ __all__ = [
     "smoothing_probe",
 ]
 
-# Above this eigenvector-matrix condition number the modal formula loses
-# too many digits and the trapezoidal path takes over.
+# Above this condition number of the energy basis (the Riesz number) the
+# modal formula loses too many digits, and expm(tA) takes over.
 MODAL_CONDITION_LIMIT = 1e8
-
-# Most trapezoid steps, both runs together, that evolve will take; a stiff
-# model with a long horizon would otherwise run for hours.
-MAX_TRAPEZOID_STEPS = 10**7
 
 # From this operator dimension on, resolvent_norm_at runs Lanczos through
 # the LU factors; below it the explicit inverse is faster.
@@ -120,14 +119,6 @@ class TrajectoryReport:
     states: tuple[PhaseVector, ...]
     energies: np.ndarray
     method: str
-    step_error_estimate: float | None = None
-
-
-def _modal_data(model: SystemModel, report: SpectrumReport):
-    v = np.column_stack([p.vector.stacked() for p in report.eigenpairs])
-    sig = np.linalg.svd(v, compute_uv=False)
-    cond = np.inf if sig[-1] == 0.0 else float(sig[0] / sig[-1])
-    return phase_operator(model), report.eigenvalues, v, cond
 
 
 def _maybe_real(arr: np.ndarray) -> np.ndarray:
@@ -138,27 +129,10 @@ def _maybe_real(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _span_steps(times: np.ndarray, h_max: float) -> np.ndarray:
-    # Steps of at most h_max covering each interval of the grid, which
-    # starts at t = 0; a repeated time takes none.
-    spans = np.diff(times, prepend=0.0)
-    return np.where(spans > 0.0, np.maximum(1.0, np.ceil(spans / h_max)), 0.0)
-
-
-def _trapezoid_run(a_op: np.ndarray, x0: np.ndarray, times: np.ndarray, h_max: float):
-    dim = a_op.shape[0]
-    eye = np.eye(dim)
-    x = x0.astype(complex) if np.iscomplexobj(x0) else x0.astype(float)
-    states = []
-    for span, steps in zip(np.diff(times, prepend=0.0), _span_steps(times, h_max)):
-        if steps > 0.0:
-            h = span / steps
-            lu = lu_factor(eye - 0.5 * h * a_op)
-            fwd = eye + 0.5 * h * a_op
-            for _ in range(int(steps)):
-                x = lu_solve(lu, fwd @ x)
-        states.append(x.copy())
-    return states
+def _modal_basis(model: SystemModel, report: SpectrumReport):
+    # The energy basis when the modal formula may use it, else None.
+    basis = energy_basis(model, report)
+    return basis if basis.condition_number <= MODAL_CONDITION_LIMIT else None
 
 
 def evolve(
@@ -170,68 +144,57 @@ def evolve(
 ) -> TrajectoryReport:
     """Integrate the phase flow from ``x0`` over an ascending time grid.
 
-    ``report`` is the solved spectrum of ``model``; its eigenvectors are
-    the columns of the modal matrix ``V``.  The method is picked from the
-    condition number of ``V`` (``exact-modal`` or ``trapezoidal``) and
-    recorded in the report.  The fallback costs
-    accuracy that the Richardson estimate reports; it raises
-    :class:`~specdamp.linalg.NoConvergence`, before stepping, when its two
-    runs together would take more than ``MAX_TRAPEZOID_STEPS`` steps.
+    ``report`` is the solved spectrum of ``model``.  While its energy basis
+    has a condition number of at most ``MODAL_CONDITION_LIMIT`` the flow is
+    the modal formula in energy coordinates (``exact-modal``), with energies
+    read as squared Euclidean norms there; otherwise each sample is
+    ``expm(t A) x0`` (``expm``).
     """
-    validate(model)
+    validation = validate(model)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0 or np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be nonnegative and ascending")
     z0 = x0.stacked()
-    if z0.shape[0] != 2 * model.n:
+    n = model.n
+    if z0.shape[0] != 2 * n:
         raise ValueError("initial state dimension does not match the model")
 
-    a_op, lam, v, cond = _modal_data(model, report)
-    err_est = None
-    if cond <= MODAL_CONDITION_LIMIT:
+    basis = _modal_basis(model, report)
+    if basis is not None:
         method = "exact-modal"
-        coeff = linalg.solve(v, z0.astype(complex))
-        raw = [_maybe_real(v @ (np.exp(lam * t) * coeff)) for t in times]
+        y0 = np.concatenate([validation.k_sqrt @ z0[:n], z0[n:]]).astype(complex)
+        coeff = linalg.solve(basis.vectors, y0)
+        ys = (np.exp(np.multiply.outer(times, report.eigenvalues)) * coeff) @ basis.vectors.T
+        energies = np.einsum("ti,ti->t", ys.conj(), ys).real
+        ys[:, :n] = ys[:, :n] @ validation.k_inv_sqrt  # K^{-1/2} is symmetric
+        states = tuple(PhaseVector.from_stacked(_maybe_real(y)) for y in ys)
     else:
-        method = "trapezoidal"
-        h = min(0.01, 0.1 / max(float(np.linalg.norm(a_op, 2)), 1e-300))
-        steps = float(np.sum(_span_steps(times, h)) + np.sum(_span_steps(times, 0.5 * h)))
-        if steps > MAX_TRAPEZOID_STEPS:
-            raise linalg.NoConvergence(
-                f"trapezoidal evolution needs {steps:.3e} steps "
-                f"(eigenvector condition number {cond:.2e}), more than {MAX_TRAPEZOID_STEPS:.0e}"
-            )
-        run = _trapezoid_run(a_op, z0, times, h)
-        half = _trapezoid_run(a_op, z0, times, 0.5 * h)
-        err_est = max(
-            float(np.linalg.norm(a - b)) for a, b in zip(run, half)
-        )
-        raw = [_maybe_real(s) for s in half]
-
-    states = tuple(PhaseVector.from_stacked(s) for s in raw)
-    energies = np.array([energy(model, s) for s in states])
-    return TrajectoryReport(
-        times=times,
-        states=states,
-        energies=energies,
-        method=method,
-        step_error_estimate=err_est,
-    )
+        method = "expm"
+        a_op = phase_operator(model)
+        states = tuple(PhaseVector.from_stacked(expm(t * a_op) @ z0) for t in times)
+        energies = np.array([energy(model, s) for s in states])
+    return TrajectoryReport(times=times, states=states, energies=energies, method=method)
 
 
 def propagator(model: SystemModel, report: SpectrumReport, t: float) -> np.ndarray:
     """Time-``t`` solution operator ``exp(t A)`` as a dense matrix.
 
     ``report`` is the solved spectrum of ``model``; the modal formula and
-    its condition-number rule are those of :func:`evolve`.
+    the ``expm`` fallback are chosen as in :func:`evolve`.
     """
     if t < 0.0:
         raise ValueError("propagator is defined for t >= 0")
-    a_op, lam, v, cond = _modal_data(model, report)
-    if cond <= MODAL_CONDITION_LIMIT:
-        coeff = linalg.solve(v, np.eye(2 * model.n, dtype=complex))
-        return _maybe_real(v @ (np.exp(lam * t)[:, None] * coeff))
-    return expm(t * a_op)
+    basis = _modal_basis(model, report)
+    if basis is None:
+        return expm(t * phase_operator(model))
+    # exp(tA) = S^{-1} V_E exp(L t) V_E^{-1} S with S = diag(K^{1/2}, I).
+    validation, n = validate(model), model.n
+    scale = np.eye(2 * n, dtype=complex)
+    scale[:n, :n] = validation.k_sqrt
+    coeff = linalg.solve(basis.vectors, scale)
+    prop = basis.vectors @ (np.exp(t * report.eigenvalues)[:, None] * coeff)
+    prop[:n] = validation.k_inv_sqrt @ prop[:n]
+    return _maybe_real(prop)
 
 
 def resolvent_norm_at(

@@ -39,7 +39,7 @@ fraction of the distance to its nearest sibling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -60,8 +60,10 @@ __all__ = [
     "Eigenpair",
     "EigenvalueBound",
     "SpectrumReport",
+    "EnergyBasis",
     "AccumulationReport",
     "solve_qep",
+    "energy_basis",
     "eigenvalue_lower_bound",
     "accumulation_experiment",
     "quadratic_pencil",
@@ -100,16 +102,36 @@ class EigenvalueBound:
 
 
 @dataclass(frozen=True)
+class EnergyBasis:
+    """The solved eigenvectors in energy coordinates.
+
+    Column ``j`` of ``vectors`` is ``diag(K^{1/2}, I) v_j`` scaled to unit
+    Euclidean norm, ``v_j`` the ``j``-th eigenvector of the report; in these
+    coordinates the energy norm is the Euclidean norm and the flow is a
+    contraction.  ``condition_number`` is the 2-norm condition number of
+    ``vectors`` (``inf`` when singular): the finite-order Riesz basis
+    constant of the eigenvectors.
+    """
+
+    vectors: np.ndarray = field(repr=False)
+    condition_number: float
+
+
+@dataclass(frozen=True)
 class SpectrumReport:
     """Sorted eigenpairs plus the magnitude lower bound.
 
     ``bound.value`` is also the radius of the spectrum-free disk around the
     origin: a Neumann-series argument on the inverse phase operator gives
-    the same expression.
+    the same expression.  :func:`energy_basis` stores its result on the
+    report.
     """
 
     eigenpairs: tuple[Eigenpair, ...]
     bound: EigenvalueBound
+    _energy_basis: EnergyBasis | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -409,6 +431,29 @@ def solve_qep(model: SystemModel, tolerances: ToleranceProfile = DEFAULT_TOLERAN
         )
 
     return SpectrumReport(eigenpairs=tuple(pairs), bound=eigenvalue_lower_bound(model))
+
+
+def energy_basis(model: SystemModel, report: SpectrumReport) -> EnergyBasis:
+    """Energy-normalized eigenvector matrix of ``report`` and its condition number.
+
+    ``report`` is the solved spectrum of ``model``.  The basis and its one
+    SVD are computed once per report; later calls return the stored result.
+    """
+    if report._energy_basis is not None:
+        return report._energy_basis
+    root = validate(model).k_sqrt
+    cols = []
+    for pair in report.eigenpairs:
+        v = pair.vector
+        col = np.concatenate([root @ v.position, v.velocity]).astype(complex)
+        cols.append(col / np.linalg.norm(col))
+    vectors = np.column_stack(cols)
+    vectors.setflags(write=False)
+    sig = np.linalg.svd(vectors, compute_uv=False)
+    cond = float(sig[0] / sig[-1]) if sig[-1] > 0.0 else float("inf")
+    basis = EnergyBasis(vectors=vectors, condition_number=cond)
+    object.__setattr__(report, "_energy_basis", basis)
+    return basis
 
 
 def eigenvalue_lower_bound(model: SystemModel) -> EigenvalueBound:

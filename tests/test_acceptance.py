@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import specdamp as sd
 
@@ -277,17 +278,25 @@ def test_08_contraction_semigroup():
         worst_drift = max(worst_drift, drift / max(e0, 1e-300))
         assert np.all(np.diff(traj.energies) <= 1e-10 * e0)
 
-    worst_prop = 0.0
+    worst_prop = worst_expm = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 5))
         model = oracles.random_model(rng, n)
         rep = sd.solve_qep(model)
         lams = rep.eigenvalues
+        modal = sd.riesz_basis_condition_number(model, rep) <= sd.semigroup.MODAL_CONDITION_LIMIT
         for t in (0.3, 1.0):
-            pe = np.linalg.eigvals(sd.propagator(model, rep, t))
+            prop = sd.propagator(model, rep, t)
+            pe = np.linalg.eigvals(prop)
             dist = oracles.multiset_distance(pe, np.exp(t * lams))
             worst_prop = max(worst_prop, dist)
             assert dist <= 1e-8
+            if modal:
+                # Independent of the eigenpairs: scaling and squaring of tA.
+                want = scipy.linalg.expm(t * sd.phase_operator(model))
+                rel = np.linalg.norm(prop - want) / np.linalg.norm(want)
+                worst_expm = max(worst_expm, rel)
+                assert rel <= 1e-10
 
     worst_res = 0.0
     for _ in range(25):
@@ -309,7 +318,7 @@ def test_08_contraction_semigroup():
     assert np.isfinite(scan.fitted_M) and scan.fitted_M > 0.0
     announce(
         f"[PASS] acceptance 8/10 semigroup: worst energy drift {worst_drift:.2e}, "
-        f"propagator err {worst_prop:.2e}, sup Re(lam)*||R|| {worst_res:.3f}, "
+        f"propagator err {worst_prop:.2e} (vs expm {worst_expm:.2e}), sup Re(lam)*||R|| {worst_res:.3f}, "
         f"scan fitted_M {scan.fitted_M:.3f} over t in [1, 1e4]"
     )
 

@@ -150,13 +150,19 @@ class TestClassify:
                     assert val <= 1e-8 * scale
 
 
+def solved_near(m, lam):
+    # The eigenvectors solve_qep returns within cluster tolerance of lam.
+    tol = sd.DEFAULT_TOLERANCES.cluster_tol * (1.0 + abs(lam))
+    return [p.vector for p in sd.solve_qep(m).eigenpairs if abs(p.value - lam) <= tol]
+
+
 class TestNondegeneracy:
     def test_two_dim_slow_kernel_positive(self):
         # two identical overdamped modes: kernel at the slow root is 2-D
         # and its Gram is (k - lam^2) I in the modal coordinates
         m = sd.SystemModel(K=np.diag([1.0, 1.0]), C=np.diag([3.0, 3.0]))
         lam = -0.3819660112501051
-        rep = krein.kernel_gram_nondegeneracy(m, lam)
+        rep = krein.kernel_gram_nondegeneracy(m, lam, solved_near(m, lam))
         assert rep.kernel_dim == 2
         assert rep.nondegenerate and rep.witness is None
         want = 1.0 - lam * lam
@@ -164,7 +170,7 @@ class TestNondegeneracy:
 
     def test_critical_damping_degenerate_with_witness(self):
         m = scalar_model(1.0, 2.0)
-        rep = krein.kernel_gram_nondegeneracy(m, -1.0)
+        rep = krein.kernel_gram_nondegeneracy(m, -1.0, solved_near(m, -1.0))
         assert not rep.nondegenerate
         w = rep.witness
         assert w is not None
@@ -175,7 +181,8 @@ class TestNondegeneracy:
 
     def test_min_abs_eigenvalue_vs_threshold(self):
         m = scalar_model(1.0, 3.0)
-        rep = krein.kernel_gram_nondegeneracy(m, -0.3819660112501051)
+        lam = -0.3819660112501051
+        rep = krein.kernel_gram_nondegeneracy(m, lam, solved_near(m, lam))
         assert rep.min_abs_eigenvalue > rep.threshold > 0.0
         assert rep.nondegenerate
 

@@ -5,9 +5,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import specdamp as sd
-from specdamp import linalg, semigroup
+from specdamp import conditions, linalg, semigroup
 from specdamp.model import phase_operator
 
 import oracles
@@ -47,14 +48,13 @@ class TestEvolve:
 
     def test_critical_damping_eigenvector_decay(self):
         # the true eigenvector of the defective block still decays as
-        # e^{-t}; the integrator must fall back to time stepping here
+        # e^{-t}; the modal basis is singular here, so expm(tA) takes over
         m = scalar_model(1.0, 2.0)
         x0 = sd.PhaseVector(np.array([1.0]), np.array([-1.0]))
         traj = semigroup.evolve(m, sd.solve_qep(m), x0, np.array([0.0, 1.0]))
-        assert traj.method == "trapezoidal"
-        assert traj.step_error_estimate is not None
+        assert traj.method == "expm"
         want = np.exp(-1.0) * np.array([1.0, -1.0])
-        assert np.allclose(traj.states[-1].stacked(), want, atol=1e-5)
+        assert np.allclose(traj.states[-1].stacked(), want, atol=1e-12)
 
     def test_undamped_energy_constant(self):
         m = scalar_model(1.0, 0.0)
@@ -81,7 +81,7 @@ class TestEvolve:
         with pytest.raises(ValueError):
             semigroup.evolve(m, rep, x0, np.array([-1.0, 0.5]))
 
-    def test_trapezoid_route_matches_modal_route(self, monkeypatch):
+    def test_expm_route_matches_modal_route(self, monkeypatch):
         rng = np.random.default_rng(63)
         m = oracles.random_model(rng, 2)
         x0 = sd.PhaseVector(rng.standard_normal(2), rng.standard_normal(2))
@@ -90,13 +90,11 @@ class TestEvolve:
         exact = semigroup.evolve(m, rep, x0, times)
         assert exact.method == "exact-modal"
         monkeypatch.setattr(semigroup, "MODAL_CONDITION_LIMIT", 0.0)
-        stepped = semigroup.evolve(m, rep, x0, times)
-        assert stepped.method == "trapezoidal"
-        diff = np.max(
-            np.abs(stepped.states[-1].stacked() - exact.states[-1].stacked())
-        )
-        assert diff <= 1e-3
-        assert diff <= 4.0 * stepped.step_error_estimate + 1e-12
+        fallback = semigroup.evolve(m, rep, x0, times)
+        assert fallback.method == "expm"
+        for a, b in zip(fallback.states, exact.states):
+            assert np.max(np.abs(a.stacked() - b.stacked())) <= 1e-12
+        assert np.max(np.abs(fallback.energies - exact.energies)) <= 1e-12 * exact.energies[0]
 
     def test_two_patch_energies_match_40_digit_expm(self):
         # The CLI's default state (unit positions at rest) on the coupled rod:
@@ -110,21 +108,54 @@ class TestEvolve:
         assert traj.method == "exact-modal"
         assert np.max(np.abs(traj.energies - want)) <= 1e-13 * want[0]
 
-    def test_stiff_trapezoid_refused_before_stepping(self):
+    @pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+    def test_critical_blocks_energies_match_40_digit_expm(self, rotated):
+        # Exactly critical repeated blocks (roots 1 and 2, each twice): two
+        # Jordan blocks, a singular modal basis, so expm(tA) per sample.
+        m = critical_blocks(rotated)
+        rep = sd.solve_qep(m)
+        assert conditions.riesz_basis_condition_number(m, rep) > semigroup.MODAL_CONDITION_LIMIT
+        for x0 in (rep.eigenpairs[0].vector, sd.PhaseVector(np.ones(4), np.zeros(4))):
+            x0 = sd.PhaseVector(x0.position.real, x0.velocity.real)
+            times = np.linspace(0.0, 1.0, 6)
+            traj = semigroup.evolve(m, rep, x0, times)
+            want = oracles.flow_energies_mp(m, x0, times)
+            assert traj.method == "expm"
+            assert np.max(np.abs(traj.energies - want)) <= 1e-12 * want[0]
+
+    def test_stiff_critical_model_evolves_quickly(self):
         # Rotated critically damped blocks, K eigenvalues 1e8 * {1, 1, 4, 4}:
-        # the eigenvectors are nearly dependent, and the trapezoid would
-        # need about 1.2e10 steps of h = 0.1 / ||A|| to reach t = 1.
-        rng = np.random.default_rng(64)
-        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        kw = 1e8 * np.array([1.0, 1.0, 4.0, 4.0])
-        stiff, root = (q * kw) @ q.T, (q * np.sqrt(kw)) @ q.T
-        m = sd.SystemModel(K=0.5 * (stiff + stiff.T), C=root + root.T)
+        # the eigenvectors are nearly dependent, so every sample is one
+        # expm(tA), whatever the stiffness.
+        m = stiff_critical_model()
         rep = sd.solve_qep(m)
         x0 = rep.eigenpairs[0].vector
+        times = np.linspace(0.0, 1.0, 200)
         start = time.perf_counter()
-        with pytest.raises(linalg.NoConvergence, match="steps"):
-            semigroup.evolve(m, rep, x0, np.linspace(0.0, 1.0, 200))
+        traj = semigroup.evolve(m, rep, x0, times)
         assert time.perf_counter() - start < 1.0
+        assert traj.method == "expm"
+        assert np.all(np.isfinite(traj.energies))
+        assert np.all(np.diff(traj.energies) <= 1e-10 * traj.energies[0])
+        want = oracles.flow_energies_mp(m, x0, times[::40])
+        assert np.max(np.abs(traj.energies[::40] - want)) <= 1e-12 * want[0]
+
+
+def critical_blocks(rotated):
+    roots = np.repeat([1.0, 2.0], 2)
+    k, c = np.diag(roots**2), np.diag(2.0 * roots)
+    if rotated:
+        q = np.linalg.qr(np.random.default_rng(68).standard_normal((4, 4)))[0]
+        k, c = q @ k @ q.T, q @ c @ q.T
+    return sd.SystemModel(K=0.5 * (k + k.T), C=0.5 * (c + c.T))
+
+
+def stiff_critical_model():
+    rng = np.random.default_rng(64)
+    q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    kw = 1e8 * np.array([1.0, 1.0, 4.0, 4.0])
+    stiff, root = (q * kw) @ q.T, (q * np.sqrt(kw)) @ q.T
+    return sd.SystemModel(K=0.5 * (stiff + stiff.T), C=root + root.T)
 
 
 class TestPropagator:
@@ -150,8 +181,13 @@ class TestPropagator:
             t = 0.7
             rep = sd.solve_qep(m)
             lam = rep.eigenvalues
-            pe = np.linalg.eigvals(semigroup.propagator(m, rep, t))
+            prop = semigroup.propagator(m, rep, t)
+            pe = np.linalg.eigvals(prop)
             assert oracles.multiset_distance(pe, np.exp(t * lam)) <= 1e-8
+            # An independent check: the modal formula against scaling and squaring.
+            if conditions.riesz_basis_condition_number(m, rep) <= semigroup.MODAL_CONDITION_LIMIT:
+                want = scipy.linalg.expm(t * phase_operator(m))
+                assert np.linalg.norm(prop - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_defective_closed_form(self):
         # critical damping: A = -I + N with N^2 = 0, so
@@ -291,7 +327,6 @@ class TestResolventLanczos:
             return wrapper
 
         monkeypatch.setattr(linalg, "lu_factor", counted("lu", linalg.lu_factor))
-        monkeypatch.setattr(semigroup, "lu_factor", counted("lu", semigroup.lu_factor))
         for name in ("eig", "eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         semigroup.resolvent_norm_at(m, rep, 1.0 + 10.0j)

@@ -78,7 +78,6 @@ from .spectrum import (
     quadratic_pencil,
     solve_qep,
 )
-from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
 
 __version__ = "0.1.0"
 
@@ -90,7 +89,6 @@ __all__ = [
     "ConditionIII",
     "ConditionIIVerdict",
     "ConditionReport",
-    "DEFAULT_TOLERANCES",
     "Decomposition",
     "Eigenpair",
     "EigenvalueBound",
@@ -114,7 +112,6 @@ __all__ = [
     "Singular",
     "SpectrumReport",
     "SystemModel",
-    "ToleranceProfile",
     "TrajectoryReport",
     "ValidationReport",
     "accumulation_experiment",

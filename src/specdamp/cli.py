@@ -38,7 +38,7 @@ import tempfile
 
 import numpy as np
 
-from . import conditions, krein, linalg, semigroup, spectrum
+from . import conditions, krein, linalg, semigroup, spectrum, tolerances
 from .model import (
     BeamSpec,
     InvalidModel,
@@ -48,7 +48,6 @@ from .model import (
     beam_assemble,
     perturbed_kelvin_voigt,
 )
-from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
 
 __all__ = ["main", "run_analyze", "run_simulate", "run_check", "ConfigError"]
 
@@ -163,12 +162,7 @@ def _as_number(value, where: str) -> float:
 def _parse_matrix(rows, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ConfigError(f"{where} must be an array of arrays")
-    try:
-        mat = np.array(
-            [[_as_number(v, where) for v in row] for row in rows], dtype=float
-        )
-    except ConfigError:
-        raise
+    mat = np.array([[_as_number(v, where) for v in row] for row in rows], dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"{where} must be square")
     return mat
@@ -230,27 +224,6 @@ def _build_model(cfg) -> tuple[SystemModel, dict]:
     raise ConfigError(f'unknown model type {kind!r} (expected beam/generic/perturbed)')
 
 
-_TOLERANCE_KEYS = (
-    "residual_tol",
-    "snap_real_tol",
-    "cluster_tol",
-    "neutral_tol",
-    "orth_tol",
-    "rank_tol",
-)
-
-
-def _parse_tolerances(cfg) -> ToleranceProfile:
-    if cfg is None:
-        return DEFAULT_TOLERANCES
-    _check_keys(cfg, '"tolerances"', required=(), optional=_TOLERANCE_KEYS)
-    values = {k: _as_number(v, f'"{k}"') for k, v in cfg.items()}
-    try:
-        return ToleranceProfile(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -259,9 +232,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    _check_keys(
-        cfg, "config", required=("model", "analyses"), optional=("tolerances", "seed")
-    )
+    _check_keys(cfg, "config", required=("model", "analyses"), optional=("seed",))
     analyses = cfg["analyses"]
     if not isinstance(analyses, list) or not analyses:
         raise ConfigError('"analyses" must be a nonempty array')
@@ -312,10 +283,7 @@ def _spectrum_section(report: spectrum.SpectrumReport) -> dict:
 
 
 def _krein_section(
-    model: SystemModel,
-    report: spectrum.SpectrumReport,
-    clf: krein.SignClassification,
-    tol: ToleranceProfile,
+    model: SystemModel, report: spectrum.SpectrumReport, clf: krein.SignClassification
 ) -> dict:
     clusters = [
         {
@@ -333,7 +301,7 @@ def _krein_section(
         for c in clf.clusters
     ]
     try:
-        dec = krein.decompose(model, report, tol, classification=clf)
+        dec = krein.decompose(model, report, classification=clf)
         decomposition = {
             "h_prime": list(dec.h_prime),
             "h_doubleprime": list(dec.h_doubleprime),
@@ -426,16 +394,12 @@ def _default_state(model: SystemModel) -> PhaseVector:
     return PhaseVector(x, np.zeros(model.n))
 
 
-def _semigroup_section(
-    model: SystemModel, report: spectrum.SpectrumReport, tol: ToleranceProfile
-) -> dict:
-    scan = semigroup.resolvent_scan(
-        model, report, re_offset=1.0, im_grid=np.logspace(0.0, 4.0, 25), tolerances=tol
-    )
+def _semigroup_section(model: SystemModel, report: spectrum.SpectrumReport) -> dict:
+    scan = semigroup.resolvent_scan(model, report, re_offset=1.0, im_grid=np.logspace(0.0, 4.0, 25))
     x0 = _default_state(model)
-    traj = semigroup.evolve(model, report, x0, np.linspace(0.0, 1.0, 21), tol)
+    traj = semigroup.evolve(model, report, x0, np.linspace(0.0, 1.0, 21))
     drift = float(np.max(np.diff(traj.energies))) if traj.energies.size > 1 else 0.0
-    probe = semigroup.smoothing_probe(model, report, x0, np.logspace(-3.0, 0.0, 13), tol)
+    probe = semigroup.smoothing_probe(model, report, x0, np.logspace(-3.0, 0.0, 13))
     return {
         "resolvent_scan": {
             "samples": [
@@ -459,12 +423,10 @@ def _semigroup_section(
     }
 
 
-def _accumulation_section(model: SystemModel, tol: ToleranceProfile) -> dict:
+def _accumulation_section(model: SystemModel) -> dict:
     if model.beam is None:
         raise ConfigError('"accumulation" analysis requires a beam model')
-    acc = spectrum.accumulation_experiment(
-        model.beam, ACCUMULATION_ORDERS, ACCUMULATION_EPSILON, tol
-    )
+    acc = spectrum.accumulation_experiment(model.beam, ACCUMULATION_ORDERS, ACCUMULATION_EPSILON)
     return {
         "orders": list(acc.orders),
         "points": list(acc.points),
@@ -699,28 +661,34 @@ def run_analyze(config_path: str, out_dir: str = ".", seed: int | None = None) -
     """Run the analyses requested in the config; write report files."""
     cfg = _load_config(config_path)
     model, echo = _build_model(cfg["model"])
-    tol = _parse_tolerances(cfg.get("tolerances"))
     seed_val = _resolve_seed(seed, cfg.get("seed", 0))
     analyses = cfg["analyses"]
 
-    report = spectrum.solve_qep(model, tol)
-    clf = krein.classify_eigenpairs(model, report, tol)
+    report = spectrum.solve_qep(model)
+    clf = krein.classify_eigenpairs(model, report)
 
     doc: dict = {"model": echo, "seed": seed_val, "analyses": sorted(set(analyses))}
-    doc["tolerances"] = {k: getattr(tol, k) for k in _TOLERANCE_KEYS}
+    doc["tolerances"] = {
+        "residual_tol": tolerances.RESIDUAL_TOL,
+        "snap_real_tol": tolerances.SNAP_REAL_TOL,
+        "cluster_tol": tolerances.CLUSTER_TOL,
+        "neutral_tol": tolerances.NEUTRAL_TOL,
+        "orth_tol": tolerances.ORTH_TOL,
+        "rank_tol": tolerances.RANK_TOL,
+    }
     if "spectrum" in analyses:
         doc["spectrum"] = _spectrum_section(report)
     if "krein" in analyses:
-        doc["krein"] = _krein_section(model, report, clf, tol)
+        doc["krein"] = _krein_section(model, report, clf)
     if "conditions" in analyses:
         crep = conditions.condition_report(
-            model, report, tolerances=tol, seeds=tuple(range(seed_val, seed_val + 32))
+            model, report, seeds=tuple(range(seed_val, seed_val + 32))
         )
         doc["conditions"] = _conditions_section(crep)
     if "semigroup" in analyses:
-        doc["semigroup"] = _semigroup_section(model, report, tol)
+        doc["semigroup"] = _semigroup_section(model, report)
     if "accumulation" in analyses:
-        doc["accumulation"] = _accumulation_section(model, tol)
+        doc["accumulation"] = _accumulation_section(model)
 
     _atomic_write(os.path.join(out_dir, "report.json"), _emit_json(doc) + "\n")
     _atomic_write(os.path.join(out_dir, "eigenvalues.csv"), _eigenvalue_csv(report, clf))
@@ -770,17 +738,16 @@ def run_simulate(
     """Integrate the configured model and write trajectory CSV + SVG."""
     cfg = _load_config(config_path)
     model, _ = _build_model(cfg["model"])
-    tol = _parse_tolerances(cfg.get("tolerances"))
     _resolve_seed(seed, cfg.get("seed", 0))
     if not (t_max > 0.0 and np.isfinite(t_max)):
         raise ConfigError("--t-max must be positive")
     if samples < 2:
         raise ConfigError("--samples must be at least 2")
 
-    report = spectrum.solve_qep(model, tol)
+    report = spectrum.solve_qep(model)
     x0 = _parse_x0(x0_spec, model, report)
     times = np.linspace(0.0, float(t_max), int(samples))
-    traj = semigroup.evolve(model, report, x0, times, tol)
+    traj = semigroup.evolve(model, report, x0, times)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -800,13 +767,10 @@ def run_check(config_path: str, seed: int | None = None, stream=None) -> int:
     stream = stream or sys.stdout
     cfg = _load_config(config_path)
     model, _ = _build_model(cfg["model"])
-    tol = _parse_tolerances(cfg.get("tolerances"))
     seed_val = _resolve_seed(seed, cfg.get("seed", 0))
 
-    report = spectrum.solve_qep(model, tol)
-    rep = conditions.condition_report(
-        model, report, tolerances=tol, seeds=tuple(range(seed_val, seed_val + 32))
-    )
+    report = spectrum.solve_qep(model)
+    rep = conditions.condition_report(model, report, seeds=tuple(range(seed_val, seed_val + 32)))
     rows: list[tuple[str, str, bool | None]] = []
     od = rep.overdamping
     rows.append(

@@ -50,7 +50,7 @@ import scipy.linalg
 
 from . import krein, spectrum
 from .model import BeamSpec, SystemModel, validate
-from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
+from .tolerances import CLUSTER_TOL
 
 __all__ = [
     "OptimizerDisagreement",
@@ -218,11 +218,7 @@ def _definiteness_search(
     return float(s_best), float(f_best)
 
 
-def check_overdamping(
-    model: SystemModel,
-    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
-    seeds=tuple(range(32)),
-) -> OverdampingReport:
+def check_overdamping(model: SystemModel, seeds=tuple(range(32))) -> OverdampingReport:
     """Minimize the overdamping functional and cross-check definiteness.
 
     Raises :class:`OptimizerDisagreement` when the sign of the margin and
@@ -273,10 +269,7 @@ class ConditionIIVerdict:
 
 
 def check_condition_ii(
-    model: SystemModel,
-    report: spectrum.SpectrumReport,
-    candidates,
-    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
+    model: SystemModel, report: spectrum.SpectrumReport, candidates
 ) -> tuple[ConditionIIVerdict, ...]:
     """Check kernel nondegeneracy at the reciprocals of candidate values.
 
@@ -293,7 +286,7 @@ def check_condition_ii(
         lam = 1.0 / mu
         dist = np.abs(values - lam)
         nearest = float(np.min(dist)) if dist.size else np.inf
-        if nearest > tolerances.cluster_tol * (1.0 + abs(lam)):
+        if nearest > CLUSTER_TOL * (1.0 + abs(lam)):
             out.append(
                 ConditionIIVerdict(
                     mu=mu,
@@ -304,12 +297,9 @@ def check_condition_ii(
                 )
             )
             continue
-        inside = np.flatnonzero(dist <= tolerances.cluster_tol * (1.0 + abs(lam)))
+        inside = np.flatnonzero(dist <= CLUSTER_TOL * (1.0 + abs(lam)))
         nd = krein.kernel_gram_nondegeneracy(
-            model,
-            lam,
-            cluster=[report.eigenpairs[i].vector for i in inside],
-            tolerances=tolerances,
+            model, lam, cluster=[report.eigenpairs[i].vector for i in inside]
         )
         out.append(
             ConditionIIVerdict(
@@ -464,7 +454,6 @@ class ConditionReport:
     cross-check enforces it).
     """
 
-    overdamping_margin: float
     overdamping: OverdampingReport
     hyperbolicity_certificate: float | None
     condition_ii: tuple[ConditionIIVerdict, ...]
@@ -479,7 +468,6 @@ def condition_report(
     report: spectrum.SpectrumReport,
     essential_candidates=None,
     essential_proxy: float | None = None,
-    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
     seeds=tuple(range(32)),
 ) -> ConditionReport:
     """Assemble the full condition report for one model.
@@ -490,15 +478,11 @@ def condition_report(
     and proxy (sections are omitted, not guessed, when absent).  ``report``
     is the solved spectrum of ``model``.
     """
-    od = check_overdamping(model, tolerances, seeds=seeds)
+    od = check_overdamping(model, seeds=seeds)
 
     if essential_candidates is None and model.beam is not None:
         essential_candidates = [-a / model.beam.E for a in model.beam.damping_values]
-    cii = (
-        check_condition_ii(model, report, essential_candidates, tolerances)
-        if essential_candidates
-        else ()
-    )
+    cii = check_condition_ii(model, report, essential_candidates) if essential_candidates else ()
 
     ciii: ConditionIII | None
     if model.beam is not None:
@@ -511,7 +495,6 @@ def condition_report(
     thresholds = patch_threshold_report(model.beam, od, report) if model.beam else None
     val = validate(model)
     return ConditionReport(
-        overdamping_margin=od.margin,
         overdamping=od,
         hyperbolicity_certificate=od.certificate_s if od.definite_point_exists else None,
         condition_ii=cii,

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import spectrum
 from .model import PhaseVector, SystemModel, validate
-from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
+from .tolerances import CLUSTER_TOL, NEUTRAL_TOL, ORTH_TOL, RANK_TOL, SNAP_REAL_TOL
 
 __all__ = [
     "IllConditionedCluster",
@@ -136,21 +136,16 @@ class SignClassification:
         return sum(c.jordan_defect for c in self.clusters)
 
 
-def _orthonormal_range(columns: np.ndarray, rank_tol: float) -> np.ndarray:
+def _orthonormal_range(columns: np.ndarray) -> np.ndarray:
     # Orthonormal basis of the span of the columns: the left singular
-    # vectors whose singular value exceeds rank_tol times the largest.
+    # vectors whose singular value exceeds RANK_TOL times the largest.
     if columns.shape[1] == 1:
         return columns / np.linalg.norm(columns)
     u, sigma, _ = np.linalg.svd(columns, full_matrices=False)
-    return u[:, sigma > rank_tol * sigma[0]]
+    return u[:, sigma > RANK_TOL * sigma[0]]
 
 
-def _cluster_gram(
-    model: SystemModel,
-    lam: complex,
-    basis: np.ndarray,
-    neutral_tol: float,
-):
+def _cluster_gram(model: SystemModel, lam: complex, basis: np.ndarray):
     # For the phase vectors v_i = (b_i, lam b_i), [v_i, v_j] is entry (j, i)
     # of B^H K B - |lam|^2 B^H B; the energy of v_i is entry (i, i) of
     # B^H K B + |lam|^2 B^H B.
@@ -162,7 +157,7 @@ def _cluster_gram(
     scale = float(np.max(np.real(np.diag(bkb)) + lam2 * np.real(np.diag(bb))))
     if not (np.isfinite(scale) and scale > 0.0 and np.all(np.isfinite(gram))):
         raise IllConditionedCluster(lam, "non-finite Gram or zero energy scale")
-    tau = neutral_tol * scale
+    tau = NEUTRAL_TOL * scale
     mu, coeff = np.linalg.eigh(gram)
     return gram, mu, coeff, tau
 
@@ -177,18 +172,14 @@ def _sign_type(mu: np.ndarray, tau: float) -> str:
     return "mixed"
 
 
-def classify_eigenpairs(
-    model: SystemModel,
-    pairs,
-    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
-) -> SignClassification:
+def classify_eigenpairs(model: SystemModel, pairs) -> SignClassification:
     """Cluster the eigenvalues and sign-classify each cluster's eigenspace.
 
     ``pairs`` is a :class:`~specdamp.spectrum.SpectrumReport` or a sequence
     of :class:`~specdamp.spectrum.Eigenpair`.  Each cluster is classified
     over the span of its members' eigenvector positions, orthonormalized
     by a thin SVD that keeps the directions whose singular value exceeds
-    ``rank_tol`` times the largest.  The sign type is the inertia of the
+    ``RANK_TOL`` times the largest.  The sign type is the inertia of the
     Gram over that span, so it does not depend on how the eigenvectors
     were paired up inside the cluster.
     """
@@ -196,14 +187,14 @@ def classify_eigenpairs(
         pairs = pairs.eigenpairs
     values = np.array([p.value for p in pairs])
     out = []
-    for members in spectrum.cluster_eigenvalues(values, tolerances.cluster_tol):
+    for members in spectrum.cluster_eigenvalues(values, CLUSTER_TOL):
         mem_vals = values[members]
         mean = complex(np.mean(mem_vals))
-        if abs(mean.imag) <= tolerances.snap_real_tol * (1.0 + abs(mean)):
+        if abs(mean.imag) <= SNAP_REAL_TOL * (1.0 + abs(mean)):
             mean = complex(mean.real)
         positions = np.column_stack([pairs[i].vector.position for i in members])
-        basis = _orthonormal_range(positions, tolerances.rank_tol)
-        gram, mu, _, tau = _cluster_gram(model, mean, basis, tolerances.neutral_tol)
+        basis = _orthonormal_range(positions)
+        gram, mu, _, tau = _cluster_gram(model, mean, basis)
         dim = basis.shape[1]
         margin = float(np.min(np.abs(mu)) - tau)
         out.append(
@@ -244,16 +235,10 @@ class NondegeneracyReport:
     min_abs_eigenvalue: float
     threshold: float
     nondegenerate: bool
-    witness_coefficients: np.ndarray | None
     witness: PhaseVector | None
 
 
-def kernel_gram_nondegeneracy(
-    model: SystemModel,
-    lam: complex,
-    cluster,
-    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
-) -> NondegeneracyReport:
+def kernel_gram_nondegeneracy(model: SystemModel, lam: complex, cluster) -> NondegeneracyReport:
     """Test whether ``[.,.]`` restricted to ``ker Q(lam)`` is nondegenerate.
 
     ``cluster`` supplies the solved eigenvectors (phase vectors) near
@@ -264,16 +249,15 @@ def kernel_gram_nondegeneracy(
     vecs = list(cluster)
     if not vecs:
         raise ValueError("cluster must contain at least one phase vector")
-    basis = _orthonormal_range(np.column_stack([v.position for v in vecs]), tolerances.rank_tol)
-    gram, mu, coeff, tau = _cluster_gram(model, lam, basis, tolerances.neutral_tol)
+    basis = _orthonormal_range(np.column_stack([v.position for v in vecs]))
+    gram, mu, coeff, tau = _cluster_gram(model, lam, basis)
     k = int(np.argmin(np.abs(mu)))
     min_abs = float(np.abs(mu[k]))
     ok = min_abs > tau
-    wit_c = wit_v = None
+    witness = None
     if not ok:
-        wit_c = coeff[:, k]
-        x = basis @ wit_c
-        wit_v = PhaseVector(x, lam * x)
+        x = basis @ coeff[:, k]
+        witness = PhaseVector(x, lam * x)
     return NondegeneracyReport(
         eigenvalue=lam,
         kernel_dim=basis.shape[1],
@@ -281,8 +265,7 @@ def kernel_gram_nondegeneracy(
         min_abs_eigenvalue=min_abs,
         threshold=tau,
         nondegenerate=bool(ok),
-        witness_coefficients=wit_c,
-        witness=wit_v,
+        witness=witness,
     )
 
 
@@ -312,10 +295,7 @@ class Decomposition:
 
 
 def decompose(
-    model: SystemModel,
-    report,
-    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
-    classification: SignClassification | None = None,
+    model: SystemModel, report, classification: SignClassification | None = None
 ) -> Decomposition:
     """Split the spectrum into the negative-type fast branch and the rest.
 
@@ -329,7 +309,7 @@ def decompose(
     else:
         pairs = tuple(report)
     if classification is None:
-        classification = classify_eigenpairs(model, pairs, tolerances)
+        classification = classify_eigenpairs(model, pairs)
 
     real = [c for c in classification.clusters if c.is_real]
     real.sort(key=lambda c: c.eigenvalue.real)
@@ -365,7 +345,7 @@ def decompose(
         h_doubleprime=hsecond,
         m_cut=m_cut,
         cross_gram_norm=float(cross),
-        orthogonal=bool(cross <= tolerances.orth_tol),
+        orthogonal=bool(cross <= ORTH_TOL),
         hprime_definiteness=hp_max,
         neutral_real_eigenvalues=neutral,
     )

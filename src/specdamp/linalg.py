@@ -33,7 +33,6 @@ __all__ = [
     "sym_eig",
     "nonsym_eig",
     "solve",
-    "spd_sqrt_pair",
     "sqrt_pair_from_eig",
 ]
 
@@ -275,20 +274,17 @@ def solve(m, b):
     return LUFactors(m).solve(b)
 
 
-def spd_sqrt_pair(m) -> tuple[np.ndarray, np.ndarray]:
+def sqrt_pair_from_eig(dec: EigenDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric square root and inverse square root of an SPD matrix.
 
-    Both factors are built from one :func:`sym_eig` call; the smallest
-    eigenvalue must be strictly positive.
+    Both factors are built from the matrix's :func:`sym_eig` decomposition
+    ``dec``; the smallest eigenvalue must be strictly positive.
     """
-    return sqrt_pair_from_eig(sym_eig(m))
-
-
-def sqrt_pair_from_eig(dec: EigenDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`spd_sqrt_pair` from an existing :func:`sym_eig` decomposition."""
     w = dec.eigenvalues
     if w[0] <= 0.0:
-        raise NotPositiveDefinite(pivot_index=0, message="spd_sqrt_pair requires a positive definite matrix")
+        raise NotPositiveDefinite(
+            pivot_index=0, message="sqrt_pair_from_eig requires a positive definite matrix"
+        )
     v = dec.eigenvectors
     root = (v * np.sqrt(w)) @ v.T
     inv_root = (v / np.sqrt(w)) @ v.T

@@ -217,7 +217,6 @@ class ValidationReport:
     """
 
     n: int
-    k_positive_definite: bool
     c_min_eigenvalue: float
     gamma: float
     alpha: float
@@ -268,7 +267,6 @@ def validate(model: SystemModel) -> ValidationReport:
         shared.setflags(write=False)  # every later validate() returns these
     report = ValidationReport(
         n=model.n,
-        k_positive_definite=True,
         c_min_eigenvalue=c_min,
         gamma=float(w_dec.eigenvalues[0]),
         alpha=float(w_dec.eigenvalues[-1]),

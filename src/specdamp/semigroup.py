@@ -65,7 +65,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 from . import linalg
 from .model import PhaseVector, SystemModel, phase_operator, validate
 from .spectrum import SpectrumReport, energy_basis, solve_qep  # noqa: F401 (perfbench tests patch this binding)
-from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
+from .tolerances import CLUSTER_TOL
 
 __all__ = [
     "NearSpectrum",
@@ -135,13 +135,7 @@ def _modal_basis(model: SystemModel, report: SpectrumReport):
     return basis if basis.condition_number <= MODAL_CONDITION_LIMIT else None
 
 
-def evolve(
-    model: SystemModel,
-    report: SpectrumReport,
-    x0: PhaseVector,
-    times,
-    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
-) -> TrajectoryReport:
+def evolve(model: SystemModel, report: SpectrumReport, x0: PhaseVector, times) -> TrajectoryReport:
     """Integrate the phase flow from ``x0`` over an ascending time grid.
 
     ``report`` is the solved spectrum of ``model``.  While its energy basis
@@ -197,12 +191,7 @@ def propagator(model: SystemModel, report: SpectrumReport, t: float) -> np.ndarr
     return _maybe_real(prop)
 
 
-def resolvent_norm_at(
-    model: SystemModel,
-    report: SpectrumReport,
-    lam: complex,
-    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
-) -> float:
+def resolvent_norm_at(model: SystemModel, report: SpectrumReport, lam: complex) -> float:
     """Energy-norm resolvent ``||(A - lam)^{-1}||`` at one point.
 
     Raises :class:`NearSpectrum` when ``lam`` is within cluster tolerance
@@ -221,7 +210,7 @@ def resolvent_norm_at(
     """
     lam = complex(lam)
     dist = float(np.min(np.abs(report.eigenvalues - lam)))
-    if dist <= tolerances.cluster_tol * (1.0 + abs(lam)):
+    if dist <= CLUSTER_TOL * (1.0 + abs(lam)):
         raise NearSpectrum(lam, dist)
     validation, n = validate(model), model.n
     shifted = phase_operator(model).astype(complex) - lam * np.eye(2 * n)
@@ -304,11 +293,7 @@ class ResolventScan:
 
 
 def resolvent_scan(
-    model: SystemModel,
-    report: SpectrumReport,
-    re_offset: float,
-    im_grid,
-    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
+    model: SystemModel, report: SpectrumReport, re_offset: float, im_grid
 ) -> ResolventScan:
     """Scan ``lam = re_offset + i t`` over ``im_grid`` and fit boundedness.
 
@@ -322,7 +307,7 @@ def resolvent_scan(
     samples = []
     for t in im_grid:
         lam = complex(re_offset, float(t))
-        nrm = resolvent_norm_at(model, report, lam, tolerances)
+        nrm = resolvent_norm_at(model, report, lam)
         samples.append((lam, nrm, nrm * float(t)))
 
     products = np.array([s[2] for s in samples])
@@ -349,13 +334,7 @@ def resolvent_scan(
     )
 
 
-def smoothing_probe(
-    model: SystemModel,
-    report: SpectrumReport,
-    x0: PhaseVector,
-    t_grid,
-    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
-) -> float:
+def smoothing_probe(model: SystemModel, report: SpectrumReport, x0: PhaseVector, t_grid) -> float:
     """Largest ``t ||A x(t)||_E / ||x0||_E`` over a small positive grid.
 
     Bounded values as the grid approaches zero are the smoothing
@@ -369,7 +348,7 @@ def smoothing_probe(
     if base == 0.0:
         return 0.0
     a_op = phase_operator(model)
-    traj = evolve(model, report, x0, np.sort(t_grid), tolerances)
+    traj = evolve(model, report, x0, np.sort(t_grid))
     worst = 0.0
     for t, state in zip(traj.times, traj.states):
         ax = PhaseVector.from_stacked(a_op @ state.stacked())

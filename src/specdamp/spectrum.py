@@ -18,7 +18,7 @@ kernel of ``Q(lam)``.  The solver leans on that structure:
    close values are clustered,
 3. each eigenvalue is polished through the scalar Rayleigh quadratic
    ``(x^H x) lam^2 + (x^H C x) lam + (x^H K x)`` of its own ``x``.  For a
-   tight cluster (diameter within ``cluster_tol``) an orthonormal kernel
+   tight cluster (diameter within ``CLUSTER_TOL``) an orthonormal kernel
    basis of ``Q`` at the cluster mean is extracted by SVD; when it has
    fewer directions than the cluster has members, the cluster is a Jordan
    block and the members are polished with the basis directions instead,
@@ -54,7 +54,7 @@ from .model import (
     phase_operator,
     validate,
 )
-from .tolerances import DEFAULT_TOLERANCES, ToleranceProfile
+from .tolerances import CLUSTER_TOL, RANK_TOL, RESIDUAL_TOL, SNAP_REAL_TOL
 
 __all__ = [
     "Eigenpair",
@@ -175,7 +175,6 @@ def quadratic_pencil(model: SystemModel, lam: complex) -> np.ndarray:
 def pencil_kernel_basis(
     model: SystemModel,
     lam: complex,
-    rank_tol: float = DEFAULT_TOLERANCES.rank_tol,
     max_dim: int | None = None,
     diameter: float = 0.0,
 ) -> np.ndarray:
@@ -184,7 +183,7 @@ def pencil_kernel_basis(
     A direction with singular value ``sigma`` counts as null when
     ``sigma`` is at most the largest of three thresholds:
 
-    * ``rank_tol * sigma_max``, the usual relative rank test;
+    * ``RANK_TOL * sigma_max``, the usual relative rank test;
     * ``64 eps * (|lam|^2 + |lam| ||C||_F + ||K||_F)``, the roundoff
       floor of forming ``Q(lam)`` itself.  Without it a block on which
       the whole pencil degenerates (repeated proportional components
@@ -213,7 +212,7 @@ def pencil_kernel_basis(
     for i in range(limit):
         x = vh[n - 1 - i].conj()
         deriv = abs(2.0 * complex(lam) + complex(np.vdot(x, model.C @ x)))
-        cutoff = max(rank_tol * smax, floor, 4.0 * diameter * deriv)
+        cutoff = max(RANK_TOL * smax, floor, 4.0 * diameter * deriv)
         if i > 0 and sigma[n - 1 - i] > cutoff:
             break
         cols.append(x)
@@ -342,32 +341,28 @@ def _linearized_eigenpairs(model: SystemModel) -> tuple[np.ndarray, list[np.ndar
     )
 
 
-def _dense_eigensolve(
-    model: SystemModel, tolerances: ToleranceProfile
-) -> list[tuple[complex, np.ndarray]]:
+def _dense_eigensolve(model: SystemModel) -> list[tuple[complex, np.ndarray]]:
     """Eigenvalues plus pencil-kernel vectors for one fully coupled block."""
     values, starts = _linearized_eigenpairs(model)
-    values = _snap_real(values, tolerances.snap_real_tol)
+    values = _snap_real(values, SNAP_REAL_TOL)
     xs = list(starts)
 
     for _pass in range(2):
         refined = np.array(values, copy=True)
-        for members in cluster_eigenvalues(values, tolerances.cluster_tol):
+        for members in cluster_eigenvalues(values, CLUSTER_TOL):
             mem_vals = values[members]
             mean = complex(np.mean(mem_vals))
-            if abs(mean.imag) <= tolerances.snap_real_tol * (1.0 + abs(mean)):
+            if abs(mean.imag) <= SNAP_REAL_TOL * (1.0 + abs(mean)):
                 mean = complex(mean.real)
             diameter = float(np.max(np.abs(mem_vals - mean)))
-            tight = diameter <= tolerances.cluster_tol * (1.0 + abs(mean))
+            tight = diameter <= CLUSTER_TOL * (1.0 + abs(mean))
             vectors = [starts[i] for i in members]
             if tight and len(members) > 1:
                 # Genuine numerical coincidence.  The kernel basis at the mean
                 # tells a Jordan block (fewer kernel directions than members)
                 # from a semisimple cluster; only then do its directions
                 # replace the members' own vectors.
-                basis = pencil_kernel_basis(
-                    model, mean, tolerances.rank_tol, max_dim=len(members), diameter=diameter
-                )
+                basis = pencil_kernel_basis(model, mean, max_dim=len(members), diameter=diameter)
                 dim = basis.shape[1]
                 if dim < len(members):
                     vectors = [basis[:, min(rank, dim - 1)] for rank in range(len(members))]
@@ -377,24 +372,24 @@ def _dense_eigensolve(
                 # nearest sibling, so no two can collapse onto one root.
                 lam0 = complex(values[idx])
                 if tight:
-                    limit = 10.0 * tolerances.cluster_tol * (1.0 + abs(lam0))
+                    limit = 10.0 * CLUSTER_TOL * (1.0 + abs(lam0))
                 else:
                     limit = 0.4 * min(abs(lam0 - complex(values[j])) for j in members if j != idx)
                 lam = _nearest_root(_rayleigh_roots(model, x), lam0)
                 refined[idx] = lam0 if abs(lam - lam0) > limit else lam
                 xs[idx] = x
-        values = _snap_real(refined, tolerances.snap_real_tol)
+        values = _snap_real(refined, SNAP_REAL_TOL)
 
     return [(complex(values[i]), xs[i]) for i in range(values.shape[0])]
 
 
-def solve_qep(model: SystemModel, tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> SpectrumReport:
+def solve_qep(model: SystemModel) -> SpectrumReport:
     """All ``2n`` eigenpairs of the phase operator, structure-refined.
 
     Returns eigenpairs sorted by ``(Re, Im)``.  Raises
     :class:`~specdamp.model.InvalidModel` before any factorization if the
     model breaks (A1) or (A2), and :class:`~specdamp.linalg.NoConvergence`
-    if any final residual exceeds ``tolerances.residual_tol`` relative to
+    if any final residual exceeds ``RESIDUAL_TOL`` relative to
     the Frobenius norm of the phase operator.
     """
     validate(model)
@@ -402,13 +397,13 @@ def solve_qep(model: SystemModel, tolerances: ToleranceProfile = DEFAULT_TOLERAN
     comps = _coupling_components(model)
     found: list[tuple[complex, np.ndarray]] = []
     if len(comps) == 1:
-        found = _dense_eigensolve(model, tolerances)
+        found = _dense_eigensolve(model)
     else:
         for comp in comps:
             sub = SystemModel(
                 K=model.K[np.ix_(comp, comp)], C=model.C[np.ix_(comp, comp)], source="generic"
             )
-            for lam, x_sub in _dense_eigensolve(sub, tolerances):
+            for lam, x_sub in _dense_eigensolve(sub):
                 x = np.zeros(model.n, dtype=x_sub.dtype)
                 x[comp] = x_sub
                 found.append((lam, x))
@@ -425,10 +420,8 @@ def solve_qep(model: SystemModel, tolerances: ToleranceProfile = DEFAULT_TOLERAN
 
     pairs.sort(key=lambda p: (p.value.real, p.value.imag))
     worst = max(p.residual for p in pairs)
-    if worst > tolerances.residual_tol:
-        raise linalg.NoConvergence(
-            f"worst eigenpair residual {worst:.3e} exceeds {tolerances.residual_tol:.1e}"
-        )
+    if worst > RESIDUAL_TOL:
+        raise linalg.NoConvergence(f"worst eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
 
     return SpectrumReport(eigenpairs=tuple(pairs), bound=eigenvalue_lower_bound(model))
 
@@ -471,12 +464,7 @@ def eigenvalue_lower_bound(model: SystemModel) -> EigenvalueBound:
     return EigenvalueBound(norm_ainv=v, norm_ainv_d=d, value=float(value))
 
 
-def accumulation_experiment(
-    spec: BeamSpec,
-    orders,
-    epsilon: float = 0.01,
-    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
-) -> AccumulationReport:
+def accumulation_experiment(spec: BeamSpec, orders, epsilon: float = 0.01) -> AccumulationReport:
     """Track eigenvalue accumulation at ``-E / a_k`` across truncation orders.
 
     For each order ``N`` in ``orders`` the beam is reassembled and solved;
@@ -492,7 +480,7 @@ def accumulation_experiment(
     nearest = np.full((len(orders), len(points)), np.inf)
     for i, n in enumerate(orders):
         sub = BeamSpec(E=spec.E, patches=spec.patches, N=n)
-        report = solve_qep(beam_assemble(sub), tolerances)
+        report = solve_qep(beam_assemble(sub))
         lams = report.eigenvalues
         for j, p in enumerate(points):
             dist = np.abs(lams - p)

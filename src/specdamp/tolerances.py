@@ -1,56 +1,32 @@
-"""Single knob set for every numerical decision made by the package.
+"""Thresholds for every numerical decision made by the package.
 
 All comparisons that turn floating point numbers into verdicts (is this
 eigenvalue real? do these two coincide? is this Gram direction neutral?)
-read their thresholds from one immutable :class:`ToleranceProfile`.  Every
-public entry point accepts an optional profile and falls back to
-``DEFAULT_TOLERANCES``.
+read one of these six constants; ``specdamp analyze`` echoes them in the
+``tolerances`` section of ``report.json``.
 """
 
-from __future__ import annotations
+RESIDUAL_TOL = 1e-8
+"""Maximum accepted eigenpair residual, relative to the Frobenius norm of
+the phase operator."""
 
-from dataclasses import dataclass, fields
+SNAP_REAL_TOL = 1e-9
+"""Eigenvalues with ``|Im lam| <= SNAP_REAL_TOL * (1 + |lam|)`` are snapped
+onto the real axis.  Realness verdicts must be decidable, so this is
+deliberately tight."""
 
+CLUSTER_TOL = 1e-7
+"""Eigenvalues within ``CLUSTER_TOL * (1 + |lam|)`` of each other are
+grouped into one cluster for multiplicity and kernel analysis."""
 
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Thresholds used across the package.
+NEUTRAL_TOL = 1e-8
+"""Gram eigenvalues within ``NEUTRAL_TOL`` of zero, relative to the
+cluster's energy-norm scale, count as neutral directions."""
 
-    Attributes
-    ----------
-    residual_tol : float
-        Maximum accepted eigenpair residual, relative to the Frobenius
-        norm of the matrix.
-    snap_real_tol : float
-        Eigenvalues with ``|Im lam| <= snap_real_tol * (1 + |lam|)`` are
-        snapped onto the real axis.  Realness verdicts must be decidable,
-        so this is deliberately tight.
-    cluster_tol : float
-        Eigenvalues within ``cluster_tol * (1 + |lam|)`` of each other are
-        grouped into one cluster for multiplicity and kernel analysis.
-    neutral_tol : float
-        Gram eigenvalues within ``neutral_tol`` of zero, relative to the
-        cluster's energy-norm scale, count as neutral directions.
-    orth_tol : float
-        Accepted bound for normalized cross-cluster indefinite products
-        when verifying a decomposition split.
-    rank_tol : float
-        Relative singular value cutoff used for numerical rank and kernel
-        dimension decisions.
-    """
+ORTH_TOL = 1e-8
+"""Accepted bound for normalized cross-cluster indefinite products when
+verifying a decomposition split."""
 
-    residual_tol: float = 1e-8
-    snap_real_tol: float = 1e-9
-    cluster_tol: float = 1e-7
-    neutral_tol: float = 1e-8
-    orth_tol: float = 1e-8
-    rank_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (isinstance(v, (int, float)) and v > 0.0):
-                raise ValueError(f"tolerance {f.name!r} must be a positive real, got {v!r}")
-
-
-DEFAULT_TOLERANCES = ToleranceProfile()
+RANK_TOL = 1e-8
+"""Relative singular value cutoff used for numerical rank and kernel
+dimension decisions."""

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import specdamp
-from specdamp import cli, conditions, linalg, model, spectrum
+from specdamp import cli, conditions, linalg, model, spectrum, tolerances
 
 
 BEAM_CONFIG = {
@@ -50,6 +50,8 @@ class TestAnalyze:
                         "conditions", "semigroup", "accumulation"):
             assert section in doc
         assert doc["model"]["type"] == "beam" and doc["model"]["n"] == 8
+        names = ("RESIDUAL_TOL", "SNAP_REAL_TOL", "CLUSTER_TOL", "NEUTRAL_TOL", "ORTH_TOL", "RANK_TOL")
+        assert doc["tolerances"] == {name.lower(): getattr(tolerances, name) for name in names}
         assert len(doc["spectrum"]["eigenvalues"]) == 16
         assert doc["accumulation"]["counts_nondecreasing"] is True
         assert doc["conditions"]["overdamping"]["margin"] > 0.0
@@ -204,6 +206,16 @@ class TestSchemaErrors:
         cfg["tolerances"] = {"residual_tolerance": 1e-8}
         path = write_config(tmp_path / "cfg.json", cfg)
         assert cli.main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
+
+    def test_tolerances_key_rejected(self, tmp_path, capsys):
+        # The thresholds are constants of specdamp.tolerances; a config
+        # cannot set them, not even to their own values.
+        cfg = dict(BEAM_CONFIG)
+        cfg["tolerances"] = {"residual_tol": 1e-8}
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert cli.main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "'tolerances'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestSeedPrecedence:

@@ -5,6 +5,7 @@ import pytest
 
 import specdamp as sd
 from specdamp import conditions, krein
+from specdamp.tolerances import CLUSTER_TOL
 
 import oracles
 
@@ -152,7 +153,7 @@ class TestClassify:
 
 def solved_near(m, lam):
     # The eigenvectors solve_qep returns within cluster tolerance of lam.
-    tol = sd.DEFAULT_TOLERANCES.cluster_tol * (1.0 + abs(lam))
+    tol = CLUSTER_TOL * (1.0 + abs(lam))
     return [p.vector for p in sd.solve_qep(m).eigenpairs if abs(p.value - lam) <= tol]
 
 

@@ -1,17 +1,35 @@
 """Tests for the quadratic pencil solver and the eigenvalue bound."""
 
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
 import specdamp as sd
 from specdamp import spectrum
 from specdamp.model import phase_operator
+from specdamp.tolerances import RESIDUAL_TOL
 
 import oracles
 
 
 def scalar_model(k, c):
     return sd.SystemModel(K=np.array([[float(k)]]), C=np.array([[float(c)]]))
+
+
+@pytest.mark.parametrize("layer", ["spectrum", "krein", "conditions", "semigroup"])
+def test_thresholds_are_not_parameters(layer):
+    # Every threshold is a constant of specdamp.tolerances, read directly.
+    mod = importlib.import_module(f"specdamp.{layer}")
+    public = [
+        fn
+        for name, fn in vars(mod).items()
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == mod.__name__
+    ]
+    assert public
+    for fn in public:
+        assert not {"tolerances", "rank_tol"} & set(inspect.signature(fn).parameters), fn.__name__
 
 
 class TestQuadraticPencil:
@@ -74,11 +92,10 @@ class TestSolveQep:
 
     def test_residuals_within_tolerance(self):
         rng = np.random.default_rng(33)
-        tol = sd.DEFAULT_TOLERANCES
         for _ in range(30):
             m = oracles.random_model(rng, int(rng.integers(1, 7)))
             rep = sd.solve_qep(m)
-            assert all(p.residual <= tol.residual_tol for p in rep.eigenpairs)
+            assert all(p.residual <= RESIDUAL_TOL for p in rep.eigenpairs)
 
     def test_sorted_by_real_then_imag(self):
         rng = np.random.default_rng(34)

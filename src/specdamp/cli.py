@@ -22,8 +22,8 @@ unknown keys anywhere are rejected.  All floats are serialized with 17
 significant digits so reports round-trip bit-exactly, and identical
 config plus seed yields byte-identical outputs.  Files are written
 atomically (temp file then rename).  The seed (CLI flag, else
-``SPECDAMP_SEED``, else config, else 0) offsets the deterministic restart
-seeds of the overdamping minimizer.
+``SPECDAMP_SEED``, else config, else 0) is validated and echoed in
+``report.json``; no computation reads it, so it changes no result.
 """
 
 from __future__ import annotations
@@ -374,7 +374,6 @@ def _conditions_section(rep: conditions.ConditionReport) -> dict:
             "certificate_s": od.certificate_s,
             "certificate_value": od.certificate_value,
             "definite_point_exists": od.definite_point_exists,
-            "restarts": od.restarts,
         },
         "hyperbolicity_certificate": rep.hyperbolicity_certificate,
         "condition_ii": cii,
@@ -681,10 +680,7 @@ def run_analyze(config_path: str, out_dir: str = ".", seed: int | None = None) -
     if "krein" in analyses:
         doc["krein"] = _krein_section(model, report, clf)
     if "conditions" in analyses:
-        crep = conditions.condition_report(
-            model, report, seeds=tuple(range(seed_val, seed_val + 32))
-        )
-        doc["conditions"] = _conditions_section(crep)
+        doc["conditions"] = _conditions_section(conditions.condition_report(model, report))
     if "semigroup" in analyses:
         doc["semigroup"] = _semigroup_section(model, report)
     if "accumulation" in analyses:
@@ -767,10 +763,10 @@ def run_check(config_path: str, seed: int | None = None, stream=None) -> int:
     stream = stream or sys.stdout
     cfg = _load_config(config_path)
     model, _ = _build_model(cfg["model"])
-    seed_val = _resolve_seed(seed, cfg.get("seed", 0))
+    _resolve_seed(seed, cfg.get("seed", 0))
 
     report = spectrum.solve_qep(model)
-    rep = conditions.condition_report(model, report, seeds=tuple(range(seed_val, seed_val + 32)))
+    rep = conditions.condition_report(model, report)
     rows: list[tuple[str, str, bool | None]] = []
     od = rep.overdamping
     rows.append(

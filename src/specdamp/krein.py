@@ -121,9 +121,6 @@ class SignClassification:
 
     clusters: tuple[ClusterClassification, ...]
 
-    def real_clusters(self) -> tuple[ClusterClassification, ...]:
-        return tuple(c for c in self.clusters if c.is_real)
-
     @property
     def counts(self) -> dict[str, int]:
         out = {"positive": 0, "negative": 0, "neutral": 0, "mixed": 0}

@@ -210,10 +210,9 @@ class ValidationReport:
 
     ``gamma`` and ``alpha`` are the extreme eigenvalues of
     ``K^{-1/2} C K^{-1/2}``: the tightest constants with
-    ``gamma * x^T K x <= x^T C x <= alpha * x^T K x``; ``gamma_eigenvector``
-    is a unit eigenvector for ``gamma``.  ``k_min_eigenvalue``, its unit
-    eigenvector ``k_min_eigenvector``, ``k_sqrt`` and ``k_inv_sqrt`` come
-    from the check's one eigendecomposition of ``K``.
+    ``gamma * x^T K x <= x^T C x <= alpha * x^T K x``.  ``k_min_eigenvalue``,
+    ``k_sqrt`` and ``k_inv_sqrt`` come from the check's one eigendecomposition
+    of ``K``.
     """
 
     n: int
@@ -221,9 +220,7 @@ class ValidationReport:
     gamma: float
     alpha: float
     weighted_damping: np.ndarray = field(repr=False)
-    gamma_eigenvector: np.ndarray = field(repr=False)
     k_min_eigenvalue: float
-    k_min_eigenvector: np.ndarray = field(repr=False)
     k_sqrt: np.ndarray = field(repr=False)
     k_inv_sqrt: np.ndarray = field(repr=False)
 
@@ -262,8 +259,7 @@ def validate(model: SystemModel) -> ValidationReport:
     weighted = k_inv_half @ model.C @ k_inv_half
     weighted = 0.5 * (weighted + weighted.T)
     w_dec = linalg.sym_eig(weighted)
-    k_min_vec, gamma_vec = k_dec.eigenvectors[:, 0].copy(), w_dec.eigenvectors[:, 0].copy()
-    for shared in (weighted, k_half, k_inv_half, k_min_vec, gamma_vec):
+    for shared in (weighted, k_half, k_inv_half):
         shared.setflags(write=False)  # every later validate() returns these
     report = ValidationReport(
         n=model.n,
@@ -271,9 +267,7 @@ def validate(model: SystemModel) -> ValidationReport:
         gamma=float(w_dec.eigenvalues[0]),
         alpha=float(w_dec.eigenvalues[-1]),
         weighted_damping=weighted,
-        gamma_eigenvector=gamma_vec,
         k_min_eigenvalue=float(k_dec.eigenvalues[0]),
-        k_min_eigenvector=k_min_vec,
         k_sqrt=k_half,
         k_inv_sqrt=k_inv_half,
     )

@@ -192,7 +192,7 @@ def grid_margin_n2(model: sd.SystemModel, points: int = 3600) -> float:
     """Minimum of ``(g^T W g)^2 - 4 g^T K^{-1} g`` over the unit circle.
 
     Dense angular scan followed by a golden-section polish of the best
-    cell; independent of the projected-gradient implementation.
+    cell; independent of the library's search.
     """
     if model.n != 2:
         raise ValueError("grid oracle is for n = 2 models")
@@ -237,7 +237,7 @@ def definiteness_minimum(model: sd.SystemModel, points: int = 240) -> float:
     Negative exactly when some real spectral shift makes the pencil
     negative definite, which characterizes the overdamped regime.  Log
     grid plus a bounded scalar minimization of the best cell; shares no
-    code with the projected-gradient margin.
+    code with the library's tangent-cut search.
     """
     from scipy import optimize
 
@@ -256,6 +256,35 @@ def definiteness_minimum(model: sd.SystemModel, points: int = 240) -> float:
         f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10, "maxiter": 80}
     )
     return min(float(res.fun), float(vals[i]))
+
+
+# ---------------------------------------------------------------------------
+# overdamping interval in 50-digit arithmetic
+
+
+def overdamping_interval_mp(
+    model: sd.SystemModel, g, s: float, dps: int = 50
+) -> tuple[float, float]:
+    """``(-4 lam_max(L(s)), f(g))`` from the float ``K``, ``C``, ``g`` and ``s``.
+
+    ``f(g) = (g^T Wt g)^2 - 4 g^T K^{-1} g`` and ``L(s) = s^2 I + s Wt +
+    K^{-1}`` with ``Wt = K^{-1/2} C K^{-1/2}``; ``K^{-1/2}`` comes from an
+    mpmath symmetric eigendecomposition of ``K``.  By weak duality the true
+    margin lies between the two values for any unit ``g`` and any ``s``.
+    """
+    n = model.n
+    with mp.workdps(dps):
+        stiff = mp.matrix(model.K.tolist())
+        damp = mp.matrix(model.C.tolist())
+        d, q = mp.eigsy(stiff)
+        kih = q * mp.diag([1 / mp.sqrt(d[i]) for i in range(n)]) * q.T
+        h = kih * mp.matrix([float(x) for x in g])
+        w = (h.T * damp * h)[0]
+        upper = w * w - 4 * (h.T * h)[0]
+        sm = mp.mpf(float(s))
+        pencil = sm * sm * mp.eye(n) + sm * (kih * damp * kih) + kih * kih
+        top = max(mp.eigsy(pencil, eigvals_only=True))
+        return float(-4 * top), float(upper)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -79,12 +80,13 @@ class ConfigError(Exception):
 
 
 def _fmt_float(x: float) -> str:
-    if np.isnan(x):
+    # math, not numpy: a report writes thousands of floats, and a numpy
+    # ufunc call on a scalar costs about 40 times as much.
+    if math.isnan(x):
         return "NaN"
-    if np.isinf(x):
+    if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
-    out = format(float(x), ".17g")
-    return out
+    return format(float(x), ".17g")
 
 
 def _emit_json(obj, indent: int = 0) -> str:
@@ -162,10 +164,12 @@ def _as_number(value, where: str) -> float:
 def _parse_matrix(rows, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ConfigError(f"{where} must be an array of arrays")
-    mat = np.array([[_as_number(v, where) for v in row] for row in rows], dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    # bool is a subclass of int, but not one of these types.
+    if not {type(v) for row in rows for v in row} <= {int, float}:
+        raise ConfigError(f"{where} must be a number")
+    if any(len(row) != len(rows) for row in rows):
         raise ConfigError(f"{where} must be square")
-    return mat
+    return np.asarray(rows, dtype=float)
 
 
 def _build_model(cfg) -> tuple[SystemModel, dict]:

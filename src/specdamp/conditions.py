@@ -21,7 +21,9 @@ Three independently checkable conditions are implemented:
   so the interval is roundoff-narrow, and the check aborts when it is not.
   ``margin > 0`` iff some ``s < 0`` makes ``L(s)`` negative definite, and
   then ``s*`` does (the hyperbolicity certificate).  ``K^{-1}``, ``||Wt||`` and ``||K^{-1}||`` come from the
-  model's validation report.
+  model's validation report.  ``L(s)`` is a direct sum over the model's
+  coupling components, so ``phi(s)`` is the largest of the blocks' top
+  eigenvalues, on the scalar modes the top of their parabolas.
 
 * **Kernel nondegeneracy at candidate accumulation values** (condition
   ``ii``): for each declared essential value ``mu`` of ``-K^{-1} C``, the
@@ -129,7 +131,12 @@ def _margin_functional(g: np.ndarray, wt: np.ndarray, kinv: np.ndarray) -> float
 
 
 def _definiteness_search(
-    wt: np.ndarray, kinv: np.ndarray, wt_norm: float, kinv_norm: float
+    wt: np.ndarray,
+    kinv: np.ndarray,
+    wt_norm: float,
+    kinv_norm: float,
+    modes: np.ndarray,
+    blocks: tuple[np.ndarray, ...],
 ) -> tuple[float, float, np.ndarray]:
     # phi(s) = lam_max(s^2 I + s Wt + K^{-1}) is a maximum of upward
     # parabolas, so it is convex; with top eigenvector v its slope (a
@@ -138,12 +145,39 @@ def _definiteness_search(
     # ends meet at the next point, and their common value there bounds
     # min phi from below.  Every point with negative slope lies at or left
     # of a and every other one at or right of b, so the best point is an end.
+    #
+    # L(s) is a direct sum over the coupling components (``modes``, the
+    # scalar modes' coordinates, and the index arrays ``blocks``), so phi is
+    # the largest of the components' top eigenvalues: for the scalar modes
+    # the top of the parabolas s^2 + s Wt_ii + (K^{-1})_ii, for a block the
+    # top eigenpair of its own L_b(s), embedded in R^n.
     n = wt.shape[0]
     eye = np.eye(n)
+    w, u = np.diag(wt)[modes], np.diag(kinv)[modes]
+    parts = []
+    for index in blocks:
+        if index.shape[0] == n:
+            parts.append((index, eye, wt, kinv))
+        else:
+            cut = np.ix_(index, index)
+            parts.append((index, np.eye(index.shape[0]), wt[cut], kinv[cut]))
 
     def phi(s: float) -> tuple[float, float, np.ndarray]:
-        value, v = scipy.linalg.eigh(s * s * eye + s * wt + kinv, subset_by_index=[n - 1, n - 1])
-        return float(value[0]), 2.0 * s + float(v[:, 0] @ wt @ v[:, 0]), v[:, 0]
+        top = (-np.inf, 0.0, None)
+        if modes.size:
+            values = s * s + s * w + u
+            i = int(np.argmax(values))
+            top = (float(values[i]), 2.0 * s + float(w[i]), eye[modes[i]].copy())
+        for index, eye_b, wt_b, kinv_b in parts:
+            m = index.shape[0]
+            value, v = scipy.linalg.eigh(s * s * eye_b + s * wt_b + kinv_b, subset_by_index=[m - 1, m - 1])
+            if value[0] > top[0]:
+                g = v[:, 0]
+                if m < n:
+                    g = np.zeros(n)
+                    g[index] = v[:, 0]
+                top = (float(value[0]), 2.0 * s + float(v[:, 0] @ wt_b @ v[:, 0]), g)
+        return top
 
     a, b = -(wt_norm + np.sqrt(kinv_norm) + 1.0), 0.0
     (fa, ga, va), (fb, gb, vb) = phi(a), phi(b)
@@ -197,7 +231,8 @@ def check_overdamping(model: SystemModel) -> OverdampingReport:
     wt_norm = max(abs(report.gamma), abs(report.alpha))
     kinv_norm = 1.0 / report.k_min_eigenvalue
 
-    s_star, value, g = _definiteness_search(wt, kinv, wt_norm, kinv_norm)
+    components = report.scalar_modes.index, tuple(b.index for b in report.coupled_blocks)
+    s_star, value, g = _definiteness_search(wt, kinv, wt_norm, kinv_norm, *components)
     margin = _margin_functional(g, wt, kinv)
     if abs(margin + 4.0 * value) > CERTIFY_RTOL * (wt_norm**2 + 4.0 * kinv_norm):
         raise OptimizerDisagreement(margin, value)

@@ -357,9 +357,8 @@ def phase_symmetry_defect(model: SystemModel) -> float:
     ``||J S - (J S)^T||_F / ||J S||_F``.
     """
     root = validate(model).k_sqrt
-    n = model.n
-    js = np.zeros((2 * n, 2 * n))
-    js[:n, n:] = root
-    js[n:, :n] = root
-    js[n:, n:] = model.C
-    return float(np.linalg.norm(js - js.T) / max(np.linalg.norm(js), 1e-300))
+    # J S - (J S)^T holds root - root^T twice and C - C^T, J S holds root
+    # twice and C, so neither 2n x 2n matrix is formed.
+    defect = np.sqrt(2.0 * np.linalg.norm(root - root.T) ** 2 + np.linalg.norm(model.C - model.C.T) ** 2)
+    scale = np.sqrt(2.0 * np.linalg.norm(root) ** 2 + np.linalg.norm(model.C) ** 2)
+    return float(defect / max(scale, 1e-300))

@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import linalg
 
@@ -45,6 +47,8 @@ __all__ = [
     "BeamSpec",
     "SystemModel",
     "PhaseVector",
+    "ScalarModes",
+    "CoupledBlock",
     "ValidationReport",
     "validate",
     "phase_operator",
@@ -205,14 +209,65 @@ class PhaseVector:
 
 
 @dataclass(frozen=True)
+class ScalarModes:
+    """The coordinates that no entry of ``K`` or ``C`` couples to any other.
+
+    Each is a size-one component of the coupling graph of ``|K| + |C|``, a
+    scalar oscillator ``z'' + k z + c z' = 0``; ``index`` lists them
+    ascending, and ``k`` and ``c`` are their diagonal entries.
+    """
+
+    index: np.ndarray
+    k: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
+
+    @property
+    def size(self) -> int:
+        return self.index.shape[0]
+
+
+@dataclass(frozen=True)
+class CoupledBlock:
+    """A coupling component of two or more coordinates, with its matrices.
+
+    ``index`` lists its coordinates ascending; ``K`` and ``C`` are the
+    model's matrices on them, ``k_sqrt``, ``k_inv_sqrt`` and
+    ``weighted_damping`` those of the block itself.  For a model that is
+    one component they are the model's and its validation report's very
+    arrays.  A block has ``n``, ``K`` and ``C`` like a model, so
+    :func:`phase_operator` takes it.
+    """
+
+    index: np.ndarray
+    K: np.ndarray = field(repr=False)
+    C: np.ndarray = field(repr=False)
+    k_sqrt: np.ndarray = field(repr=False)
+    k_inv_sqrt: np.ndarray = field(repr=False)
+    weighted_damping: np.ndarray = field(repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.index.shape[0]
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """The entries of a model-length vector on this block's coordinates."""
+        return v if v.shape[0] == self.n else v[self.index]
+
+
+@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the (A1)/(A2) checks and the damping/stiffness comparison.
 
     ``gamma`` and ``alpha`` are the extreme eigenvalues of
     ``K^{-1/2} C K^{-1/2}``: the tightest constants with
     ``gamma * x^T K x <= x^T C x <= alpha * x^T K x``.  ``k_min_eigenvalue``,
-    ``k_sqrt`` and ``k_inv_sqrt`` come from the check's one eigendecomposition
-    of ``K``.
+    ``k_sqrt`` and ``k_inv_sqrt`` come from one eigendecomposition of ``K``
+    per coupled block and closed forms on the scalar modes; the matrices
+    are their direct sums.  ``scalar_modes`` and ``coupled_blocks`` split
+    the coordinates into the connected components of the coupling graph of
+    ``|K| + |C|``: the phase operator is, up to a permutation, the direct
+    sum of one ``2 x 2`` block per scalar mode and one block per coupled
+    component, and every layer works component by component.
     """
 
     n: int
@@ -223,13 +278,55 @@ class ValidationReport:
     k_min_eigenvalue: float
     k_sqrt: np.ndarray = field(repr=False)
     k_inv_sqrt: np.ndarray = field(repr=False)
+    scalar_modes: ScalarModes = field(repr=False)
+    coupled_blocks: tuple[CoupledBlock, ...] = field(repr=False)
+
+
+def _coupling_components(k: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
+    pattern = (k != 0.0) | (c != 0.0)
+    np.fill_diagonal(pattern, True)
+    count, labels = connected_components(csr_matrix(pattern), directed=False)
+    return [np.flatnonzero(labels == i) for i in range(count)]
+
+
+def _block_validation(model: SystemModel, index: np.ndarray):
+    # One coupled component: its matrices, the K^{1/2} pair and the weighted
+    # damping from its own eigendecompositions, plus the extreme eigenvalues
+    # of C, K and K^{-1/2} C K^{-1/2} on it.
+    if index.shape[0] == model.n:
+        k, c = model.K, model.C
+    else:
+        cut = np.ix_(index, index)
+        k, c = model.K[cut], model.C[cut]
+    c_eigs = linalg.sym_eig(c).eigenvalues
+    k_dec = linalg.sym_eig(k)
+    k_half, k_inv_half = linalg.sqrt_pair_from_eig(k_dec)
+    weighted = k_inv_half @ c @ k_inv_half
+    weighted = 0.5 * (weighted + weighted.T)
+    w_eigs = linalg.sym_eig(weighted).eigenvalues
+    block = CoupledBlock(index, k, c, k_half, k_inv_half, weighted)
+    return block, c_eigs[0], k_dec.eigenvalues[0], w_eigs[0], w_eigs[-1]
+
+
+def _direct_sum(n: int, modes: np.ndarray, mode_values: np.ndarray, blocks, pick) -> np.ndarray:
+    # The n x n matrix with mode_values on the scalar modes' diagonal and
+    # pick(block) on each coupled block.
+    out = np.zeros((n, n))
+    out[modes, modes] = mode_values
+    for block in blocks:
+        out[np.ix_(block.index, block.index)] = pick(block)
+    return out
 
 
 def validate(model: SystemModel) -> ValidationReport:
     """Check (A1) and (A2) and compute the damping equivalence constants.
 
     The checks run once per model instance, whose ``K`` and ``C`` are
-    read-only; later calls return the stored report.
+    read-only; later calls return the stored report.  Past the Cholesky
+    probe of the whole ``K``, the work runs per coupling component: each
+    coupled block takes its own eigendecompositions of ``C``, ``K`` and the
+    weighted damping, each scalar mode its closed forms ``c``, ``k``,
+    ``sqrt(k)`` and ``c / k``.
 
     Raises
     ------
@@ -246,36 +343,48 @@ def validate(model: SystemModel) -> ValidationReport:
             f"stiffness matrix is not positive definite (Cholesky pivot {exc.pivot_index} failed)",
             assumption="A1",
         ) from exc
+    components = _coupling_components(model.K, model.C)
+    single = np.array([comp[0] for comp in components if comp.shape[0] == 1], dtype=int)
+    modes = ScalarModes(single, model.K[single, single], model.C[single, single])
+    parts = [_block_validation(model, comp) for comp in components if comp.shape[0] > 1]
+    blocks = tuple(part[0] for part in parts)
+    # Each spectrum is the union of its components' spectra; a scalar mode
+    # contributes c, k and c / k.  Columns: lam_min(C), lam_min(K), gamma, alpha.
+    ratio = modes.c / modes.k
+    ends = np.array([part[1:] for part in parts]).reshape(-1, 4)
+    c_min = float(np.min(np.concatenate([modes.c, ends[:, 0]])))
     c_scale = float(np.linalg.norm(model.C))
-    c_eigs = linalg.sym_eig(model.C).eigenvalues
-    c_min = float(c_eigs[0])
     if c_min < -1e-10 * max(c_scale, 1e-300):
         raise InvalidModel(
             f"damping matrix has negative eigenvalue {c_min:.6e}",
             assumption="A2",
         )
-    k_dec = linalg.sym_eig(model.K)
-    k_half, k_inv_half = linalg.sqrt_pair_from_eig(k_dec)
-    weighted = k_inv_half @ model.C @ k_inv_half
-    weighted = 0.5 * (weighted + weighted.T)
-    w_dec = linalg.sym_eig(weighted)
+    if not modes.size and len(blocks) == 1:
+        whole = blocks[0]
+        k_half, k_inv_half, weighted = whole.k_sqrt, whole.k_inv_sqrt, whole.weighted_damping
+    else:
+        k_half = _direct_sum(model.n, single, np.sqrt(modes.k), blocks, lambda b: b.k_sqrt)
+        k_inv_half = _direct_sum(model.n, single, 1.0 / np.sqrt(modes.k), blocks, lambda b: b.k_inv_sqrt)
+        weighted = _direct_sum(model.n, single, ratio, blocks, lambda b: b.weighted_damping)
     for shared in (weighted, k_half, k_inv_half):
         shared.setflags(write=False)  # every later validate() returns these
     report = ValidationReport(
         n=model.n,
         c_min_eigenvalue=c_min,
-        gamma=float(w_dec.eigenvalues[0]),
-        alpha=float(w_dec.eigenvalues[-1]),
+        gamma=float(np.min(np.concatenate([ratio, ends[:, 2]]))),
+        alpha=float(np.max(np.concatenate([ratio, ends[:, 3]]))),
         weighted_damping=weighted,
-        k_min_eigenvalue=float(k_dec.eigenvalues[0]),
+        k_min_eigenvalue=float(np.min(np.concatenate([modes.k, ends[:, 1]]))),
         k_sqrt=k_half,
         k_inv_sqrt=k_inv_half,
+        scalar_modes=modes,
+        coupled_blocks=blocks,
     )
     object.__setattr__(model, "_validation", report)
     return report
 
 
-def phase_operator(model: SystemModel) -> np.ndarray:
+def phase_operator(model: SystemModel | CoupledBlock) -> np.ndarray:
     """Block matrix ``[[0, I], [-K, -C]]`` generating ``(z, z') -> (z', z'')``."""
     n = model.n
     top = np.hstack([np.zeros((n, n)), np.eye(n)])

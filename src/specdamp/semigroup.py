@@ -17,7 +17,12 @@ thing that picks the method:
   sample is ``expm(t A) x0`` by scaling and squaring (Higham, SIMAX 26,
   2005), whose cost grows only with ``log ||t A||``.
 
-`smoothing_probe` takes its states from `evolve`.
+`smoothing_probe` takes its states from `evolve`.  The phase operator is
+a direct sum over the model's coupling components
+(:class:`~specdamp.model.ValidationReport`), and both methods run on each
+component by itself: the scalar modes' ``2 x 2`` blocks all at once, each
+coupled block on its own, so a decoupled model never forms a ``2n x 2n``
+basis, solve or exponential.
 
 Resolvent probes quantify how far the generator is from sectorial:
 `resolvent_norm_at` evaluates ``||(A - lam)^{-1}||`` in the energy norm
@@ -31,14 +36,16 @@ Like `evolve`, `propagator` and `smoothing_probe`, both take the solved
 spectrum, ``(model, report, ...)``, and never solve the model or
 eigendecompose ``A`` again; the caller solves once and hands it down.
 
-Each resolvent point costs one LU factorization of ``A - lam``, which
-keeps the value accurate to a few ulps against a 40-digit oracle.  One
+The resolvent is a direct sum too, and its norm the largest block norm:
+closed form on the scalar modes, and on each coupled block one LU
+factorization of ``A_b - lam``, which keeps the value accurate to a few
+ulps against a 40-digit oracle.  One
 Schur form shared by the whole scan was rejected: its backward error is
 eps times the norm of the energy-scaled operator, whose damping block
 grows like the fourth power of the rod's top frequency, and that cost up
 to 1e-8 relative at N = 128.
 
-What follows the LU depends only on the operator dimension ``2n``.
+What follows the LU depends only on the block's dimension ``2n``.
 Below ``LANCZOS_MIN_DIMENSION`` the explicit energy-scaled inverse is
 formed and its spectral norm taken densely, the faster route at that
 size.  From there on the inverse is never formed: Lanczos with full
@@ -63,7 +70,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
 
 from . import linalg
-from .model import PhaseVector, SystemModel, phase_operator, validate
+from .model import CoupledBlock, PhaseVector, ScalarModes, SystemModel, phase_operator, validate
 from .spectrum import SpectrumReport, energy_basis, solve_qep  # noqa: F401 (perfbench tests patch this binding)
 from .tolerances import CLUSTER_TOL
 
@@ -135,6 +142,20 @@ def _modal_basis(model: SystemModel, report: SpectrumReport):
     return basis if basis.condition_number <= MODAL_CONDITION_LIMIT else None
 
 
+def _rows(block: CoupledBlock, n: int) -> np.ndarray:
+    # A block's coordinates in the stacked 2n phase vector.
+    return np.concatenate([block.index, n + block.index])
+
+
+def _mode_generators(modes: ScalarModes) -> np.ndarray:
+    # The (m, 2, 2) stack of the scalar modes' phase operators [[0, 1], [-k, -c]].
+    gen = np.zeros((modes.size, 2, 2))
+    gen[:, 0, 1] = 1.0
+    gen[:, 1, 0] = -modes.k
+    gen[:, 1, 1] = -modes.c
+    return gen
+
+
 def evolve(model: SystemModel, report: SpectrumReport, x0: PhaseVector, times) -> TrajectoryReport:
     """Integrate the phase flow from ``x0`` over an ascending time grid.
 
@@ -142,7 +163,8 @@ def evolve(model: SystemModel, report: SpectrumReport, x0: PhaseVector, times) -
     has a condition number of at most ``MODAL_CONDITION_LIMIT`` the flow is
     the modal formula in energy coordinates (``exact-modal``), with energies
     read as squared Euclidean norms there; otherwise each sample is
-    ``expm(t A) x0`` (``expm``).
+    ``expm(t A) x0`` (``expm``).  Either way the flow runs on each coupling
+    component by itself, the scalar modes all at once.
     """
     validation = validate(model)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -153,19 +175,45 @@ def evolve(model: SystemModel, report: SpectrumReport, x0: PhaseVector, times) -
     if z0.shape[0] != 2 * n:
         raise ValueError("initial state dimension does not match the model")
 
+    modes = validation.scalar_modes
     basis = _modal_basis(model, report)
     if basis is not None:
         method = "exact-modal"
-        y0 = np.concatenate([validation.k_sqrt @ z0[:n], z0[n:]]).astype(complex)
-        coeff = linalg.solve(basis.vectors, y0)
-        ys = (np.exp(np.multiply.outer(times, report.eigenvalues)) * coeff) @ basis.vectors.T
-        energies = np.einsum("ti,ti->t", ys.conj(), ys).real
-        ys[:, :n] = ys[:, :n] @ validation.k_inv_sqrt  # K^{-1/2} is symmetric
+        ys = np.empty((times.size, 2 * n), dtype=complex)
+        energies = np.zeros(times.size)
+        if modes.size:
+            root = np.sqrt(modes.k)
+            y0 = np.stack([root * z0[modes.index], z0[n + modes.index]], axis=1).astype(complex)
+            coeff = np.linalg.solve(basis.modes, y0[..., None])[..., 0]
+            flow = np.exp(np.multiply.outer(times, basis.mode_values)) * coeff
+            ym = np.einsum("mij,tmj->tmi", basis.modes, flow)
+            energies += np.einsum("tmi,tmi->t", ym.conj(), ym).real
+            ys[:, modes.index] = ym[..., 0] / root
+            ys[:, n + modes.index] = ym[..., 1]
+        for block, vectors, values in zip(validation.coupled_blocks, basis.blocks, basis.block_values):
+            m = block.n
+            y0 = np.concatenate([block.k_sqrt @ block.restrict(z0[:n]), block.restrict(z0[n:])])
+            coeff = linalg.solve(vectors, y0.astype(complex))
+            yb = (np.exp(np.multiply.outer(times, values)) * coeff) @ vectors.T
+            energies += np.einsum("ti,ti->t", yb.conj(), yb).real
+            ys[:, block.index] = yb[:, :m] @ block.k_inv_sqrt  # K^{-1/2} is symmetric
+            ys[:, n + block.index] = yb[:, m:]
         states = tuple(PhaseVector.from_stacked(_maybe_real(y)) for y in ys)
     else:
         method = "expm"
-        a_op = phase_operator(model)
-        states = tuple(PhaseVector.from_stacked(expm(t * a_op) @ z0) for t in times)
+        zs = np.empty((times.size, 2 * n), dtype=np.result_type(z0, float))
+        if modes.size:
+            flows = expm(np.multiply.outer(times, _mode_generators(modes)))
+            zm = np.stack([z0[modes.index], z0[n + modes.index]], axis=1)
+            out = np.einsum("tmij,mj->tmi", flows, zm)
+            zs[:, modes.index] = out[..., 0]
+            zs[:, n + modes.index] = out[..., 1]
+        for block in validation.coupled_blocks:
+            a_op, rows = phase_operator(block), _rows(block, n)
+            zb = z0[rows]
+            for i, t in enumerate(times):
+                zs[i, rows] = expm(t * a_op) @ zb
+        states = tuple(PhaseVector.from_stacked(z) for z in zs)
         energies = np.array([energy(model, s) for s in states])
     return TrajectoryReport(times=times, states=states, energies=energies, method=method)
 
@@ -174,21 +222,78 @@ def propagator(model: SystemModel, report: SpectrumReport, t: float) -> np.ndarr
     """Time-``t`` solution operator ``exp(t A)`` as a dense matrix.
 
     ``report`` is the solved spectrum of ``model``; the modal formula and
-    the ``expm`` fallback are chosen as in :func:`evolve`.
+    the ``expm`` fallback are chosen as in :func:`evolve` and applied per
+    coupling component.
     """
     if t < 0.0:
         raise ValueError("propagator is defined for t >= 0")
-    basis = _modal_basis(model, report)
-    if basis is None:
-        return expm(t * phase_operator(model))
-    # exp(tA) = S^{-1} V_E exp(L t) V_E^{-1} S with S = diag(K^{1/2}, I).
     validation, n = validate(model), model.n
-    scale = np.eye(2 * n, dtype=complex)
-    scale[:n, :n] = validation.k_sqrt
-    coeff = linalg.solve(basis.vectors, scale)
-    prop = basis.vectors @ (np.exp(t * report.eigenvalues)[:, None] * coeff)
-    prop[:n] = validation.k_inv_sqrt @ prop[:n]
+    modes = validation.scalar_modes
+    basis = _modal_basis(model, report)
+    prop = np.zeros((2 * n, 2 * n), dtype=float if basis is None else complex)
+    if modes.size:
+        if basis is None:
+            flows = expm(t * _mode_generators(modes))
+        else:
+            # exp(tA_i) = S_i^{-1} V_i exp(L_i t) V_i^{-1} S_i with S_i = diag(sqrt(k_i), 1).
+            root = np.sqrt(modes.k)
+            scale = np.zeros((modes.size, 2, 2))
+            scale[:, 0, 0], scale[:, 1, 1] = root, 1.0
+            coeff = np.linalg.solve(basis.modes, scale)
+            flows = basis.modes @ (np.exp(t * basis.mode_values)[..., None] * coeff)
+            flows[:, 0, :] /= root[:, None]
+        coords = (modes.index, n + modes.index)
+        for i in range(2):
+            for j in range(2):
+                prop[coords[i], coords[j]] = flows[:, i, j]
+    for b, block in enumerate(validation.coupled_blocks):
+        rows = _rows(block, n)
+        if basis is None:
+            prop[np.ix_(rows, rows)] = expm(t * phase_operator(block))
+            continue
+        vectors, m = basis.blocks[b], block.n
+        scale = np.eye(2 * m, dtype=complex)
+        scale[:m, :m] = block.k_sqrt
+        coeff = linalg.solve(vectors, scale)
+        flow = vectors @ (np.exp(t * basis.block_values[b])[:, None] * coeff)
+        flow[:m] = block.k_inv_sqrt @ flow[:m]
+        prop[np.ix_(rows, rows)] = flow
     return _maybe_real(prop)
+
+
+def _mode_resolvent_norms(modes: ScalarModes, lam: complex, dim: int) -> np.ndarray:
+    # R_E of a scalar mode is S (A_i - lam)^{-1} S^{-1} = N / q with
+    # S = diag(sqrt(k), 1), q = lam^2 + c lam + k and
+    # N = [[-(c + lam), -sqrt(k)], [sqrt(k), -lam]].  Its norm is the root of
+    # the top eigenvalue of N^H N = [[h11, h12], [conj(h12), h22]], a sum of
+    # nonnegative terms free of cancellation.  LU with partial pivoting of
+    # A_i - lam = [[-lam, 1], [-k, -(c + lam)]] has pivots max(|lam|, k) and
+    # |q| / max(|lam|, k); a negligible one raises Singular as LUFactors does.
+    k, c = modes.k, modes.c
+    q = lam * lam + c * lam + k
+    first = np.maximum(abs(lam), k)
+    scale = np.sqrt(abs(lam) ** 2 + 1.0 + k * k + np.abs(c + lam) ** 2)  # ||A_i - lam||_F
+    bad = np.minimum(first, np.abs(q) / first) <= linalg.PIVOT_RTOL * scale
+    if np.any(bad):
+        raise linalg.Singular(rank_estimate=dim - int(np.count_nonzero(bad)))
+    h11 = np.abs(c + lam) ** 2 + k
+    h22 = k + abs(lam) ** 2
+    h12_sq = k * (c * c + 4.0 * lam.imag**2)  # |h12|^2, h12 = sqrt(k) (c - 2i Im lam)
+    top = 0.5 * (h11 + h22) + np.sqrt(0.25 * (h11 - h22) ** 2 + h12_sq)
+    return np.sqrt(top) / np.abs(q)
+
+
+def _block_resolvent_norm(block: CoupledBlock, lam: complex) -> float:
+    # The energy-norm resolvent of one coupled block, by LU (see resolvent_norm_at).
+    n = block.n
+    shifted = phase_operator(block).astype(complex) - lam * np.eye(2 * n)
+    if 2 * n >= LANCZOS_MIN_DIMENSION:
+        return _lanczos_norm(linalg.LUFactors(shifted), block.k_sqrt, block.k_inv_sqrt)
+    resolvent = linalg.solve(shifted, np.eye(2 * n, dtype=complex))
+    # Energy similarity diag(K^{1/2}, I) . R . diag(K^{-1/2}, I).
+    resolvent[:n, :] = block.k_sqrt @ resolvent[:n, :]
+    resolvent[:, :n] = resolvent[:, :n] @ block.k_inv_sqrt
+    return float(np.linalg.norm(resolvent, 2))
 
 
 def resolvent_norm_at(model: SystemModel, report: SpectrumReport, lam: complex) -> float:
@@ -202,8 +307,11 @@ def resolvent_norm_at(model: SystemModel, report: SpectrumReport, lam: complex) 
     that norm a contraction semigroup obeys ``norm <= 1 / Re lam`` for
     ``Re lam > 0``.
 
-    Below ``LANCZOS_MIN_DIMENSION`` the explicit ``R_E`` is formed and its
-    norm taken densely.  From there on ``R_E`` is never formed: Lanczos on
+    ``R_E`` is a direct sum over the coupling components, so its norm is
+    the largest block norm.  The ``2 x 2`` blocks of the scalar modes are
+    normed in closed form, all at once.  Each coupled block is factored by
+    LU: below ``LANCZOS_MIN_DIMENSION`` its explicit ``R_E`` is formed and
+    normed densely; from there on ``R_E`` is never formed, and Lanczos on
     ``R_E^H R_E`` applies it through the one LU factorization and returns
     ``||R_E u|| / ||u||`` for its converged Ritz vector ``u``, computed
     through a residual-checked solve.
@@ -212,15 +320,11 @@ def resolvent_norm_at(model: SystemModel, report: SpectrumReport, lam: complex) 
     dist = float(np.min(np.abs(report.eigenvalues - lam)))
     if dist <= CLUSTER_TOL * (1.0 + abs(lam)):
         raise NearSpectrum(lam, dist)
-    validation, n = validate(model), model.n
-    shifted = phase_operator(model).astype(complex) - lam * np.eye(2 * n)
-    if 2 * n >= LANCZOS_MIN_DIMENSION:
-        return _lanczos_norm(linalg.LUFactors(shifted), validation.k_sqrt, validation.k_inv_sqrt)
-    resolvent = linalg.solve(shifted, np.eye(2 * n, dtype=complex))
-    # Energy similarity diag(K^{1/2}, I) . R . diag(K^{-1/2}, I).
-    resolvent[:n, :] = validation.k_sqrt @ resolvent[:n, :]
-    resolvent[:, :n] = resolvent[:, :n] @ validation.k_inv_sqrt
-    return float(np.linalg.norm(resolvent, 2))
+    validation = validate(model)
+    norms = [_block_resolvent_norm(block, lam) for block in validation.coupled_blocks]
+    if validation.scalar_modes.size:
+        norms.append(float(np.max(_mode_resolvent_norms(validation.scalar_modes, lam, 2 * model.n))))
+    return max(norms)
 
 
 def _lanczos_norm(lu: linalg.LUFactors, k_sqrt: np.ndarray, k_inv_sqrt: np.ndarray) -> float:
@@ -347,10 +451,18 @@ def smoothing_probe(model: SystemModel, report: SpectrumReport, x0: PhaseVector,
     base = np.sqrt(energy(model, x0))
     if base == 0.0:
         return 0.0
-    a_op = phase_operator(model)
+    validation, n = validate(model), model.n
+    modes = validation.scalar_modes
+    ops = [(_rows(block, n), phase_operator(block)) for block in validation.coupled_blocks]
     traj = evolve(model, report, x0, np.sort(t_grid))
     worst = 0.0
     for t, state in zip(traj.times, traj.states):
-        ax = PhaseVector.from_stacked(a_op @ state.stacked())
-        worst = max(worst, float(t) * np.sqrt(energy(model, ax)) / base)
+        z = state.stacked()
+        az = np.empty_like(z)
+        # A_i (x, y) = (y, -k x - c y) on each scalar mode, A_b z_b on each block.
+        az[modes.index] = z[n + modes.index]
+        az[n + modes.index] = -modes.k * z[modes.index] - modes.c * z[n + modes.index]
+        for rows, a_op in ops:
+            az[rows] = a_op @ z[rows]
+        worst = max(worst, float(t) * np.sqrt(energy(model, PhaseVector.from_stacked(az))) / base)
     return worst

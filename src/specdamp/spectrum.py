@@ -6,9 +6,12 @@ every eigenvector has the structure ``(x, lam x)`` with ``x`` in the
 kernel of ``Q(lam)``.  The solver leans on that structure:
 
 1. the mode-coupling graph of ``|K| + |C|`` is split into connected
-   components, so exactly decoupled systems (single-patch beams, diagonal
-   test models) are solved per mode,
-2. per component, eigenpairs come from LAPACK on the block operator.
+   components (:func:`~specdamp.model.validate` keeps them).  Every
+   component of one coordinate, a scalar mode, has the roots of
+   ``lam^2 + c lam + k`` in closed form, all modes in one vectorized pass,
+   so exactly decoupled systems (single-patch beams, diagonal test models)
+   never reach the steps below,
+2. per coupled component, eigenpairs come from LAPACK on the block operator.
    When its moduli split cleanly into ``n`` small and ``n`` large ones,
    the small ones are taken from the reversed, energy-scaled companion
    ``[[0, I], [-K^{-1}, -K^{-1/2} C K^{-1/2}]]`` instead, whose
@@ -42,12 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import linalg
 from .model import (
     BeamSpec,
+    CoupledBlock,
     PhaseVector,
     SystemModel,
     beam_assemble,
@@ -103,17 +105,28 @@ class EigenvalueBound:
 
 @dataclass(frozen=True)
 class EnergyBasis:
-    """The solved eigenvectors in energy coordinates.
+    """The solved eigenvectors in energy coordinates, one block per component.
 
-    Column ``j`` of ``vectors`` is ``diag(K^{1/2}, I) v_j`` scaled to unit
-    Euclidean norm, ``v_j`` the ``j``-th eigenvector of the report; in these
-    coordinates the energy norm is the Euclidean norm and the flow is a
-    contraction.  ``condition_number`` is the 2-norm condition number of
-    ``vectors`` (``inf`` when singular): the finite-order Riesz basis
-    constant of the eigenvectors.
+    In the coordinates ``diag(K^{1/2}, I) v`` the energy norm is the
+    Euclidean norm and the flow is a contraction.  The phase operator is a
+    direct sum over the model's coupling components, and so is this basis.
+    ``modes[i]`` is the ``2 x 2`` matrix whose columns are the two
+    eigenvectors of the ``i``-th scalar mode in its coordinates
+    ``(sqrt(k_i) x_i, y_i)``; ``blocks[b]`` is the square matrix whose
+    columns are the eigenvectors of the ``b``-th coupled block in its
+    coordinates ``(K_b^{1/2} x_b, y_b)``.  Every column has unit norm, and
+    ``mode_values`` and ``block_values`` hold the matching eigenvalues.
+    ``condition_number`` is the 2-norm condition number of the whole basis
+    (``inf`` when singular), the finite-order Riesz basis constant of the
+    eigenvectors: the largest block ``sigma_max`` over the smallest block
+    ``sigma_min``, since the singular values of a direct sum are those of
+    its blocks.
     """
 
-    vectors: np.ndarray = field(repr=False)
+    modes: np.ndarray = field(repr=False)
+    mode_values: np.ndarray = field(repr=False)
+    blocks: tuple[np.ndarray, ...] = field(repr=False)
+    block_values: tuple[np.ndarray, ...] = field(repr=False)
     condition_number: float
 
 
@@ -123,12 +136,18 @@ class SpectrumReport:
 
     ``bound.value`` is also the radius of the spectrum-free disk around the
     origin: a Neumann-series argument on the inverse phase operator gives
-    the same expression.  :func:`energy_basis` stores its result on the
+    the same expression.  Every eigenvector lives on one coupling component
+    of the model (:class:`~specdamp.model.ValidationReport`):
+    ``mode_pairs[i]`` holds the indices of the two eigenpairs of the
+    ``i``-th scalar mode and ``block_pairs[b]`` those of the ``b``-th
+    coupled block, ascending.  :func:`energy_basis` stores its result on the
     report.
     """
 
     eigenpairs: tuple[Eigenpair, ...]
     bound: EigenvalueBound
+    mode_pairs: np.ndarray = field(repr=False, compare=False)
+    block_pairs: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     _energy_basis: EnergyBasis | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -163,7 +182,7 @@ class AccumulationReport:
     counts_nondecreasing: bool
 
 
-def quadratic_pencil(model: SystemModel, lam: complex) -> np.ndarray:
+def quadratic_pencil(model: SystemModel | CoupledBlock, lam: complex) -> np.ndarray:
     """Evaluate ``Q(lam) = lam^2 I + lam C + K``."""
     lam = complex(lam)
     if lam.imag == 0.0:
@@ -173,7 +192,7 @@ def quadratic_pencil(model: SystemModel, lam: complex) -> np.ndarray:
 
 
 def pencil_kernel_basis(
-    model: SystemModel,
+    model: SystemModel | CoupledBlock,
     lam: complex,
     max_dim: int | None = None,
     diameter: float = 0.0,
@@ -223,27 +242,27 @@ def cluster_eigenvalues(values: np.ndarray, cluster_tol: float) -> list[list[int
     """Group indices of nearby eigenvalues (chain rule on complex distance).
 
     Values within ``cluster_tol * (1 + |lam|)`` of a cluster's running
-    mean join that cluster.  The sweep order puts conjugate partners next
-    to each other so that a nearly defective real pair with a spurious
-    imaginary split is merged into a single real cluster.
+    mean join the first such cluster.  The sweep order puts conjugate
+    partners next to each other so that a nearly defective real pair with a
+    spurious imaginary split is merged into a single real cluster.  Each
+    value is compared with all running means at once.
     """
     values = np.asarray(values)
     order = np.lexsort((values.imag, np.abs(values.imag), values.real))
     clusters: list[list[int]] = []
-    means: list[complex] = []
-    for idx in order:
+    means = np.empty(values.shape[0], dtype=complex)  # running mean of each cluster
+    for idx in order.tolist():
         lam = complex(values[idx])
-        placed = False
-        for c, mean in enumerate(means):
-            if abs(lam - mean) <= cluster_tol * (1.0 + abs(mean)):
-                clusters[c].append(int(idx))
-                k = len(clusters[c])
-                means[c] = mean + (lam - mean) / k
-                placed = True
-                break
-        if not placed:
-            clusters.append([int(idx)])
-            means.append(lam)
+        current = means[: len(clusters)]
+        hits = np.flatnonzero(np.abs(lam - current) <= cluster_tol * (1.0 + np.abs(current)))
+        if hits.size:
+            c = int(hits[0])
+            clusters[c].append(idx)
+            mean = complex(means[c])  # updated in Python complex arithmetic, as it always was
+            means[c] = mean + (lam - mean) / len(clusters[c])
+        else:
+            means[len(clusters)] = lam
+            clusters.append([idx])
     return clusters
 
 
@@ -254,7 +273,12 @@ def _snap_real(values: np.ndarray, snap_tol: float) -> np.ndarray:
     return out
 
 
-def _rayleigh_roots(model: SystemModel, x: np.ndarray) -> tuple[complex, complex]:
+# A discriminant within this multiple of eps of its terms' scale is taken
+# as zero: the quadratic then has the exact double root -c / (2 m).
+DOUBLE_ROOT_RTOL = 64.0 * np.finfo(float).eps
+
+
+def _rayleigh_roots(model: SystemModel | CoupledBlock, x: np.ndarray) -> tuple[complex, complex]:
     # Roots of (x^H x) lam^2 + (x^H C x) lam + (x^H K x); the coefficients
     # are real and nonnegative for any x because K and C are symmetric
     # (semi)definite, so the roots always respect the left half plane.
@@ -262,7 +286,7 @@ def _rayleigh_roots(model: SystemModel, x: np.ndarray) -> tuple[complex, complex
     c = float(np.real(np.vdot(x, model.C @ x)))
     k = float(np.real(np.vdot(x, model.K @ x)))
     disc = c * c - 4.0 * m * k
-    if abs(disc) <= 64.0 * np.finfo(float).eps * (c * c + 4.0 * m * k):
+    if abs(disc) <= DOUBLE_ROOT_RTOL * (c * c + 4.0 * m * k):
         r = -c / (2.0 * m)
         return complex(r), complex(r)
     if disc > 0.0:
@@ -273,15 +297,42 @@ def _rayleigh_roots(model: SystemModel, x: np.ndarray) -> tuple[complex, complex
     return complex(re, im), complex(re, -im)
 
 
+def _mode_roots(k: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Both roots of ``lam^2 + c lam + k`` for every scalar mode, as ``(m, 2)``.
+
+    The rule of :func:`_rayleigh_roots` at unit mass, vectorized: distinct
+    real roots by the stable quadratic formula (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 1.8), a conjugate pair
+    below a negative discriminant, the exact double root at roundoff level.
+    """
+    disc = c * c - 4.0 * k
+    double = np.abs(disc) <= DOUBLE_ROOT_RTOL * (c * c + 4.0 * k)
+    real = (disc > 0.0) & ~double
+    pair = ~(real | double)
+    root = np.sqrt(np.abs(disc))
+    q = -0.5 * (c + root)  # c > 0 wherever disc > 0
+    centre = -c / 2.0
+    out = np.empty(k.shape + (2,), dtype=complex)
+    out.real[:, 0] = np.where(real, q, centre)
+    out.real[:, 1] = np.where(real, k / q, centre)
+    out.imag[:, 0] = np.where(pair, root / 2.0, 0.0)
+    out.imag[:, 1] = np.where(pair, -root / 2.0, 0.0)
+    return out
+
+
+def _mode_vectors(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Entries of (1, lam) / |(1, lam)|, the phase eigenvector of a scalar
+    # mode, with its larger entry rotated real positive as
+    # linalg.normalize_columns does.
+    mag = np.abs(lams)
+    norm = np.sqrt(1.0 + mag * mag)
+    big = mag > 1.0
+    position = np.where(big, lams.conj() / mag, 1.0) / norm
+    return position, np.where(big, mag, lams) / norm
+
+
 def _nearest_root(roots: tuple[complex, complex], lam0: complex) -> complex:
     return min(roots, key=lambda r: abs(r - lam0))
-
-
-def _coupling_components(model: SystemModel) -> list[np.ndarray]:
-    pattern = (model.K != 0.0) | (model.C != 0.0)
-    np.fill_diagonal(pattern, True)
-    count, labels = connected_components(csr_matrix(pattern), directed=False)
-    return [np.flatnonzero(labels == c) for c in range(count)]
 
 
 def _block_vectors(values: np.ndarray, vecs: np.ndarray, n: int) -> list[np.ndarray]:
@@ -294,7 +345,7 @@ def _block_vectors(values: np.ndarray, vecs: np.ndarray, n: int) -> list[np.ndar
     return out
 
 
-def _linearized_eigenpairs(model: SystemModel) -> tuple[np.ndarray, list[np.ndarray]]:
+def _linearized_eigenpairs(block: CoupledBlock) -> tuple[np.ndarray, list[np.ndarray]]:
     """Starting eigenvalues and pencil vectors of one block, all from LAPACK.
 
     The large-magnitude eigenvalues come from the phase operator.  When
@@ -302,25 +353,21 @@ def _linearized_eigenpairs(model: SystemModel) -> tuple[np.ndarray, list[np.ndar
     reversed companion in ``g = K^{1/2} x``, whose absolute error is
     ``eps`` times coefficients of order one rather than ``eps * ||A||``.
     """
-    n = model.n
-    dec = linalg.nonsym_eig(phase_operator(model))
+    n = block.n
+    dec = linalg.nonsym_eig(phase_operator(block))
     values = dec.eigenvalues
-    if n == 1:
-        # Q(lam) is 1x1, so its kernel is spanned by 1 for every root.
-        return values, [np.ones(1), np.ones(1)]
     xs = _block_vectors(values, dec.eigenvectors, n)
     mods = np.abs(values)
     order = np.argsort(mods, kind="stable")
     if not mods[order[n - 1]] < 0.5 * mods[order[n]]:
         return values, xs
 
-    validation = validate(model)
-    root_inv = validation.k_inv_sqrt
+    root_inv = block.k_inv_sqrt
     k_inv = root_inv @ root_inv
     rev = np.block(
         [
             [np.zeros((n, n)), np.eye(n)],
-            [-0.5 * (k_inv + k_inv.T), -validation.weighted_damping],
+            [-0.5 * (k_inv + k_inv.T), -block.weighted_damping],
         ]
     )
     rdec = linalg.nonsym_eig(rev)
@@ -341,9 +388,9 @@ def _linearized_eigenpairs(model: SystemModel) -> tuple[np.ndarray, list[np.ndar
     )
 
 
-def _dense_eigensolve(model: SystemModel) -> list[tuple[complex, np.ndarray]]:
-    """Eigenvalues plus pencil-kernel vectors for one fully coupled block."""
-    values, starts = _linearized_eigenpairs(model)
+def _dense_eigensolve(block: CoupledBlock) -> list[tuple[complex, np.ndarray]]:
+    """Eigenvalues plus pencil-kernel vectors for one coupled block."""
+    values, starts = _linearized_eigenpairs(block)
     values = _snap_real(values, SNAP_REAL_TOL)
     xs = list(starts)
 
@@ -362,7 +409,7 @@ def _dense_eigensolve(model: SystemModel) -> list[tuple[complex, np.ndarray]]:
                 # tells a Jordan block (fewer kernel directions than members)
                 # from a semisimple cluster; only then do its directions
                 # replace the members' own vectors.
-                basis = pencil_kernel_basis(model, mean, max_dim=len(members), diameter=diameter)
+                basis = pencil_kernel_basis(block, mean, max_dim=len(members), diameter=diameter)
                 dim = basis.shape[1]
                 if dim < len(members):
                     vectors = [basis[:, min(rank, dim - 1)] for rank in range(len(members))]
@@ -375,7 +422,7 @@ def _dense_eigensolve(model: SystemModel) -> list[tuple[complex, np.ndarray]]:
                     limit = 10.0 * CLUSTER_TOL * (1.0 + abs(lam0))
                 else:
                     limit = 0.4 * min(abs(lam0 - complex(values[j])) for j in members if j != idx)
-                lam = _nearest_root(_rayleigh_roots(model, x), lam0)
+                lam = _nearest_root(_rayleigh_roots(block, x), lam0)
                 refined[idx] = lam0 if abs(lam - lam0) > limit else lam
                 xs[idx] = x
         values = _snap_real(refined, SNAP_REAL_TOL)
@@ -383,68 +430,126 @@ def _dense_eigensolve(model: SystemModel) -> list[tuple[complex, np.ndarray]]:
     return [(complex(values[i]), xs[i]) for i in range(values.shape[0])]
 
 
+def _pencil_residuals(block: CoupledBlock, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # ||Q(lam) x|| / ||(x, lam x)|| for every column x of xs at once: the
+    # residual of the phase eigenvector (x, lam x), whose top half vanishes.
+    q_x = block.K @ xs + (block.C @ xs) * lams + xs * (lams * lams)
+    return np.linalg.norm(q_x, axis=0) / (
+        np.linalg.norm(xs, axis=0) * np.sqrt(1.0 + np.abs(lams) ** 2)
+    )
+
+
 def solve_qep(model: SystemModel) -> SpectrumReport:
     """All ``2n`` eigenpairs of the phase operator, structure-refined.
 
-    Returns eigenpairs sorted by ``(Re, Im)``.  Raises
+    The phase operator is a direct sum over the coupling components of the
+    model.  Every scalar mode is solved in closed form, all of them in one
+    vectorized pass; every coupled block by the dense path above.  Returns
+    eigenpairs sorted by ``(Re, Im)``.  Raises
     :class:`~specdamp.model.InvalidModel` before any factorization if the
     model breaks (A1) or (A2), and :class:`~specdamp.linalg.NoConvergence`
     if any final residual exceeds ``RESIDUAL_TOL`` relative to
     the Frobenius norm of the phase operator.
     """
-    validate(model)
-    a_op = phase_operator(model)
-    comps = _coupling_components(model)
-    found: list[tuple[complex, np.ndarray]] = []
-    if len(comps) == 1:
-        found = _dense_eigensolve(model)
-    else:
-        for comp in comps:
-            sub = SystemModel(
-                K=model.K[np.ix_(comp, comp)], C=model.C[np.ix_(comp, comp)], source="generic"
-            )
-            for lam, x_sub in _dense_eigensolve(sub):
-                x = np.zeros(model.n, dtype=x_sub.dtype)
-                x[comp] = x_sub
-                found.append((lam, x))
-
-    scale = linalg._frobenius_scale(a_op)
+    validation = validate(model)
+    n = model.n
+    scale = float(np.sqrt(n + np.linalg.norm(model.K) ** 2 + np.linalg.norm(model.C) ** 2))
     pairs: list[Eigenpair] = []
-    for lam, x in found:
-        stacked = np.concatenate([x, lam * x]).astype(complex)
-        stacked = linalg.normalize_columns(stacked[:, None])[:, 0]
-        resid = float(np.linalg.norm(a_op @ stacked - lam * stacked) / scale)
-        if lam.imag == 0.0 and np.max(np.abs(stacked.imag)) <= 1e-14:
-            stacked = stacked.real.astype(float)
-        pairs.append(Eigenpair(value=lam, vector=PhaseVector.from_stacked(stacked), residual=resid))
+    groups: list[int] = []  # the component of each eigenpair: modes first, then blocks
 
-    pairs.sort(key=lambda p: (p.value.real, p.value.imag))
+    modes = validation.scalar_modes
+    if modes.size:
+        lams = _snap_real(_mode_roots(modes.k, modes.c), SNAP_REAL_TOL)
+        k, c = modes.k[:, None], modes.c[:, None]
+        resid = np.abs(lams * lams + c * lams + k) / (np.sqrt(1.0 + np.abs(lams) ** 2) * scale)
+        position, velocity = _mode_vectors(lams)
+        for i, coord in enumerate(modes.index.tolist()):
+            for j in range(2):
+                lam = complex(lams[i, j])
+                if lam.imag == 0.0:
+                    vec = np.zeros(2 * n)
+                    vec[coord], vec[n + coord] = position[i, j].real, velocity[i, j].real
+                else:
+                    vec = np.zeros(2 * n, dtype=complex)
+                    vec[coord], vec[n + coord] = position[i, j], velocity[i, j]
+                pairs.append(Eigenpair(lam, PhaseVector.from_stacked(vec), float(resid[i, j])))
+                groups.append(i)
+
+    for b, block in enumerate(validation.coupled_blocks):
+        found = _dense_eigensolve(block)
+        lams = np.array([lam for lam, _ in found])
+        resid = _pencil_residuals(block, lams, np.column_stack([x for _, x in found])) / scale
+        for (lam, x_sub), r in zip(found, resid):
+            x = np.zeros(n, dtype=x_sub.dtype)
+            x[block.index] = x_sub
+            stacked = np.concatenate([x, lam * x]).astype(complex)
+            stacked = linalg.normalize_columns(stacked[:, None])[:, 0]
+            if lam.imag == 0.0 and np.max(np.abs(stacked.imag)) <= 1e-14:
+                stacked = stacked.real.astype(float)
+            pairs.append(Eigenpair(value=lam, vector=PhaseVector.from_stacked(stacked), residual=float(r)))
+            groups.append(modes.size + b)
+
+    order = sorted(range(len(pairs)), key=lambda i: (pairs[i].value.real, pairs[i].value.imag))
     worst = max(p.residual for p in pairs)
     if worst > RESIDUAL_TOL:
         raise linalg.NoConvergence(f"worst eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
-
-    return SpectrumReport(eigenpairs=tuple(pairs), bound=eigenvalue_lower_bound(model))
+    # Positions in the sorted list, grouped by component and ascending within each.
+    by_component = np.argsort(np.array(groups)[order], kind="stable")
+    ends = np.cumsum([2 * modes.size] + [2 * block.n for block in validation.coupled_blocks])
+    return SpectrumReport(
+        eigenpairs=tuple(pairs[i] for i in order),
+        bound=eigenvalue_lower_bound(model),
+        mode_pairs=by_component[: ends[0]].reshape(modes.size, 2),
+        block_pairs=tuple(by_component[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])),
+    )
 
 
 def energy_basis(model: SystemModel, report: SpectrumReport) -> EnergyBasis:
-    """Energy-normalized eigenvector matrix of ``report`` and its condition number.
+    """Energy-normalized eigenvectors of ``report``, block by block, and their condition number.
 
-    ``report`` is the solved spectrum of ``model``.  The basis and its one
-    SVD are computed once per report; later calls return the stored result.
+    ``report`` is the solved spectrum of ``model``.  The scalar modes share
+    one batched SVD of their ``2 x 2`` blocks; each coupled block takes its
+    own.  The result is computed once per report; later calls return the
+    stored one.
     """
     if report._energy_basis is not None:
         return report._energy_basis
-    root = validate(model).k_sqrt
-    cols = []
-    for pair in report.eigenpairs:
-        v = pair.vector
-        col = np.concatenate([root @ v.position, v.velocity]).astype(complex)
-        cols.append(col / np.linalg.norm(col))
-    vectors = np.column_stack(cols)
-    vectors.setflags(write=False)
-    sig = np.linalg.svd(vectors, compute_uv=False)
-    cond = float(sig[0] / sig[-1]) if sig[-1] > 0.0 else float("inf")
-    basis = EnergyBasis(vectors=vectors, condition_number=cond)
+    validation = validate(model)
+    pairs = report.eigenpairs
+    modes = validation.scalar_modes
+    entries = np.array(
+        [
+            [(pairs[j].vector.position[i], pairs[j].vector.velocity[i]) for j in row]
+            for i, row in zip(modes.index.tolist(), report.mode_pairs.tolist())
+        ],
+        dtype=complex,
+    ).reshape(modes.size, 2, 2)  # [mode, column, (position, velocity)]
+    mode_vectors = np.stack([np.sqrt(modes.k)[:, None] * entries[..., 0], entries[..., 1]], axis=1)
+    mode_vectors /= np.linalg.norm(mode_vectors, axis=1, keepdims=True)
+    sigmas = [np.linalg.svd(mode_vectors, compute_uv=False)] if modes.size else []
+    blocks = []
+    for block, members in zip(validation.coupled_blocks, report.block_pairs):
+        cols = []
+        for j in members:
+            v = pairs[j].vector
+            position, velocity = block.restrict(v.position), block.restrict(v.velocity)
+            col = np.concatenate([block.k_sqrt @ position, velocity]).astype(complex)
+            cols.append(col / np.linalg.norm(col))
+        vectors = np.column_stack(cols)
+        vectors.setflags(write=False)
+        blocks.append(vectors)
+        sigmas.append(np.linalg.svd(vectors, compute_uv=False))
+    mode_vectors.setflags(write=False)
+    top = max(float(np.max(sig)) for sig in sigmas)
+    low = min(float(np.min(sig)) for sig in sigmas)
+    values = report.eigenvalues
+    basis = EnergyBasis(
+        modes=mode_vectors,
+        mode_values=values[report.mode_pairs],
+        blocks=tuple(blocks),
+        block_values=tuple(values[members] for members in report.block_pairs),
+        condition_number=float(top / low) if low > 0.0 else float("inf"),
+    )
     object.__setattr__(report, "_energy_basis", basis)
     return basis
 

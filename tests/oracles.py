@@ -401,6 +401,33 @@ def closed_form_damping(spec: sd.BeamSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# eigenvalue clustering, one comparison at a time
+
+
+def cluster_eigenvalues_loop(values, cluster_tol: float) -> list[list[int]]:
+    """The chain clustering rule of ``spectrum.cluster_eigenvalues`` as a plain loop.
+
+    Same sweep order and running means; each value is compared with the
+    means one by one and joins the first within ``cluster_tol * (1 + |mean|)``.
+    """
+    values = np.asarray(values)
+    order = np.lexsort((values.imag, np.abs(values.imag), values.real))
+    clusters: list[list[int]] = []
+    means: list[complex] = []
+    for idx in order:
+        lam = complex(values[idx])
+        for c, mean in enumerate(means):
+            if abs(lam - mean) <= cluster_tol * (1.0 + abs(mean)):
+                clusters[c].append(int(idx))
+                means[c] = mean + (lam - mean) / len(clusters[c])
+                break
+        else:
+            clusters.append([int(idx)])
+            means.append(lam)
+    return clusters
+
+
+# ---------------------------------------------------------------------------
 # multiset comparison
 
 

@@ -4,6 +4,7 @@ import collections
 import csv
 import functools
 import importlib
+import io
 import json
 import os
 import shutil
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import specdamp
-from specdamp import cli, conditions, linalg, model, spectrum, tolerances
+from specdamp import cli, conditions, linalg, model, semigroup, spectrum, tolerances
 
 
 BEAM_CONFIG = {
@@ -186,6 +187,26 @@ class TestSchemaErrors:
         }
         path = write_config(tmp_path / "cfg.json", cfg)
         assert cli.main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1.0, 0.0], [0.0]], '"K" must be square'),
+            ([[1.0, 0.0]], '"K" must be square'),
+            ([[1.0, True], [0.0, 1.0]], '"K" must be a number'),
+            ([[1.0, "0"], [0.0, 1.0]], '"K" must be a number'),
+        ],
+        ids=["ragged", "wide", "bool", "string"],
+    )
+    def test_malformed_matrix_rows(self, tmp_path, capsys, rows, message):
+        cfg = {
+            "model": {"type": "generic", "K": rows, "C": [[0.0, 0.0], [0.0, 0.0]]},
+            "analyses": ["spectrum"],
+        }
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert cli.main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_accumulation_needs_beam(self, tmp_path):
         cfg = {
@@ -449,6 +470,53 @@ class TestComputeOnce:
         # evolve and the smoothing probe.
         assert [np.shape(a) for a in svd_args].count((32, 32)) == 1
         assert stray == {}
+
+
+    def test_decoupled_check_forms_no_phase_space_matrix(self, tmp_path, monkeypatch):
+        # A diagonal model is 256 scalar modes: every layer works on their
+        # 2 x 2 blocks, so no 512 x 512 SVD, LU, eig or expm is formed.
+        n = 256
+        k = np.random.default_rng(8).uniform(1.0, 100.0, n)
+        cfg = {
+            "model": {"type": "generic", "K": np.diag(k).tolist(),
+                      "C": (1.3 * np.diag(k + 1.0)).tolist()},
+            "analyses": ["conditions"],
+        }
+        path = write_config(tmp_path / "cfg.json", cfg)
+        calls = collections.Counter()
+        args = []
+        for fn in (np.linalg.svd, np.linalg.eig, linalg.lu_factor, semigroup.expm, linalg.nonsym_eig):
+            count_calls(monkeypatch, fn, calls, record=args)
+        assert cli.main(["check", "--config", path]) == 0
+        assert calls["nonsym_eig"] == calls["lu_factor"] == calls["eig"] == 0
+        assert calls["svd"] == 1  # the batched SVD of the 2 x 2 energy-basis blocks
+        assert not [a for a in args if max(np.shape(a)) >= 2 * n]
+
+
+class TestDecoupledRod:
+    def test_cap_order_rod_analyzes_and_simulates(self, tmp_path):
+        # The single-patch rod at the N = 256 cap is 256 scalar modes.
+        cfg = {
+            "model": {"type": "beam", "E": 1.0, "N": 256,
+                      "patches": [{"a": 2.0, "from": 0.0, "to": 1.0}]},
+            "analyses": list(cli.ANALYSES),
+        }
+        path = write_config(tmp_path / "cfg.json", cfg)
+        runs = {
+            "analyze": ["analyze"],
+            "eigenvector": ["simulate", "--x0", "eigenvector:0", "--samples", "101"],
+            "modal": ["simulate", "--x0", "modal:" + ",".join(["1"] * 256), "--samples", "101"],
+        }
+        for name, args in runs.items():
+            proc = run_module(args + ["--config", path, "--out", str(tmp_path / name)], tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "analyze" / "report.json").read_text())
+        values = report["spectrum"]["eigenvalues"]
+        assert len(values) == 512
+        assert all(v["im"] == 0.0 and v["residual"] <= tolerances.RESIDUAL_TOL for v in values)
+        for name in ("eigenvector", "modal"):
+            rows = list(csv.reader(io.StringIO((tmp_path / name / "trajectory.csv").read_text())))
+            assert len(rows) == 102 and rows[1][2] == "exact-modal"
 
 
 class TestDemos:

@@ -131,8 +131,8 @@ class TestCertifiedInterval:
     def test_displaced_certificate_is_refused(self, monkeypatch, tmp_path):
         search = conditions._definiteness_search
 
-        def displaced(wt, kinv, wt_norm, kinv_norm):
-            s, _, g = search(wt, kinv, wt_norm, kinv_norm)
+        def displaced(wt, kinv, *args):
+            s, _, g = search(wt, kinv, *args)
             s -= 0.5
             n = wt.shape[0]
             return s, float(np.linalg.eigvalsh(s * s * np.eye(n) + s * wt + kinv)[-1]), g

@@ -249,6 +249,37 @@ class TestClustering:
         clusters = spectrum.cluster_eigenvalues(vals, 1e-7)
         assert len(clusters) == 1 and len(clusters[0]) == 3
 
+    @pytest.mark.parametrize("family", ["random", "conjugate-pairs", "near-defective", "rod"])
+    def test_matches_loop_oracle(self, family):
+        # The vectorized search must reproduce the one-mean-at-a-time loop
+        # exactly: same groups in the same order, members in sweep order.
+        rng = np.random.default_rng(41)
+        tol = 1e-7
+        if family == "random":
+            spectra = [rng.standard_normal(40) + 1j * rng.standard_normal(40) for _ in range(20)]
+        elif family == "conjugate-pairs":
+            spectra = []
+            for _ in range(20):
+                z = rng.uniform(-3.0, 0.0, 15) + 1j * rng.uniform(0.0, 2.0, 15)
+                z[:5] = z[0] + rng.uniform(-1.0, 1.0, 5) * 3e-8  # chains within the tolerance
+                z[5:8].imag = rng.uniform(-1e-8, 1e-8, 3)  # spurious splits of real values
+                spectra.append(np.concatenate([z, z.conj()]))
+        elif family == "near-defective":
+            spectra = []
+            for _ in range(20):
+                centre = rng.uniform(-2.0, -0.5, 6)
+                split = rng.uniform(-1.0, 1.0, 6) * np.array([1e-9, 1e-8, 5e-8, 1e-7, 2e-7, 1e-6])
+                spectra.append(np.concatenate([centre + split, centre - split, centre + 1j * split]))
+        else:
+            spec = sd.BeamSpec(E=1.0, patches=(sd.Patch(2.0, 0.0, 1.0),), N=256)
+            spectra = [sd.solve_qep(sd.beam_assemble(spec)).eigenvalues]
+        for values in spectra:
+            want = oracles.cluster_eigenvalues_loop(values, tol)
+            assert spectrum.cluster_eigenvalues(values, tol) == want
+        if family == "rod":
+            # The slow branch accumulates at -E / a = -0.5: most of it joins a few clusters.
+            assert len(want) < len(spectra[0])
+
 
 class TestAccumulation:
     def test_uniform_beam_counts(self):

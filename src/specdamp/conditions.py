@@ -156,11 +156,8 @@ def _definiteness_search(
     w, u = np.diag(wt)[modes], np.diag(kinv)[modes]
     parts = []
     for index in blocks:
-        if index.shape[0] == n:
-            parts.append((index, eye, wt, kinv))
-        else:
-            cut = np.ix_(index, index)
-            parts.append((index, np.eye(index.shape[0]), wt[cut], kinv[cut]))
+        cut = np.ix_(index, index)
+        parts.append((index, np.eye(index.shape[0]), wt[cut], kinv[cut]))
 
     def phi(s: float) -> tuple[float, float, np.ndarray]:
         top = (-np.inf, 0.0, None)
@@ -172,10 +169,8 @@ def _definiteness_search(
             m = index.shape[0]
             value, v = scipy.linalg.eigh(s * s * eye_b + s * wt_b + kinv_b, subset_by_index=[m - 1, m - 1])
             if value[0] > top[0]:
-                g = v[:, 0]
-                if m < n:
-                    g = np.zeros(n)
-                    g[index] = v[:, 0]
+                g = np.zeros(n)
+                g[index] = v[:, 0]
                 top = (float(value[0]), 2.0 * s + float(v[:, 0] @ wt_b @ v[:, 0]), g)
         return top
 

@@ -192,7 +192,7 @@ def evolve(model: SystemModel, report: SpectrumReport, x0: PhaseVector, times) -
             ys[:, n + modes.index] = ym[..., 1]
         for block, vectors, values in zip(validation.coupled_blocks, basis.blocks, basis.block_values):
             m = block.n
-            y0 = np.concatenate([block.k_sqrt @ block.restrict(z0[:n]), block.restrict(z0[n:])])
+            y0 = np.concatenate([block.k_sqrt @ z0[block.index], z0[n + block.index]])
             coeff = linalg.solve(vectors, y0.astype(complex))
             yb = (np.exp(np.multiply.outer(times, values)) * coeff) @ vectors.T
             energies += np.einsum("ti,ti->t", yb.conj(), yb).real

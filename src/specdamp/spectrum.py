@@ -6,11 +6,11 @@ every eigenvector has the structure ``(x, lam x)`` with ``x`` in the
 kernel of ``Q(lam)``.  The solver leans on that structure:
 
 1. the mode-coupling graph of ``|K| + |C|`` is split into connected
-   components (:func:`~specdamp.model.validate` keeps them).  Every
-   component of one coordinate, a scalar mode, has the roots of
-   ``lam^2 + c lam + k`` in closed form, all modes in one vectorized pass,
-   so exactly decoupled systems (single-patch beams, diagonal test models)
-   never reach the steps below,
+   components (:func:`~specdamp.model.validate` keeps them).  When there
+   are several, every component of one coordinate, a scalar mode, has the
+   roots of ``lam^2 + c lam + k`` in closed form, all modes in one
+   vectorized pass, so exactly decoupled systems (single-patch beams,
+   diagonal test models) never reach the steps below,
 2. per coupled component, eigenpairs come from LAPACK on the block operator.
    When its moduli split cleanly into ``n`` small and ``n`` large ones,
    the small ones are taken from the reversed, energy-scaled companion
@@ -20,7 +20,8 @@ kernel of ``Q(lam)``.  The solver leans on that structure:
    block that carries it; near-real values are snapped onto the axis and
    close values are clustered,
 3. each eigenvalue is polished through the scalar Rayleigh quadratic
-   ``(x^H x) lam^2 + (x^H C x) lam + (x^H K x)`` of its own ``x``.  For a
+   ``(x^H x) lam^2 + (x^H C x) lam + (x^H K x)`` of its own ``x``, all
+   of a pass at once by the scalar modes' root rule.  For a
    tight cluster (diameter within ``CLUSTER_TOL``) an orthonormal kernel
    basis of ``Q`` at the cluster mean is extracted by SVD; when it has
    fewer directions than the cluster has members, the cluster is a Jordan
@@ -273,50 +274,27 @@ def _snap_real(values: np.ndarray, snap_tol: float) -> np.ndarray:
     return out
 
 
-# A discriminant within this multiple of eps of its terms' scale is taken
-# as zero: the quadratic then has the exact double root -c / (2 m).
-DOUBLE_ROOT_RTOL = 64.0 * np.finfo(float).eps
+def _mode_roots(k: np.ndarray, c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Both roots of ``m lam^2 + c lam + k`` for each entry, as ``(len(k), 2)``.
 
-
-def _rayleigh_roots(model: SystemModel | CoupledBlock, x: np.ndarray) -> tuple[complex, complex]:
-    # Roots of (x^H x) lam^2 + (x^H C x) lam + (x^H K x); the coefficients
-    # are real and nonnegative for any x because K and C are symmetric
-    # (semi)definite, so the roots always respect the left half plane.
-    m = float(np.real(np.vdot(x, x)))
-    c = float(np.real(np.vdot(x, model.C @ x)))
-    k = float(np.real(np.vdot(x, model.K @ x)))
-    disc = c * c - 4.0 * m * k
-    if abs(disc) <= DOUBLE_ROOT_RTOL * (c * c + 4.0 * m * k):
-        r = -c / (2.0 * m)
-        return complex(r), complex(r)
-    if disc > 0.0:
-        q = -0.5 * (c + np.sqrt(disc))  # c > 0 whenever disc > 0 and k > 0
-        return complex(q / m), complex(k / q)
-    im = np.sqrt(-disc) / (2.0 * m)
-    re = -c / (2.0 * m)
-    return complex(re, im), complex(re, -im)
-
-
-def _mode_roots(k: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Both roots of ``lam^2 + c lam + k`` for every scalar mode, as ``(m, 2)``.
-
-    The rule of :func:`_rayleigh_roots` at unit mass, vectorized: distinct
-    real roots by the stable quadratic formula (Higham, *Accuracy and
+    ``k`` and ``m`` are positive and ``c`` nonnegative.  Distinct real
+    roots come from the stable quadratic formula (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, section 1.8), a conjugate pair
-    below a negative discriminant, the exact double root at roundoff level.
+    from a negative discriminant, and a discriminant within ``64 eps`` of
+    its terms' scale is taken as zero: the exact double root ``-c / (2 m)``.
     """
-    disc = c * c - 4.0 * k
-    double = np.abs(disc) <= DOUBLE_ROOT_RTOL * (c * c + 4.0 * k)
+    disc = c * c - 4.0 * m * k
+    double = np.abs(disc) <= 64.0 * np.finfo(float).eps * (c * c + 4.0 * m * k)
     real = (disc > 0.0) & ~double
     pair = ~(real | double)
     root = np.sqrt(np.abs(disc))
     q = -0.5 * (c + root)  # c > 0 wherever disc > 0
-    centre = -c / 2.0
+    centre = -c / (2.0 * m)
     out = np.empty(k.shape + (2,), dtype=complex)
-    out.real[:, 0] = np.where(real, q, centre)
+    out.real[:, 0] = np.where(real, q / m, centre)
     out.real[:, 1] = np.where(real, k / q, centre)
-    out.imag[:, 0] = np.where(pair, root / 2.0, 0.0)
-    out.imag[:, 1] = np.where(pair, -root / 2.0, 0.0)
+    out.imag[:, 0] = np.where(pair, root / (2.0 * m), 0.0)
+    out.imag[:, 1] = np.where(pair, -root / (2.0 * m), 0.0)
     return out
 
 
@@ -329,10 +307,6 @@ def _mode_vectors(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     big = mag > 1.0
     position = np.where(big, lams.conj() / mag, 1.0) / norm
     return position, np.where(big, mag, lams) / norm
-
-
-def _nearest_root(roots: tuple[complex, complex], lam0: complex) -> complex:
-    return min(roots, key=lambda r: abs(r - lam0))
 
 
 def _block_vectors(values: np.ndarray, vecs: np.ndarray, n: int) -> list[np.ndarray]:
@@ -356,6 +330,9 @@ def _linearized_eigenpairs(block: CoupledBlock) -> tuple[np.ndarray, list[np.nda
     n = block.n
     dec = linalg.nonsym_eig(phase_operator(block))
     values = dec.eigenvalues
+    if n == 1:
+        # Q(lam) is 1x1, so its kernel is spanned by 1 for every root.
+        return values, [np.ones(1), np.ones(1)]
     xs = _block_vectors(values, dec.eigenvectors, n)
     mods = np.abs(values)
     order = np.argsort(mods, kind="stable")
@@ -396,6 +373,11 @@ def _dense_eigensolve(block: CoupledBlock) -> list[tuple[complex, np.ndarray]]:
 
     for _pass in range(2):
         refined = np.array(values, copy=True)
+        # Per polished member: its index, start value, allowed move, and the
+        # coefficients (x^H K x, x^H C x, x^H x) of its Rayleigh quadratic.
+        # They are real and nonnegative for any x because K and C are
+        # symmetric (semi)definite, so the roots respect the left half plane.
+        moves, coeffs = [], []
         for members in cluster_eigenvalues(values, CLUSTER_TOL):
             mem_vals = values[members]
             mean = complex(np.mean(mem_vals))
@@ -422,9 +404,13 @@ def _dense_eigensolve(block: CoupledBlock) -> list[tuple[complex, np.ndarray]]:
                     limit = 10.0 * CLUSTER_TOL * (1.0 + abs(lam0))
                 else:
                     limit = 0.4 * min(abs(lam0 - complex(values[j])) for j in members if j != idx)
-                lam = _nearest_root(_rayleigh_roots(block, x), lam0)
-                refined[idx] = lam0 if abs(lam - lam0) > limit else lam
+                moves.append((idx, lam0, limit))
+                coeffs.append([np.vdot(x, block.K @ x).real, np.vdot(x, block.C @ x).real, np.vdot(x, x).real])
                 xs[idx] = x
+        # All of the pass's quadratics at once, by the scalar modes' root rule.
+        for (idx, lam0, limit), roots in zip(moves, _mode_roots(*np.array(coeffs).T).tolist()):
+            lam = min(roots, key=lambda r: abs(r - lam0))
+            refined[idx] = lam0 if abs(lam - lam0) > limit else lam
         values = _snap_real(refined, SNAP_REAL_TOL)
 
     return [(complex(values[i]), xs[i]) for i in range(values.shape[0])]
@@ -459,7 +445,7 @@ def solve_qep(model: SystemModel) -> SpectrumReport:
 
     modes = validation.scalar_modes
     if modes.size:
-        lams = _snap_real(_mode_roots(modes.k, modes.c), SNAP_REAL_TOL)
+        lams = _snap_real(_mode_roots(modes.k, modes.c, np.ones(modes.size)), SNAP_REAL_TOL)
         k, c = modes.k[:, None], modes.c[:, None]
         resid = np.abs(lams * lams + c * lams + k) / (np.sqrt(1.0 + np.abs(lams) ** 2) * scale)
         position, velocity = _mode_vectors(lams)
@@ -532,7 +518,7 @@ def energy_basis(model: SystemModel, report: SpectrumReport) -> EnergyBasis:
         cols = []
         for j in members:
             v = pairs[j].vector
-            position, velocity = block.restrict(v.position), block.restrict(v.velocity)
+            position, velocity = v.position[block.index], v.velocity[block.index]
             col = np.concatenate([block.k_sqrt @ position, velocity]).astype(complex)
             cols.append(col / np.linalg.norm(col))
         vectors = np.column_stack(cols)

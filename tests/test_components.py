@@ -150,7 +150,7 @@ def test_scalar_roots_closed_form():
     # Distinct real, conjugate, double and undamped roots of lam^2 + c lam + k.
     k = np.array([2.0, 1.0, 1.0, 4.0, 1e8])
     c = np.array([3.0, 1.0, 2.0, 0.0, 4e8])
-    roots = spectrum._mode_roots(k, c)
+    roots = spectrum._mode_roots(k, c, np.ones(5))
     assert np.allclose(np.sort_complex(roots[0]), [-2.0, -1.0], rtol=1e-15)
     assert np.allclose(np.sort_complex(roots[1]), [-0.5 - 0.75**0.5 * 1j, -0.5 + 0.75**0.5 * 1j], rtol=1e-15)
     assert np.array_equal(roots[2], [-1.0, -1.0])
@@ -163,3 +163,16 @@ def test_scalar_roots_closed_form():
     assert (-c[4] + np.sqrt(c[4] ** 2 - 4.0 * k[4])) / 2.0 != pytest.approx(float(small), rel=1e-10)
     size = np.abs(roots) ** 2 + c[:, None] * np.abs(roots) + k[:, None]
     assert np.all(np.abs(roots * roots + c[:, None] * roots + k[:, None]) <= 1e-15 * size)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_one_component_model_is_one_block(n):
+    # A model that is one component, n = 1 included, keeps the dense path:
+    # no scalar modes, and its block shares the model's matrices.
+    stiff = np.diag(np.arange(1.0, n + 1.0)) + 0.1 * (np.ones((n, n)) - np.eye(n))
+    m = sd.SystemModel(K=stiff, C=0.5 * stiff)
+    rep = validate(m)
+    assert rep.scalar_modes.size == 0 and len(rep.coupled_blocks) == 1
+    block = rep.coupled_blocks[0]
+    assert block.K is m.K and block.k_sqrt is rep.k_sqrt
+    assert len(sd.solve_qep(m).eigenpairs) == 2 * n

@@ -76,13 +76,6 @@ def indefinite_product(model: SystemModel, u: PhaseVector, v: PhaseVector) -> co
     )
 
 
-def _stacked_blocks(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
-    # Position and velocity blocks of the chosen eigenvectors, one column each.
-    x = np.column_stack([pairs[i].vector.position for i in indices])
-    y = np.column_stack([pairs[i].vector.velocity for i in indices])
-    return x, y
-
-
 @dataclass(frozen=True)
 class ClusterClassification:
     """Sign-type verdict for one eigenvalue cluster.
@@ -291,22 +284,63 @@ class Decomposition:
     neutral_real_eigenvalues: tuple[complex, ...]
 
 
+def _cross_gram_norm(model: SystemModel, report: spectrum.SpectrumReport, fast: np.ndarray) -> float:
+    # Largest energy-normalized |[v_i, v_j]| over v_i fast and v_j slow
+    # (fast is a mask over the eigenpairs).  Eigenvectors of different
+    # coupling components have disjoint supports, so only pairs within one
+    # component contribute: a scalar mode whose two eigenpairs fall on
+    # different sides of the split, or two members of one coupled block.
+    validation, pairs = validate(model), report.eigenpairs
+    worst = 0.0
+    # Each scalar mode's two eigenpairs, the fast one first.
+    rows = report.mode_pairs
+    ends = np.take_along_axis(rows, np.argsort(~fast[rows], axis=1, kind="stable"), axis=1)
+    split = fast[ends[:, 0]] & ~fast[ends[:, 1]]
+    if np.any(split):
+        coords = validation.scalar_modes.index[split].tolist()
+        entries = np.array(
+            [
+                [(pairs[j].vector.position[i], pairs[j].vector.velocity[i]) for j in row]
+                for i, row in zip(coords, ends[split].tolist())
+            ]
+        )  # [mode, (fast, slow), (position, velocity)]
+        x, y = entries[..., 0], entries[..., 1]
+        kx = validation.scalar_modes.k[split][:, None] * x
+        energy = np.real(x.conj() * kx) + np.abs(y) ** 2
+        g = x[:, 1].conj() * kx[:, 0] - y[:, 1].conj() * y[:, 0]
+        worst = float(np.max(np.abs(g) / np.sqrt(energy[:, 1] * energy[:, 0])))
+    for block, members in zip(validation.coupled_blocks, report.block_pairs):
+        order = [j for j in members.tolist() if fast[j]]
+        p = len(order)
+        order += [j for j in members.tolist() if not fast[j]]
+        if p == 0 or p == len(order):
+            continue
+        x = np.column_stack([pairs[j].vector.position[block.index] for j in order])
+        y = np.column_stack([pairs[j].vector.velocity[block.index] for j in order])
+        kx = block.K @ x
+        energy = np.real(np.sum(x.conj() * kx, axis=0)) + np.sum(np.abs(y) ** 2, axis=0)
+        # Entry (j, i) is [v_i, v_j] for v_i fast and v_j slow.
+        g = x[:, p:].conj().T @ kx[:, :p] - y[:, p:].conj().T @ y[:, :p]
+        worst = max(worst, float(np.max(np.abs(g) / np.sqrt(np.outer(energy[p:], energy[:p])))))
+    return worst
+
+
 def decompose(
-    model: SystemModel, report, classification: SignClassification | None = None
+    model: SystemModel,
+    report: spectrum.SpectrumReport,
+    classification: SignClassification | None = None,
 ) -> Decomposition:
     """Split the spectrum into the negative-type fast branch and the rest.
 
-    Raises :class:`MixedClusterObstruction` when some real cluster has
-    mixed sign type, because then no invariant-subspace split by sign
-    exists.  Real neutral clusters (Jordan blocks at critical damping) do
-    not raise; they are routed to the slow branch and reported.
+    ``report`` is the solved spectrum of ``model``.  Raises
+    :class:`MixedClusterObstruction` when some real cluster has mixed sign
+    type, because then no invariant-subspace split by sign exists.  Real
+    neutral clusters (Jordan blocks at critical damping) do not raise; they
+    are routed to the slow branch and reported.  The cross-Gram is taken
+    per coupling component: entries between components are exact zeros.
     """
-    if isinstance(report, spectrum.SpectrumReport):
-        pairs = report.eigenpairs
-    else:
-        pairs = tuple(report)
     if classification is None:
-        classification = classify_eigenpairs(model, pairs)
+        classification = classify_eigenpairs(model, report)
 
     real = [c for c in classification.clusters if c.is_real]
     real.sort(key=lambda c: c.eigenvalue.real)
@@ -320,28 +354,21 @@ def decompose(
             prefix.append(c)
         else:
             break
-    hprime = tuple(sorted(i for c in prefix for i in c.member_indices))
-    hsecond = tuple(i for i in range(len(pairs)) if i not in set(hprime))
+    fast = np.zeros(len(report.eigenpairs), dtype=bool)
+    fast[[i for c in prefix for i in c.member_indices]] = True
+    hprime = tuple(np.flatnonzero(fast).tolist())
+    hsecond = tuple(np.flatnonzero(~fast).tolist())
     m_cut = -max(c.eigenvalue.real for c in prefix) if prefix else None
     hp_max = max(float(np.max(c.gram_eigenvalues)) for c in prefix) if prefix else None
     neutral = tuple(c.eigenvalue for c in real if c.sign_type == "neutral")
-
-    cross = 0.0
-    if hprime and hsecond:
-        x, y = _stacked_blocks(pairs, hprime + hsecond)
-        kx = model.K @ x
-        energy = np.real(np.sum(x.conj() * kx, axis=0)) + np.sum(np.abs(y) ** 2, axis=0)
-        p = len(hprime)
-        # Entry (j, i) is [v_i, v_j] for v_i fast and v_j slow.
-        g = x[:, p:].conj().T @ kx[:, :p] - y[:, p:].conj().T @ y[:, :p]
-        cross = float(np.max(np.abs(g) / np.sqrt(np.outer(energy[p:], energy[:p]))))
+    cross = _cross_gram_norm(model, report, fast)
 
     return Decomposition(
         classification=classification,
         h_prime=hprime,
         h_doubleprime=hsecond,
         m_cut=m_cut,
-        cross_gram_norm=float(cross),
+        cross_gram_norm=cross,
         orthogonal=bool(cross <= ORTH_TOL),
         hprime_definiteness=hp_max,
         neutral_real_eigenvalues=neutral,

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.blas import get_blas_funcs
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, get_lapack_funcs
 
 __all__ = [
     "LinalgError",
@@ -208,44 +207,32 @@ class LUFactors:
     """LU factorization with partial pivoting of a square matrix.
 
     Construction runs one ``lu_factor`` and raises :class:`Singular` when
-    an upper-triangular pivot is at most ``PIVOT_RTOL`` of the matrix scale,
-    with ``rank_estimate`` set to the number of healthy pivots.
-    :meth:`solve` checks the residual of its solution; :meth:`apply_inverse`
-    does not, and suits inner loops whose end result goes through
-    :meth:`solve`.
+    an upper-triangular pivot is at most ``PIVOT_RTOL`` of ``scale``, with
+    ``rank_estimate`` set to the number of healthy pivots.  ``scale``
+    defaults to the matrix's Frobenius norm; a matrix formed as a sum whose
+    terms cancel passes the size of those terms instead, below which a
+    pivot is rounding.  :meth:`solve` checks the residual of its solution;
+    :meth:`apply_inverse` does not, and suits inner loops whose end result
+    goes through :meth:`solve`.
     """
 
-    def __init__(self, m):
+    def __init__(self, m, scale: float | None = None):
         self.matrix = _as_square(m)
-        self.scale = _frobenius_scale(self.matrix)
+        self.scale = _frobenius_scale(self.matrix) if scale is None else float(scale)
         self.factors = lu_factor(self.matrix)
         diag = np.abs(np.diag(self.factors[0]))
         healthy = int(np.count_nonzero(diag > PIVOT_RTOL * self.scale))
         if healthy < self.matrix.shape[0]:
             raise Singular(rank_estimate=healthy)
-        self._perm = None  # built by the first apply_inverse
 
-    def apply_inverse(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """``m^{-1} b``, or ``m^{-H} b`` with ``adjoint``, for one vector; residual unchecked.
+    def apply_inverse(self, b: np.ndarray) -> np.ndarray:
+        """``m^{-1} b`` for a block of right-hand-side columns; residual unchecked.
 
-        Two BLAS ``trsv`` calls: for a single right-hand side they run
-        several times faster than ``getrs`` (``lu_solve``).
+        LAPACK ``getrs`` called directly: for a few columns the input checks
+        of ``lu_solve`` cost about as much as the solve itself.
         """
-        if self._perm is None:
-            # getrf's sequential row swaps as one permutation: P^T b = b[perm].
-            perm = list(range(self.matrix.shape[0]))
-            for i, k in enumerate(self.factors[1].tolist()):
-                perm[i], perm[k] = perm[k], perm[i]
-            self._perm = np.array(perm)
-        lu = self.factors[0]
-        trsv = get_blas_funcs("trsv", (lu, b))
-        if not adjoint:
-            y = trsv(lu, b[self._perm], lower=1, diag=1, overwrite_x=1)
-            return trsv(lu, y, overwrite_x=1)
-        z = trsv(lu, b, trans=2)
-        w = trsv(lu, z, lower=1, trans=2, diag=1, overwrite_x=1)
-        x = np.empty_like(w)
-        x[self._perm] = w
+        getrs = get_lapack_funcs("getrs", (self.factors[0], b))
+        x, _ = getrs(*self.factors, b)
         return x
 
     def solve(self, b):

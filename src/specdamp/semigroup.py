@@ -37,25 +37,41 @@ spectrum, ``(model, report, ...)``, and never solve the model or
 eigendecompose ``A`` again; the caller solves once and hands it down.
 
 The resolvent is a direct sum too, and its norm the largest block norm:
-closed form on the scalar modes, and on each coupled block one LU
-factorization of ``A_b - lam``, which keeps the value accurate to a few
-ulps against a 40-digit oracle.  One
+closed form on the scalar modes, and on each coupled block of size ``n``
+one LU factorization of the ``n x n`` quadratic
+``Q(lam) = K + lam C + lam^2 I``, which is singular exactly when
+``A_b - lam`` is (structured pseudospectra of quadratic eigenproblems
+work on ``Q`` directly too: Tisseur & Higham, SIMAX 23, 2001).  For an
+input ``(a, g)`` in energy coordinates the energy-scaled resolvent is
+``R_E (a, g) = (K^{1/2} x, y)`` with
+``x = -Q^{-1}(g + C K^{-1/2} a + lam K^{-1/2} a)`` and
+``y = Q^{-1}(K^{1/2} a - lam g)``, both from one solve with two
+right-hand sides.  Neither formula cancels; ``y = K^{-1/2} a + lam x``,
+the obvious alternative, loses digits on low modes at large ``|lam|``:
+against a 40-digit oracle it is off by 3e-14 relative on the two-patch
+rod at ``N = 16`` and by 1.2e-11 on a model whose ``K`` spans 1e-4..1e4
+(condition number 1e8), where these formulas stay within 3.7e-16 and
+2e-13.  The adjoint needs no solve of its own: the energy-scaled operator
+``A_E`` is real with ``A_E^T = J A_E J``, ``J = diag(I, -I)`` (what
+:func:`~specdamp.krein.phase_symmetry_defect` checks), so
+``R_E^H v = J conj(R_E conj(J v))``.  One
 Schur form shared by the whole scan was rejected: its backward error is
 eps times the norm of the energy-scaled operator, whose damping block
 grows like the fourth power of the rod's top frequency, and that cost up
 to 1e-8 relative at N = 128.
 
 What follows the LU depends only on the block's dimension ``2n``.
-Below ``LANCZOS_MIN_DIMENSION`` the explicit energy-scaled inverse is
-formed and its spectral norm taken densely, the faster route at that
-size.  From there on the inverse is never formed: Lanczos with full
-reorthogonalization on ``R_E^H R_E`` (``R_E`` the energy-scaled
-resolvent), from a seeded random start, applies it through the LU
-factors, two triangular solve pairs per step (Trefethen & Embree,
-*Spectra and Pseudospectra*, 2005; Wright & Trefethen, SISC 23, 2001).
-It stops when the top Ritz residual falls to ``LANCZOS_RTOL`` of the
-Ritz value and returns ``||R_E u|| / ||u||`` for that Ritz vector ``u``,
-through a residual-checked solve.
+Below ``LANCZOS_MIN_DIMENSION`` ``R_E`` is formed explicitly as
+``[[-K^{1/2} Z1, -K^{1/2} Z3], [Z2, -lam Z3]]`` from one residual-checked
+solve ``Z = Q^{-1} [(C + lam) K^{-1/2} | K^{1/2} | I]`` and its spectral
+norm taken densely, the faster route at that size.  From there on
+``R_E`` is never formed: Lanczos with full reorthogonalization on
+``R_E^H R_E``, from a seeded random start, applies it through the LU
+factors, two ``n x n`` solves with two right-hand sides each per step
+(Trefethen & Embree, *Spectra and Pseudospectra*, 2005; Wright &
+Trefethen, SISC 23, 2001).  It stops when the top Ritz residual falls to
+``LANCZOS_RTOL`` of the Ritz value and returns ``||R_E u|| / ||u||`` for
+that Ritz vector ``u``, through a residual-checked solve.
 
 Every truncation order generates a trivially analytic semigroup, so the
 honest finite-order statement is uniformity: bounded ``fitted_M`` and
@@ -67,7 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import expm, lapack
 
 from . import linalg
 from .model import CoupledBlock, PhaseVector, ScalarModes, SystemModel, phase_operator, validate
@@ -91,7 +107,10 @@ __all__ = [
 MODAL_CONDITION_LIMIT = 1e8
 
 # From this operator dimension on, resolvent_norm_at runs Lanczos through
-# the LU factors; below it the explicit inverse is faster.
+# the LU factors of Q(lam); below it the explicit R_E is faster.  On the
+# two-patch rod a 25-point scan takes about the same time either way at
+# dimension 96 (0.045 s) and half the time by Lanczos at 128 (0.05 s
+# against 0.10 s), one core.
 LANCZOS_MIN_DIMENSION = 128
 
 # Lanczos stops once the top Ritz residual is at most this times the Ritz
@@ -284,15 +303,23 @@ def _mode_resolvent_norms(modes: ScalarModes, lam: complex, dim: int) -> np.ndar
 
 
 def _block_resolvent_norm(block: CoupledBlock, lam: complex) -> float:
-    # The energy-norm resolvent of one coupled block, by LU (see resolvent_norm_at).
+    # The energy-norm resolvent of one coupled block through one LU of
+    # Q(lam) = K + lam C + lam^2 I (see resolvent_norm_at).
     n = block.n
-    shifted = phase_operator(block).astype(complex) - lam * np.eye(2 * n)
+    quad = block.C * lam + block.K
+    quad[np.diag_indices(n)] += lam * lam
+    # Near the spectrum the three terms cancel, so the pivots are judged
+    # against their size: a 1 x 1 Q would otherwise be its own scale.
+    terms = np.linalg.norm(block.K) + abs(lam) * np.linalg.norm(block.C) + abs(lam) ** 2 * np.sqrt(n)
+    lu = linalg.LUFactors(quad, scale=terms)
     if 2 * n >= LANCZOS_MIN_DIMENSION:
-        return _lanczos_norm(linalg.LUFactors(shifted), block.k_sqrt, block.k_inv_sqrt)
-    resolvent = linalg.solve(shifted, np.eye(2 * n, dtype=complex))
-    # Energy similarity diag(K^{1/2}, I) . R . diag(K^{-1/2}, I).
-    resolvent[:n, :] = block.k_sqrt @ resolvent[:n, :]
-    resolvent[:, :n] = resolvent[:, :n] @ block.k_inv_sqrt
+        return _lanczos_norm(lu, block, lam)
+    # Z = Q^{-1} [(C + lam) K^{-1/2} | K^{1/2} | I]; then
+    # R_E = [[-K^{1/2} Z1, -K^{1/2} Z3], [Z2, -lam Z3]].
+    damped = block.C @ block.k_inv_sqrt + lam * block.k_inv_sqrt
+    z = lu.solve(np.hstack([damped, block.k_sqrt, np.eye(n)]))
+    z1, z2, z3 = z[:, :n], z[:, n : 2 * n], z[:, 2 * n :]
+    resolvent = np.block([[-(block.k_sqrt @ z1), -(block.k_sqrt @ z3)], [z2, -lam * z3]])
     return float(np.linalg.norm(resolvent, 2))
 
 
@@ -301,18 +328,20 @@ def resolvent_norm_at(model: SystemModel, report: SpectrumReport, lam: complex) 
 
     Raises :class:`NearSpectrum` when ``lam`` is within cluster tolerance
     of an eigenvalue in ``report``, the solved spectrum, and
-    :class:`~specdamp.linalg.Singular` when the LU factorization of
-    ``A - lam`` has a negligible pivot.  The norm is the operator 2-norm
-    of ``R_E = diag(K^{1/2}, I) (A - lam)^{-1} diag(K^{-1/2}, I)``; in
-    that norm a contraction semigroup obeys ``norm <= 1 / Re lam`` for
-    ``Re lam > 0``.
+    :class:`~specdamp.linalg.Singular` when the LU factorization of a
+    block's ``Q(lam) = K + lam C + lam^2 I`` has a negligible pivot
+    (``Q(lam)`` is singular exactly when ``A - lam`` is).  The norm is the
+    operator 2-norm of ``R_E = diag(K^{1/2}, I) (A - lam)^{-1}
+    diag(K^{-1/2}, I)``; in that norm a contraction semigroup obeys
+    ``norm <= 1 / Re lam`` for ``Re lam > 0``.
 
     ``R_E`` is a direct sum over the coupling components, so its norm is
     the largest block norm.  The ``2 x 2`` blocks of the scalar modes are
-    normed in closed form, all at once.  Each coupled block is factored by
-    LU: below ``LANCZOS_MIN_DIMENSION`` its explicit ``R_E`` is formed and
-    normed densely; from there on ``R_E`` is never formed, and Lanczos on
-    ``R_E^H R_E`` applies it through the one LU factorization and returns
+    normed in closed form, all at once.  Each coupled block of size ``n``
+    factors its ``n x n`` ``Q(lam)`` once: below ``LANCZOS_MIN_DIMENSION``
+    (of ``2n``) its explicit ``R_E`` is formed from one residual-checked
+    solve and normed densely; from there on ``R_E`` is never formed, and
+    Lanczos on ``R_E^H R_E`` applies it through the factors and returns
     ``||R_E u|| / ||u||`` for its converged Ritz vector ``u``, computed
     through a residual-checked solve.
     """
@@ -327,53 +356,83 @@ def resolvent_norm_at(model: SystemModel, report: SpectrumReport, lam: complex) 
     return max(norms)
 
 
-def _lanczos_norm(lu: linalg.LUFactors, k_sqrt: np.ndarray, k_inv_sqrt: np.ndarray) -> float:
-    # sigma_max of R_E = S R S^{-1}, S = diag(K^{1/2}, I), R = lu's inverse,
-    # by Lanczos with full reorthogonalization on the Hermitian R_E^H R_E.
-    dim, n = lu.matrix.shape[0], k_sqrt.shape[0]
+def _lanczos_norm(lu: linalg.LUFactors, block: CoupledBlock, lam: complex) -> float:
+    # sigma_max of the block's R_E by Lanczos with full reorthogonalization
+    # on the Hermitian R_E^H R_E; lu holds the factors of Q(lam).
+    n, dim = block.n, 2 * block.n
+    k_sqrt, k_inv_sqrt = block.k_sqrt, block.k_inv_sqrt
 
-    def scale_top(mat, v):
-        # mat @ v[:n] for real mat and complex v, without a complex copy of mat
-        w = v.copy()
-        w[:n] = (mat @ v[:n].view(float).reshape(n, 2)).view(complex).ravel()
-        return w
+    def real_times(mat, v):
+        # mat @ v for real mat and complex v, without a complex copy of mat
+        return (mat @ v.view(float).reshape(n, 2)).view(complex).ravel()
 
-    def r_e(v):
-        return scale_top(k_sqrt, lu.apply_inverse(scale_top(k_inv_sqrt, v)))
+    def r_e(v, solve=lu.apply_inverse):
+        # R_E (a, g) = (K^{1/2} x, y) with x = -Q^{-1}(g + (C + lam) K^{-1/2} a)
+        # and y = Q^{-1}(K^{1/2} a - lam g), one solve for both.  Forming
+        # y = K^{-1/2} a + lam x instead cancels on low modes at large |lam|.
+        a, g = v[:n], v[n:]
+        p = real_times(k_inv_sqrt, a)
+        rhs = np.empty((n, 2), dtype=complex, order="F")
+        rhs[:, 0] = g + real_times(block.C, p) + lam * p
+        rhs[:, 1] = real_times(k_sqrt, a) - lam * g
+        xy = solve(rhs)
+        return np.concatenate([-real_times(k_sqrt, np.ascontiguousarray(xy[:, 0])), xy[:, 1]])
 
     def r_e_adjoint(v):
-        return scale_top(k_inv_sqrt, lu.apply_inverse(scale_top(k_sqrt, v), adjoint=True))
+        # A_E^T = J A_E J with J = diag(I, -I) and A_E real, so
+        # R_E^H v = J conj(R_E conj(J v)): no adjoint solve.
+        jv = v.conj()
+        jv[n:] *= -1.0
+        out = r_e(jv).conj()
+        out[n:] *= -1.0
+        return out
 
     # A fixed generic start: a structured one (all ones, say) can be
     # orthogonal to the top singular vector of a symmetric model.
     rng = np.random.default_rng(LANCZOS_SEED)
     basis = np.empty((dim, dim), dtype=complex)  # one Lanczos vector per row
+    conj_basis = np.empty((dim, dim), dtype=complex)  # their conjugates
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     basis[0] = start / np.linalg.norm(start)
-    alpha, beta = [], []
+    conj_basis[0] = basis[0].conj()
+    alpha, beta = np.empty(dim), np.empty(dim)
     for j in range(dim):
         q = basis[j]
         w = r_e_adjoint(r_e(q))
-        alpha.append(float(np.vdot(q, w).real))
-        w -= alpha[-1] * q
+        alpha[j] = np.vdot(q, w).real
+        w -= alpha[j] * q
         if j:
-            w -= beta[-1] * basis[j - 1]
-        done = basis[: j + 1]
+            w -= beta[j - 1] * basis[j - 1]
+        done, conj_done = basis[: j + 1], conj_basis[: j + 1]
         for _ in range(2):
-            w -= (done.conj() @ w) @ done
+            w -= (conj_done @ w) @ done
         b = float(np.linalg.norm(w))
-        theta, s = eigh_tridiagonal(
-            np.array(alpha), np.array(beta), select="i", select_range=(j, j), check_finite=False
-        )
+        theta, s = _top_ritz_pair(alpha[: j + 1], beta[:j])
         # b * |s_j| is the Ritz residual ||H u - theta u|| of the top Ritz
         # pair, u = s @ done.  A full basis makes the Ritz pair exact.
-        if b * abs(s[-1, 0]) <= LANCZOS_RTOL * theta[0] or j + 1 == dim:
+        if b * abs(s[-1]) <= LANCZOS_RTOL * theta or j + 1 == dim:
             break
-        beta.append(b)
+        beta[j] = b
         basis[j + 1] = w / b
-    u = s[:, 0] @ done
-    x = scale_top(k_sqrt, lu.solve(scale_top(k_inv_sqrt, u)))
+        conj_basis[j + 1] = basis[j + 1].conj()
+    u = s @ done
+    x = r_e(u, solve=lu.solve)
     return float(np.linalg.norm(x) / np.linalg.norm(u))
+
+
+def _top_ritz_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
+    # The largest eigenvalue of the symmetric tridiagonal matrix and its
+    # eigenvector, by LAPACK stebz (bisection) and stein (inverse
+    # iteration), the pair eigh_tridiagonal(select="i") runs.
+    m = diag.shape[0]
+    if m == 1:
+        return float(diag[0]), np.ones(1)
+    count, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, m, m, 0.0, "B")
+    if info == 0:
+        vec, info = lapack.dstein(diag, off, w[:count], iblock, isplit)
+    if info != 0:
+        raise linalg.NoConvergence(f"tridiagonal Ritz pair (LAPACK info {info})")
+    return float(w[0]), vec[:, 0]
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,22 @@ def random_model(rng: np.random.Generator, n: int) -> sd.SystemModel:
     return sd.SystemModel(K=stiff, C=damp)
 
 
+def wide_k_model(seed: int = 0, n: int = 12) -> sd.SystemModel:
+    """The benchmark's edge-cases wide-K model: ``K`` over 1e-4..1e4.
+
+    ``K`` has eigenvalues log-spaced over 1e-4..1e4 in a random basis, and
+    each of its modes is damped at a random ratio of critical in [0.1, 2].
+    """
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    kw = np.logspace(-4.0, 4.0, n)
+    zeta = rng.uniform(0.1, 2.0, n)
+    stiff = (q * kw) @ q.T
+    damp = (q * (2.0 * zeta * np.sqrt(kw))) @ q.T
+    return sd.SystemModel(K=0.5 * (stiff + stiff.T), C=0.5 * (damp + damp.T))
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial route (independent of any eigensolver)
 
@@ -128,22 +144,23 @@ def resolvent_norm_mp(model: sd.SystemModel, lam: complex, dps: int = 40) -> flo
 
     ``B = [[0, K^{1/2}], [-K^{1/2}, -C]]`` is the phase operator after the
     energy similarity ``diag(K^{1/2}, I)``; it is built from the float
-    ``K`` and ``C`` with ``K^{1/2}`` taken entrywise, so ``K`` must be
-    diagonal (as it is for beams).
+    ``K`` and ``C`` (converted exactly), with ``K^{1/2}`` from the
+    ``mp.eigsy`` eigendecomposition of ``K``, so ``K`` may be any SPD
+    matrix.
     """
-    stiff, damp, n = model.K, model.C, model.n
-    if np.any(stiff != np.diag(np.diag(stiff))):
-        raise ValueError("resolvent_norm_mp needs a diagonal K")
+    n = model.n
     with mp.workdps(dps):
         z = mp.mpc(repr(lam.real), repr(lam.imag))
+        stiff = mp.matrix([[mp.mpf(float(v)) for v in row] for row in model.K])
+        vals, vecs = mp.eigsy(stiff)
+        root = vecs * mp.diag([mp.sqrt(v) for v in vals]) * vecs.T
         shifted = mp.matrix(2 * n, 2 * n)
         for i in range(n):
-            root = mp.sqrt(mp.mpf(repr(float(stiff[i, i]))))
             shifted[i, i] = -z
-            shifted[i, n + i] = root
-            shifted[n + i, i] = -root
             for j in range(n):
-                shifted[n + i, n + j] = -mp.mpf(repr(float(damp[i, j])))
+                shifted[i, n + j] = root[i, j]
+                shifted[n + i, j] = -root[i, j]
+                shifted[n + i, n + j] = -mp.mpf(float(model.C[i, j]))
             shifted[n + i, n + i] -= z
         sigma = mp.svd_c(shifted, compute_uv=False)
         return float(1 / min(sigma[k] for k in range(2 * n)))

@@ -97,7 +97,7 @@ def test_resolvent_matches_dense_inverse(case):
     for lam in (0.0, 1.0 + 1.0j, 1.0 + 46.4j, 0.5 - 3.0j):
         inverse = np.linalg.inv(phase_operator(m) - lam * np.eye(2 * n))
         want = np.linalg.norm(left @ inverse @ right, 2)
-        assert semigroup.resolvent_norm_at(m, rep, lam) == pytest.approx(want, rel=1e-12)
+        assert semigroup.resolvent_norm_at(m, rep, lam) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_margin_matches_modal_closed_form(case):

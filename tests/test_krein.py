@@ -222,6 +222,29 @@ class TestDecompose:
         assert sorted(dec.h_doubleprime) == [0, 1]
         assert dec.neutral_real_eigenvalues == (complex(-1.0),)
 
+    def test_cross_gram_per_component_matches_dense(self):
+        # Two scalar modes and one coupled 3 x 3 block, C = 1.3 (K + I): every
+        # mode and the whole model are overdamped, so each scalar mode and
+        # the block have eigenpairs on both sides of the split.
+        rng = np.random.default_rng(8)
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        stiff = np.zeros((5, 5))
+        stiff[0, 0], stiff[1, 1] = 2.0, 5.0
+        stiff[2:, 2:] = (q * np.array([1.0, 3.0, 9.0])) @ q.T
+        stiff = 0.5 * (stiff + stiff.T)
+        m = sd.SystemModel(K=stiff, C=1.3 * (stiff + np.eye(5)))
+        rep = sd.solve_qep(m)
+        dec = krein.decompose(m, rep)
+        assert len(dec.h_prime) == 5 and dec.orthogonal
+        # The dense cross-Gram over all eigenvectors, fast against slow.
+        x = np.column_stack([rep.eigenpairs[i].vector.position for i in dec.h_prime + dec.h_doubleprime])
+        y = np.column_stack([rep.eigenpairs[i].vector.velocity for i in dec.h_prime + dec.h_doubleprime])
+        kx = m.K @ x
+        energy = np.real(np.sum(x.conj() * kx, axis=0)) + np.sum(np.abs(y) ** 2, axis=0)
+        g = x[:, 5:].conj().T @ kx[:, :5] - y[:, 5:].conj().T @ y[:, :5]
+        dense = float(np.max(np.abs(g) / np.sqrt(np.outer(energy[5:], energy[:5]))))
+        assert dec.cross_gram_norm == pytest.approx(dense, rel=0.0, abs=1e-15)
+
     def test_undamped_everything_second_part(self):
         m = sd.SystemModel(K=np.diag([1.0, 4.0]), C=np.zeros((2, 2)))
         dec = krein.decompose(m, sd.solve_qep(m))

@@ -144,13 +144,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             linalg.solve(np.eye(3), np.ones(2))
 
-    def test_lu_factors_apply_inverse_and_adjoint(self):
+    def test_lu_factors_apply_inverse(self):
         rng = np.random.default_rng(11)
-        b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        b = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         for a in (rng.standard_normal((6, 6)), rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))):
             lu = linalg.LUFactors(a)
             assert np.allclose(a @ lu.apply_inverse(b), b, atol=1e-12)
-            assert np.allclose(a.conj().T @ lu.apply_inverse(b, adjoint=True), b, atol=1e-12)
 
 
 class TestSqrtPair:

@@ -240,13 +240,32 @@ class TestResolvent:
         with pytest.raises(semigroup.NearSpectrum):
             semigroup.resolvent_norm_at(m, sd.solve_qep(m), 1.0j)
 
+    def test_singular_raises_on_one_coordinate_block(self):
+        # The spectrum handed in misses the eigenvalue i sqrt(2), where the
+        # 1 x 1 Q(lam) = 2 + lam^2 is rounding: the pivot test must see it
+        # against the size of its terms, not against Q itself.
+        m = scalar_model(2.0, 0.0)
+        lam = sd.solve_qep(m).eigenvalues[-1]
+        with pytest.raises(linalg.Singular):
+            semigroup.resolvent_norm_at(m, SimpleNamespace(eigenvalues=np.array([-1.0])), lam)
+
     def test_two_patch_matches_mp_oracle(self):
         m = two_patch_rod(16)
         rep = sd.solve_qep(m)
         for t in (1.0, 46.4, 1000.0, 1e4):
             lam = complex(1.0, t)
             want = oracles.resolvent_norm_mp(m, lam)
-            assert semigroup.resolvent_norm_at(m, rep, lam) == pytest.approx(want, rel=1e-13)
+            assert semigroup.resolvent_norm_at(m, rep, lam) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_wide_k_matches_mp_oracle(self):
+        # K over 1e-4..1e4 in a random basis: the low modes are where
+        # y = K^{-1/2} a + lam x would cancel at large |lam|.
+        m = oracles.wide_k_model()
+        rep = sd.solve_qep(m)
+        for t in (1.0, 46.4, 1000.0, 1e4):
+            lam = complex(1.0, t)
+            want = oracles.resolvent_norm_mp(m, lam)
+            assert semigroup.resolvent_norm_at(m, rep, lam) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def two_patch_rod(N):
@@ -278,7 +297,7 @@ class TestResolventLanczos:
         for t in CLI_GRID:
             lam = complex(1.0, t)
             want = dense_resolvent_norm(m, lam)
-            assert semigroup.resolvent_norm_at(m, rep, lam) == pytest.approx(want, rel=1e-13)
+            assert semigroup.resolvent_norm_at(m, rep, lam) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_swap_symmetric_antisymmetric_maximum(self):
         # K = [[A, A/2], [A/2, A]], C = [[D, .98 D], [.98 D, D]] splits under
@@ -302,7 +321,7 @@ class TestResolventLanczos:
             lam = complex(1.0, t)
             want = dense_resolvent_norm(m, lam)
             anti_wins += dense_resolvent_norm(anti, lam) > 1.4 * dense_resolvent_norm(sym, lam)
-            assert semigroup.resolvent_norm_at(m, rep, lam) == pytest.approx(want, rel=1e-13)
+            assert semigroup.resolvent_norm_at(m, rep, lam) == pytest.approx(want, rel=1e-13, abs=0.0)
         assert anti_wins >= 8
 
     def test_near_spectrum_raises(self):
@@ -335,8 +354,9 @@ class TestResolventLanczos:
         for name in ("eig", "eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         semigroup.resolvent_norm_at(m, rep, 1.0 + 10.0j)
-        assert [c for c in calls if c[0] == "lu"] == [("lu", (128, 128))]
-        assert not [c for c in calls if c[0] != "lu" and c[1] == (128, 128)]
+        # The one LU is of the 64 x 64 Q(lam), not of the 128 x 128 A - lam.
+        assert [c for c in calls if c[0] == "lu"] == [("lu", (64, 64))]
+        assert not [c for c in calls if c[1] == (128, 128)]
 
 
 class TestResolventScan:

@@ -20,10 +20,12 @@ Three independently checkable conditions are implemented:
   ``n >= 3``; for ``n <= 2`` because ``f`` has no interior critical point),
   so the interval is roundoff-narrow, and the check aborts when it is not.
   ``margin > 0`` iff some ``s < 0`` makes ``L(s)`` negative definite, and
-  then ``s*`` does (the hyperbolicity certificate).  ``K^{-1}``, ``||Wt||`` and ``||K^{-1}||`` come from the
-  model's validation report.  ``L(s)`` is a direct sum over the model's
-  coupling components, so ``phi(s)`` is the largest of the blocks' top
-  eigenvalues, on the scalar modes the top of their parabolas.
+  then ``s*`` does (the hyperbolicity certificate).  ``Wt``, ``K^{-1}``
+  and ``L(s)`` are direct sums over the model's coupling components, taken
+  per block from the validation report and as ``c / k``, ``1 / k`` on the
+  scalar modes: ``phi(s)`` is the largest of the blocks' top eigenvalues, on
+  the scalar modes the top of their parabolas, and each form of the witness
+  is a sum over the components.
 
 * **Kernel nondegeneracy at candidate accumulation values** (condition
   ``ii``): for each declared essential value ``mu`` of ``-K^{-1} C``, the
@@ -125,19 +127,20 @@ class OverdampingReport:
     definite_point_exists: bool
 
 
-def _margin_functional(g: np.ndarray, wt: np.ndarray, kinv: np.ndarray) -> float:
-    w = float(g @ wt @ g)
-    return w * w - 4.0 * float(g @ kinv @ g)
+def _component_form(x: np.ndarray, index: np.ndarray, mat: np.ndarray):
+    # x^T M x on one coupling component, for a vector x or a block of
+    # columns; a 1-D mat is the diagonal of the scalar modes.  A whole-model
+    # block keeps the order (x^T M) x.
+    xc = x if index.shape[0] == x.shape[0] else x[index]
+    return (xc.T * mat if mat.ndim == 1 else xc.T @ mat) @ xc
 
 
-def _definiteness_search(
-    wt: np.ndarray,
-    kinv: np.ndarray,
-    wt_norm: float,
-    kinv_norm: float,
-    modes: np.ndarray,
-    blocks: tuple[np.ndarray, ...],
-) -> tuple[float, float, np.ndarray]:
+def _margin_functional(g: np.ndarray, parts) -> float:
+    w = float(sum(_component_form(g, index, wt) for index, wt, _ in parts))
+    return w * w - 4.0 * float(sum(_component_form(g, index, kinv) for index, _, kinv in parts))
+
+
+def _definiteness_search(parts, wt_norm: float, kinv_norm: float) -> tuple[float, float, np.ndarray]:
     # phi(s) = lam_max(s^2 I + s Wt + K^{-1}) is a maximum of upward
     # parabolas, so it is convex; with top eigenvector v its slope (a
     # subgradient at a kink) is 2 s + v^T Wt v.  The bracket [a, b] keeps
@@ -146,32 +149,29 @@ def _definiteness_search(
     # min phi from below.  Every point with negative slope lies at or left
     # of a and every other one at or right of b, so the best point is an end.
     #
-    # L(s) is a direct sum over the coupling components (``modes``, the
-    # scalar modes' coordinates, and the index arrays ``blocks``), so phi is
-    # the largest of the components' top eigenvalues: for the scalar modes
-    # the top of the parabolas s^2 + s Wt_ii + (K^{-1})_ii, for a block the
-    # top eigenpair of its own L_b(s), embedded in R^n.
-    n = wt.shape[0]
-    eye = np.eye(n)
-    w, u = np.diag(wt)[modes], np.diag(kinv)[modes]
-    parts = []
-    for index in blocks:
-        cut = np.ix_(index, index)
-        parts.append((index, np.eye(index.shape[0]), wt[cut], kinv[cut]))
+    # L(s) is a direct sum over the coupling components, the (index, Wt,
+    # K^{-1}) triples of ``parts``, so phi is the largest of their top
+    # eigenvalues: for the scalar modes the top of the parabolas
+    # s^2 + s Wt_ii + (K^{-1})_ii, for a block the top eigenpair of its own
+    # L_b(s), embedded in R^n.
+    n = sum(index.shape[0] for index, _, _ in parts)
 
     def phi(s: float) -> tuple[float, float, np.ndarray]:
         top = (-np.inf, 0.0, None)
-        if modes.size:
-            values = s * s + s * w + u
-            i = int(np.argmax(values))
-            top = (float(values[i]), 2.0 * s + float(w[i]), eye[modes[i]].copy())
-        for index, eye_b, wt_b, kinv_b in parts:
+        for index, wt, kinv in parts:
             m = index.shape[0]
-            value, v = scipy.linalg.eigh(s * s * eye_b + s * wt_b + kinv_b, subset_by_index=[m - 1, m - 1])
-            if value[0] > top[0]:
+            if wt.ndim == 1:
+                values = s * s + s * wt + kinv
+                i = int(np.argmax(values))
+                value, v = values[i], np.zeros(m)
+                v[i] = 1.0
+            else:
+                value, v = scipy.linalg.eigh(s * s * np.eye(m) + s * wt + kinv, subset_by_index=[m - 1, m - 1])
+                value, v = value[0], v[:, 0]
+            if value > top[0]:
                 g = np.zeros(n)
-                g[index] = v[:, 0]
-                top = (float(value[0]), 2.0 * s + float(v[:, 0] @ wt_b @ v[:, 0]), g)
+                g[index] = v
+                top = (float(value), 2.0 * s + float(_component_form(v, index, wt)), g)
         return top
 
     a, b = -(wt_norm + np.sqrt(kinv_norm) + 1.0), 0.0
@@ -204,11 +204,12 @@ def _definiteness_search(
     candidates = [va, vb]
     if gb > 0.0 and n > 1:
         q = np.linalg.qr(np.column_stack([va, vb]))[0]
-        mu, u = np.linalg.eigh(q.T @ (wt + 2.0 * s_best * eye) @ q)
+        form = sum(_component_form(q, index, wt) for index, wt, _ in parts)
+        mu, u = np.linalg.eigh(form + 2.0 * s_best * (q.T @ q))
         if mu[0] < 0.0 < mu[1]:
             x, y = np.sqrt(mu[1] / (mu[1] - mu[0])), np.sqrt(-mu[0] / (mu[1] - mu[0]))
             candidates += [q @ (x * u[:, 0] + y * u[:, 1]), q @ (x * u[:, 0] - y * u[:, 1])]
-    g = min(candidates, key=lambda c: _margin_functional(c, wt, kinv))
+    g = min(candidates, key=lambda c: _margin_functional(c, parts))
     return float(s_best), float(f_best), g
 
 
@@ -220,15 +221,18 @@ def check_overdamping(model: SystemModel) -> OverdampingReport:
     4 ||K^{-1}||)``; agreement is never assumed silently.
     """
     report = validate(model)
-    wt = report.weighted_damping
-    kinv = report.k_inv_sqrt @ report.k_inv_sqrt
-    kinv = 0.5 * (kinv + kinv.T)
+    # Wt and K^{-1} per coupling component: the diagonals c / k and 1 / k on
+    # the scalar modes, then each coupled block's matrices.
+    modes = report.scalar_modes
+    parts = [(modes.index, modes.c / modes.k, 1.0 / modes.k)] if modes.size else []
+    for block in report.coupled_blocks:
+        kinv = block.k_inv_sqrt @ block.k_inv_sqrt
+        parts.append((block.index, block.weighted_damping, 0.5 * (kinv + kinv.T)))
     wt_norm = max(abs(report.gamma), abs(report.alpha))
     kinv_norm = 1.0 / report.k_min_eigenvalue
 
-    components = report.scalar_modes.index, tuple(b.index for b in report.coupled_blocks)
-    s_star, value, g = _definiteness_search(wt, kinv, wt_norm, kinv_norm, *components)
-    margin = _margin_functional(g, wt, kinv)
+    s_star, value, g = _definiteness_search(parts, wt_norm, kinv_norm)
+    margin = _margin_functional(g, parts)
     if abs(margin + 4.0 * value) > CERTIFY_RTOL * (wt_norm**2 + 4.0 * kinv_norm):
         raise OptimizerDisagreement(margin, value)
     return OverdampingReport(

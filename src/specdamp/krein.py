@@ -383,9 +383,13 @@ def phase_symmetry_defect(model: SystemModel) -> float:
     when the phase operator is self-adjoint in the Krein product.  Returns
     ``||J S - (J S)^T||_F / ||J S||_F``.
     """
-    root = validate(model).k_sqrt
+    report = validate(model)
+    roots = [block.k_sqrt for block in report.coupled_blocks]
     # J S - (J S)^T holds root - root^T twice and C - C^T, J S holds root
-    # twice and C, so neither 2n x 2n matrix is formed.
-    defect = np.sqrt(2.0 * np.linalg.norm(root - root.T) ** 2 + np.linalg.norm(model.C - model.C.T) ** 2)
-    scale = np.sqrt(2.0 * np.linalg.norm(root) ** 2 + np.linalg.norm(model.C) ** 2)
+    # twice and C, so neither 2n x 2n matrix is formed.  Per component, a
+    # scalar mode's root sqrt(k) is symmetric and adds k to ||root||^2.
+    asymmetry = sum(np.linalg.norm(root - root.T) ** 2 for root in roots)
+    root_sq = np.sum(report.scalar_modes.k) + sum(np.linalg.norm(root) ** 2 for root in roots)
+    defect = np.sqrt(2.0 * asymmetry + np.linalg.norm(model.C - model.C.T) ** 2)
+    scale = np.sqrt(2.0 * root_sq + np.linalg.norm(model.C) ** 2)
     return float(defect / max(scale, 1e-300))

@@ -1,21 +1,17 @@
 """Dense linear-algebra kernels used by every other module.
 
-The package standardizes on a handful of primitives with fixed conventions:
-
-* matrices are 2-D ``numpy.ndarray`` objects (real or complex),
-* eigenvector columns have unit Euclidean norm and are rotated so their
-  largest-magnitude entry is real and positive,
-* eigenpair residuals are ``||M v - lam v||_2`` measured relative to the
-  Frobenius norm of ``M``.
-
+Matrices are 2-D ``numpy.ndarray`` objects (real or complex).
 Eigenvalue, LU and Cholesky factorizations are delegated to LAPACK (via
-numpy and scipy); the Cholesky probe reports the failing pivot index from
-``potrf``'s ``info`` so that it is available to callers.
+numpy and scipy), and the eigensolvers return LAPACK's ``(w, v)`` as they
+come: unit eigenvector columns whose phase is LAPACK's own.  The package's
+phase convention, unit columns with the largest-magnitude entry real and
+positive (:func:`normalize_columns`), is applied once, to the phase
+eigenvectors that :func:`~specdamp.spectrum.solve_qep` reports.  The
+Cholesky probe reports the failing pivot index from ``potrf``'s ``info``
+so that it is available to callers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -26,7 +22,6 @@ __all__ = [
     "NotPositiveDefinite",
     "NoConvergence",
     "Singular",
-    "EigenDecomposition",
     "LUFactors",
     "cholesky",
     "sym_eig",
@@ -70,23 +65,6 @@ class Singular(LinalgError):
         super().__init__(message or f"matrix is numerically singular (rank estimate {rank_estimate})")
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues, matching eigenvector columns, and per-pair residuals.
-
-    ``eigenvalues[i]`` pairs with column ``eigenvectors[:, i]``;
-    ``residual_norms[i]`` is ``||M v_i - lam_i v_i||_2 / ||M||_F``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    residual_norms: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
 def _as_square(m) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -112,30 +90,18 @@ def normalize_columns(v: np.ndarray) -> np.ndarray:
 
     The rotation fixes the arbitrary per-column phase (sign, in the real
     case) so that repeated runs and different code paths produce identical
-    eigenvector matrices.
+    eigenvector matrices.  Zero columns pass through.
     """
-    v = np.array(v, copy=True)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nrm = np.linalg.norm(col)
-        if nrm == 0.0:
-            continue
-        col = col / nrm
-        k = int(np.argmax(np.abs(col)))
-        piv = col[k]
-        if piv != 0.0:
-            col = col * (np.conj(piv) / abs(piv))
-        if np.iscomplexobj(col):
-            col.real[k] = abs(col[k])  # kill rounding in the pivot's phase
-            col.imag[k] = 0.0
-        v[:, j] = col
+    norms = np.linalg.norm(v, axis=0)
+    v = v / np.where(norms == 0.0, 1.0, norms)
+    cols = np.arange(v.shape[1])
+    rows = np.argmax(np.abs(v), axis=0)
+    piv = v[rows, cols]
+    mag = np.abs(piv)
+    v *= np.conj(piv) / np.where(mag == 0.0, 1.0, mag)  # a zero column stays zero
+    if np.iscomplexobj(v):
+        v[rows, cols] = mag  # kill rounding in the pivot's phase
     return v
-
-
-def _residuals(m: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    scale = _frobenius_scale(m)
-    r = m @ vectors - vectors * values[np.newaxis, :]
-    return np.linalg.norm(r, axis=0) / scale
 
 
 def cholesky(m) -> np.ndarray:
@@ -169,27 +135,27 @@ def cholesky(m) -> np.ndarray:
     return low
 
 
-def sym_eig(m) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric real matrix.
+def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition ``(w, v)`` of a symmetric real matrix.
 
     Returns real eigenvalues in ascending order with orthonormal
-    eigenvector columns (phase-normalized as in :func:`normalize_columns`).
+    eigenvector columns, as LAPACK computes them.
     """
     a = _require_symmetric(_as_square(m).astype(float), "sym_eig input")
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NoConvergence(str(exc)) from exc
-    v = normalize_columns(v)
-    return EigenDecomposition(w, v, _residuals(a, w, v))
+    return w, v
 
 
-def nonsym_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a general real or complex square matrix.
+def nonsym_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, v)`` of a general real or complex square matrix.
 
     Eigenvalues are sorted by ``(Re, Im)``.  For real input the eigenvalue
     multiset is closed under conjugation (LAPACK returns exact conjugate
-    pairs).  Eigenvectors follow the package normalization convention.
+    pairs).  Eigenvector columns are LAPACK's: unit norm, largest component
+    real (LAPACK Users' Guide, 3rd ed., section 2.4.8).
     """
     a = _as_square(m)
     a = a.astype(complex) if np.iscomplexobj(a) else a.astype(float)
@@ -198,9 +164,7 @@ def nonsym_eig(m) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    v = normalize_columns(v[:, order])
-    return EigenDecomposition(w, v, _residuals(a, w, v))
+    return w[order], v[:, order]
 
 
 class LUFactors:
@@ -261,18 +225,17 @@ def solve(m, b):
     return LUFactors(m).solve(b)
 
 
-def sqrt_pair_from_eig(dec: EigenDecomposition) -> tuple[np.ndarray, np.ndarray]:
+def sqrt_pair_from_eig(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric square root and inverse square root of an SPD matrix.
 
     Both factors are built from the matrix's :func:`sym_eig` decomposition
-    ``dec``; the smallest eigenvalue must be strictly positive.
+    ``(w, v)``; a column's sign changes neither.  The smallest eigenvalue
+    must be strictly positive.
     """
-    w = dec.eigenvalues
     if w[0] <= 0.0:
         raise NotPositiveDefinite(
             pivot_index=0, message="sqrt_pair_from_eig requires a positive definite matrix"
         )
-    v = dec.eigenvectors
     root = (v * np.sqrt(w)) @ v.T
     inv_root = (v / np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)

@@ -233,10 +233,10 @@ class CoupledBlock:
 
     ``index`` lists its coordinates ascending; ``K`` and ``C`` are the
     model's matrices on them, ``k_sqrt``, ``k_inv_sqrt`` and
-    ``weighted_damping`` those of the block itself.  For a model that is
-    one component they are the model's and its validation report's very
-    arrays.  A block has ``n``, ``K`` and ``C`` like a model, so
-    :func:`phase_operator` takes it.
+    ``weighted_damping`` (``K^{-1/2} C K^{-1/2}``) those of the block
+    itself.  For a model that is one component ``K`` and ``C`` are the
+    model's very arrays.  A block has ``n``, ``K`` and ``C`` like a model,
+    so :func:`phase_operator` takes it.
     """
 
     index: np.ndarray
@@ -257,24 +257,23 @@ class ValidationReport:
 
     ``gamma`` and ``alpha`` are the extreme eigenvalues of
     ``K^{-1/2} C K^{-1/2}``: the tightest constants with
-    ``gamma * x^T K x <= x^T C x <= alpha * x^T K x``.  ``k_min_eigenvalue``,
-    ``k_sqrt`` and ``k_inv_sqrt`` come from one eigendecomposition of ``K``
-    per coupled block and closed forms on the scalar modes; the matrices
-    are their direct sums.  ``scalar_modes`` and ``coupled_blocks`` split
-    the coordinates into the connected components of the coupling graph of
-    ``|K| + |C|``: the phase operator is, up to a permutation, the direct
-    sum of one ``2 x 2`` block per scalar mode and one block per coupled
-    component, and every layer works component by component.
+    ``gamma * x^T K x <= x^T C x <= alpha * x^T K x``.  ``scalar_modes``
+    and ``coupled_blocks`` split the coordinates into the connected
+    components of the coupling graph of ``|K| + |C|``: the phase operator
+    is, up to a permutation, the direct sum of one ``2 x 2`` block per
+    scalar mode and one block per coupled component, and every layer works
+    component by component.  Each coupled block carries its own ``K^{1/2}``,
+    ``K^{-1/2}`` and weighted damping, from one eigendecomposition of its
+    ``K``; a scalar mode has the closed forms ``sqrt(k)`` and ``c / k``.
+    No direct sum over the components is formed: the extreme eigenvalues
+    above are taken over the components' spectra.
     """
 
     n: int
     c_min_eigenvalue: float
     gamma: float
     alpha: float
-    weighted_damping: np.ndarray = field(repr=False)
     k_min_eigenvalue: float
-    k_sqrt: np.ndarray = field(repr=False)
-    k_inv_sqrt: np.ndarray = field(repr=False)
     scalar_modes: ScalarModes = field(repr=False)
     coupled_blocks: tuple[CoupledBlock, ...] = field(repr=False)
 
@@ -288,31 +287,22 @@ def _coupling_components(k: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
 
 def _block_validation(model: SystemModel, index: np.ndarray):
     # One coupled component: its matrices, the K^{1/2} pair and the weighted
-    # damping from its own eigendecompositions, plus the extreme eigenvalues
-    # of C, K and K^{-1/2} C K^{-1/2} on it.
+    # damping from the eigendecomposition of its K, plus the extreme
+    # eigenvalues of C, K and K^{-1/2} C K^{-1/2} on it.
     if index.shape[0] == model.n:
-        k, c = model.K, model.C  # shared, not copied: see validate
+        k, c = model.K, model.C  # a whole-model block shares them, uncopied
     else:
         cut = np.ix_(index, index)
         k, c = model.K[cut], model.C[cut]
-    c_eigs = linalg.sym_eig(c).eigenvalues
-    k_dec = linalg.sym_eig(k)
-    k_half, k_inv_half = linalg.sqrt_pair_from_eig(k_dec)
+    k_eigs, k_vecs = linalg.sym_eig(k)
+    k_half, k_inv_half = linalg.sqrt_pair_from_eig(k_eigs, k_vecs)
     weighted = k_inv_half @ c @ k_inv_half
     weighted = 0.5 * (weighted + weighted.T)
-    w_eigs = linalg.sym_eig(weighted).eigenvalues
+    for shared in (k_half, k_inv_half, weighted):
+        shared.setflags(write=False)  # every later validate() returns these
+    c_eigs, w_eigs = np.linalg.eigvalsh(c), np.linalg.eigvalsh(weighted)
     block = CoupledBlock(index, k, c, k_half, k_inv_half, weighted)
-    return block, c_eigs[0], k_dec.eigenvalues[0], w_eigs[0], w_eigs[-1]
-
-
-def _direct_sum(n: int, modes: np.ndarray, mode_values: np.ndarray, blocks, pick) -> np.ndarray:
-    # The n x n matrix with mode_values on the scalar modes' diagonal and
-    # pick(block) on each coupled block.
-    out = np.zeros((n, n))
-    out[modes, modes] = mode_values
-    for block in blocks:
-        out[np.ix_(block.index, block.index)] = pick(block)
-    return out
+    return block, c_eigs[0], k_eigs[0], w_eigs[0], w_eigs[-1]
 
 
 def validate(model: SystemModel) -> ValidationReport:
@@ -321,9 +311,9 @@ def validate(model: SystemModel) -> ValidationReport:
     The checks run once per model instance, whose ``K`` and ``C`` are
     read-only; later calls return the stored report.  Past the Cholesky
     probe of the whole ``K``, the work runs per coupling component: each
-    coupled block takes its own eigendecompositions of ``C``, ``K`` and the
-    weighted damping, each scalar mode its closed forms ``c``, ``k``,
-    ``sqrt(k)`` and ``c / k``.
+    coupled block takes the eigendecomposition of its ``K`` and the
+    eigenvalues of its ``C`` and weighted damping, each scalar mode its
+    closed forms ``c``, ``k`` and ``c / k``.
 
     Raises
     ------
@@ -358,26 +348,12 @@ def validate(model: SystemModel) -> ValidationReport:
             f"damping matrix has negative eigenvalue {c_min:.6e}",
             assumption="A2",
         )
-    if len(components) == 1:
-        # The one block's matrices are the model's.  Copies of K, C and the
-        # three block matrices would raise beam-analyze's peak RSS by about
-        # 0.4 MB, past the unsplit solver's.
-        k_half, k_inv_half, weighted = blocks[0].k_sqrt, blocks[0].k_inv_sqrt, blocks[0].weighted_damping
-    else:
-        k_half = _direct_sum(model.n, single, np.sqrt(modes.k), blocks, lambda b: b.k_sqrt)
-        k_inv_half = _direct_sum(model.n, single, 1.0 / np.sqrt(modes.k), blocks, lambda b: b.k_inv_sqrt)
-        weighted = _direct_sum(model.n, single, ratio, blocks, lambda b: b.weighted_damping)
-    for shared in (weighted, k_half, k_inv_half):
-        shared.setflags(write=False)  # every later validate() returns these
     report = ValidationReport(
         n=model.n,
         c_min_eigenvalue=c_min,
         gamma=float(np.min(np.concatenate([ratio, ends[:, 2]]))),
         alpha=float(np.max(np.concatenate([ratio, ends[:, 3]]))),
-        weighted_damping=weighted,
         k_min_eigenvalue=float(np.min(np.concatenate([modes.k, ends[:, 1]]))),
-        k_sqrt=k_half,
-        k_inv_sqrt=k_inv_half,
         scalar_modes=modes,
         coupled_blocks=blocks,
     )
@@ -465,7 +441,10 @@ def perturbed_kelvin_voigt(stiffness, alpha: float, perturbation) -> tuple[Syste
 
     Returns the validated model and ``||K^{-1/2} B K^{-1/2}||_2``, the
     finite-dimensional stand-in for relative compactness of the
-    perturbation against the stiffness.
+    perturbation against the stiffness.  ``B = C - alpha K`` lives on the
+    coupling components of ``|K| + |C|``, so the norm is the largest of the
+    blocks' ``||K_b^{-1/2} B_b K_b^{-1/2}||_2`` and the scalar modes'
+    ``|b_ii| / k_i``.
     """
     k = np.asarray(stiffness, dtype=float)
     b = np.asarray(perturbation, dtype=float)
@@ -474,6 +453,10 @@ def perturbed_kelvin_voigt(stiffness, alpha: float, perturbation) -> tuple[Syste
     if b.shape != k.shape:
         raise InvalidModel(f"perturbation shape {b.shape} does not match stiffness shape {k.shape}")
     model = SystemModel(K=k, C=alpha * k + b, source="perturbed", perturbation_alpha=float(alpha))
-    k_inv_half = validate(model).k_inv_sqrt
-    proxy = np.linalg.norm(k_inv_half @ b @ k_inv_half, 2)
-    return model, float(proxy)
+    report = validate(model)
+    modes = report.scalar_modes
+    proxy = float(np.max(np.abs(b[modes.index, modes.index]) / modes.k, initial=0.0))
+    for block in report.coupled_blocks:
+        root = block.k_inv_sqrt
+        proxy = max(proxy, float(np.linalg.norm(root @ b[np.ix_(block.index, block.index)] @ root, 2)))
+    return model, proxy

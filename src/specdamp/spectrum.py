@@ -26,8 +26,9 @@ kernel of ``Q(lam)``.  The solver leans on that structure:
    basis of ``Q`` at the cluster mean is extracted by SVD; when it has
    fewer directions than the cluster has members, the cluster is a Jordan
    block and the members are polished with the basis directions instead,
-4. eigenvectors are rebuilt as ``(x, lam x)``, so the structural identity
-   between position and velocity blocks holds exactly.
+4. eigenvectors are rebuilt as ``(x, lam x)`` and given the phase
+   convention of :class:`Eigenpair` by one
+   :func:`~specdamp.linalg.normalize_columns` pass per coupled block.
 
 Step 3 matters: for stiff models the raw eigenvalues of the block matrix
 carry absolute errors on the scale of ``eps * ||A||``, which drowns the
@@ -80,8 +81,11 @@ class Eigenpair:
     """One eigenvalue with its phase-space eigenvector and residual.
 
     ``residual`` is measured against the Frobenius norm of the phase
-    operator; the eigenvector has unit Euclidean norm and satisfies
-    ``velocity == value * position`` exactly by construction.
+    operator.  The eigenvector has unit Euclidean norm, its
+    largest-magnitude entry is real and positive, and ``velocity`` equals
+    ``value * position`` to rounding, not bit for bit, since the normalizing
+    factor scales ``x`` and ``value * x`` separately:
+    ``|velocity_i - value position_i| <= 4 eps |value| |position_i|``.
     """
 
     value: complex
@@ -300,8 +304,8 @@ def _mode_roots(k: np.ndarray, c: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _mode_vectors(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Entries of (1, lam) / |(1, lam)|, the phase eigenvector of a scalar
-    # mode, with its larger entry rotated real positive as
-    # linalg.normalize_columns does.
+    # mode, with its larger entry rotated real positive: the phase convention
+    # that linalg.normalize_columns gives the coupled blocks' eigenvectors.
     mag = np.abs(lams)
     norm = np.sqrt(1.0 + mag * mag)
     big = mag > 1.0
@@ -328,12 +332,11 @@ def _linearized_eigenpairs(block: CoupledBlock) -> tuple[np.ndarray, list[np.nda
     ``eps`` times coefficients of order one rather than ``eps * ||A||``.
     """
     n = block.n
-    dec = linalg.nonsym_eig(phase_operator(block))
-    values = dec.eigenvalues
+    values, vecs = linalg.nonsym_eig(phase_operator(block))
     if n == 1:
         # Q(lam) is 1x1, so its kernel is spanned by 1 for every root.
         return values, [np.ones(1), np.ones(1)]
-    xs = _block_vectors(values, dec.eigenvectors, n)
+    xs = _block_vectors(values, vecs, n)
     mods = np.abs(values)
     order = np.argsort(mods, kind="stable")
     if not mods[order[n - 1]] < 0.5 * mods[order[n]]:
@@ -347,17 +350,17 @@ def _linearized_eigenpairs(block: CoupledBlock) -> tuple[np.ndarray, list[np.nda
             [-0.5 * (k_inv + k_inv.T), -block.weighted_damping],
         ]
     )
-    rdec = linalg.nonsym_eig(rev)
-    rorder = np.argsort(-np.abs(rdec.eigenvalues), kind="stable")
-    mu = rdec.eigenvalues[rorder[:n]]
+    rvalues, rvecs = linalg.nonsym_eig(rev)
+    rorder = np.argsort(-np.abs(rvalues), kind="stable")
+    mu = rvalues[rorder[:n]]
     small = 1.0 / mu
     # Both linearizations must agree on where the gap is, or a conjugate
     # pair of equal modulus could be cut in two.
-    cut = 0.5 * min(mods[order[n]], 1.0 / abs(rdec.eigenvalues[rorder[n]]))
+    cut = 0.5 * min(mods[order[n]], 1.0 / abs(rvalues[rorder[n]]))
     if not np.max(np.abs(small)) < cut:
         return values, xs
     # Eigenvectors (g, mu g) of the reversed companion map to (x, mu x).
-    rvecs = rdec.eigenvectors[:, rorder[:n]]
+    rvecs = rvecs[:, rorder[:n]]
     lifted = np.vstack([root_inv @ rvecs[:n], root_inv @ rvecs[n:]])
     return (
         np.concatenate([small, values[order[n:]]]),
@@ -464,15 +467,17 @@ def solve_qep(model: SystemModel) -> SpectrumReport:
     for b, block in enumerate(validation.coupled_blocks):
         found = _dense_eigensolve(block)
         lams = np.array([lam for lam, _ in found])
-        resid = _pencil_residuals(block, lams, np.column_stack([x for _, x in found])) / scale
-        for (lam, x_sub), r in zip(found, resid):
-            x = np.zeros(n, dtype=x_sub.dtype)
-            x[block.index] = x_sub
-            stacked = np.concatenate([x, lam * x]).astype(complex)
-            stacked = linalg.normalize_columns(stacked[:, None])[:, 0]
-            if lam.imag == 0.0 and np.max(np.abs(stacked.imag)) <= 1e-14:
-                stacked = stacked.real.astype(float)
-            pairs.append(Eigenpair(value=lam, vector=PhaseVector.from_stacked(stacked), residual=float(r)))
+        xs = np.column_stack([x for _, x in found])
+        resid = _pencil_residuals(block, lams, xs) / scale
+        # The block's phase eigenvectors (x, lam x), all brought to the phase
+        # convention at once, then embedded in R^2n.
+        stacked = linalg.normalize_columns(np.vstack([xs, xs * lams]))
+        for (lam, _), r, col in zip(found, resid, stacked.T):
+            if lam.imag == 0.0 and np.max(np.abs(col.imag)) <= 1e-14:
+                col = col.real
+            vec = np.zeros(2 * n, dtype=col.dtype)
+            vec[block.index], vec[n + block.index] = col[: block.n], col[block.n :]
+            pairs.append(Eigenpair(value=lam, vector=PhaseVector.from_stacked(vec), residual=float(r)))
             groups.append(modes.size + b)
 
     order = sorted(range(len(pairs)), key=lambda i: (pairs[i].value.real, pairs[i].value.imag))

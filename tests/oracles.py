@@ -61,6 +61,20 @@ def wide_k_model(seed: int = 0, n: int = 12) -> sd.SystemModel:
     return sd.SystemModel(K=0.5 * (stiff + stiff.T), C=0.5 * (damp + damp.T))
 
 
+def critical_blocks(rotated: bool) -> sd.SystemModel:
+    """Exactly critical repeated blocks: eigenvalues -1 and -2, each in two 2 x 2 Jordan blocks.
+
+    Unrotated the model is diagonal, four scalar modes; ``rotated`` turns it
+    into one coupled 4 x 4 component by a seeded orthogonal similarity.
+    """
+    roots = np.repeat([1.0, 2.0], 2)
+    k, c = np.diag(roots**2), np.diag(2.0 * roots)
+    if rotated:
+        q = np.linalg.qr(np.random.default_rng(68).standard_normal((4, 4)))[0]
+        k, c = q @ k @ q.T, q @ c @ q.T
+    return sd.SystemModel(K=0.5 * (k + k.T), C=0.5 * (c + c.T))
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial route (independent of any eigensolver)
 

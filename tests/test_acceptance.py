@@ -365,7 +365,7 @@ def test_10_general_eigensolver_against_charpoly():
     for _ in range(1000):
         n = int(rng.integers(1, 5))
         m = rng.standard_normal((n, n))
-        got = linalg.nonsym_eig(m).eigenvalues
+        got = linalg.nonsym_eig(m)[0]
         want = oracles.polynomial_spectrum(m)
         dist = oracles.multiset_distance(got, want)
         worst = max(worst, dist)

@@ -6,13 +6,15 @@ permuted.  Every layer works component by component; each check here forms
 the whole 2n x 2n object instead.
 """
 
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
 
 import specdamp as sd
-from specdamp import conditions, semigroup, spectrum
+from specdamp import conditions, krein, semigroup, spectrum
 from specdamp.model import phase_operator, validate
 
 import oracles
@@ -125,6 +127,52 @@ def test_evolve_and_propagator_match_expm(case):
         assert np.linalg.norm(prop - scipy.linalg.expm(t * a_op)) <= 1e-12 * np.linalg.norm(prop)
 
 
+def test_phase_symmetry_defect_matches_dense(case):
+    # J S = [[0, K^{1/2}], [K^{1/2}, C]] formed whole.  The report's roots are
+    # exactly symmetric, so the defect is zero; a copy of the model whose
+    # block roots carry a deliberate asymmetry makes it nonzero.
+    m = case[0]
+    assert krein.phase_symmetry_defect(m) == 0.0
+    rep = validate(m)
+    rng = np.random.default_rng(5)
+    blocks = tuple(
+        dataclasses.replace(b, k_sqrt=b.k_sqrt + 1e-3 * rng.standard_normal((b.n, b.n)))
+        for b in rep.coupled_blocks
+    )
+    skewed = sd.SystemModel(K=m.K, C=m.C)
+    object.__setattr__(skewed, "_validation", dataclasses.replace(rep, coupled_blocks=blocks))
+    root = np.zeros((m.n, m.n))
+    modes = rep.scalar_modes
+    root[modes.index, modes.index] = np.sqrt(modes.k)
+    for b in blocks:
+        root[np.ix_(b.index, b.index)] = b.k_sqrt
+    js = np.block([[np.zeros((m.n, m.n)), root], [root, m.C]])
+    want = np.linalg.norm(js - js.T) / np.linalg.norm(js)
+    assert krein.phase_symmetry_defect(skewed) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_kelvin_voigt_proxy_matches_dense(case):
+    # B on the model's coupling components, so C = K + B keeps them.  The
+    # dense K^{-1/2} is the direct sum of the validation report's roots, so
+    # this checks the split of the norm, not the roots themselves.
+    m = case[0]
+    rep = validate(m)
+    on_components = np.zeros((m.n, m.n), dtype=bool)
+    on_components[rep.scalar_modes.index, rep.scalar_modes.index] = True
+    for b in rep.coupled_blocks:
+        on_components[np.ix_(b.index, b.index)] = True
+    r = np.random.default_rng(6).standard_normal((m.n, m.n))
+    pert = 0.05 * np.where(on_components, r + r.T, 0.0)
+    model, proxy = sd.perturbed_kelvin_voigt(m.K, 1.0, pert)
+    split = validate(model)
+    assert [b.n for b in split.coupled_blocks] == [b.n for b in rep.coupled_blocks]
+    inv_root = np.zeros((m.n, m.n))
+    inv_root[split.scalar_modes.index, split.scalar_modes.index] = 1.0 / np.sqrt(split.scalar_modes.k)
+    for b in split.coupled_blocks:
+        inv_root[np.ix_(b.index, b.index)] = b.k_inv_sqrt
+    assert proxy == pytest.approx(np.linalg.norm(inv_root @ pert @ inv_root, 2), rel=1e-14, abs=0.0)
+
+
 def test_defective_mode_takes_expm_per_component():
     # One exactly critical scalar mode (k = 4, c = 4) makes the basis
     # singular: evolve and propagator fall back to expm on every component.
@@ -174,5 +222,5 @@ def test_one_component_model_is_one_block(n):
     rep = validate(m)
     assert rep.scalar_modes.size == 0 and len(rep.coupled_blocks) == 1
     block = rep.coupled_blocks[0]
-    assert block.K is m.K and block.k_sqrt is rep.k_sqrt
+    assert block.K is m.K
     assert len(sd.solve_qep(m).eigenpairs) == 2 * n

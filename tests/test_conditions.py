@@ -118,11 +118,12 @@ class TestCertifiedInterval:
     def test_displaced_certificate_is_refused(self, monkeypatch, tmp_path):
         search = conditions._definiteness_search
 
-        def displaced(wt, kinv, *args):
-            s, _, g = search(wt, kinv, *args)
+        def displaced(parts, *args):
+            s, _, g = search(parts, *args)
             s -= 0.5
-            n = wt.shape[0]
-            return s, float(np.linalg.eigvalsh(s * s * np.eye(n) + s * wt + kinv)[-1]), g
+            # The scalar model is one component: one 1 x 1 block.
+            ((_, wt, kinv),) = parts
+            return s, float(np.linalg.eigvalsh(s * s * np.eye(1) + s * wt + kinv)[-1]), g
 
         monkeypatch.setattr(conditions, "_definiteness_search", displaced)
         m = scalar_model(1.0, 3.0)

@@ -111,7 +111,7 @@ class TestEvolve:
     def test_critical_blocks_energies_match_40_digit_expm(self, rotated):
         # Exactly critical repeated blocks (roots 1 and 2, each twice): two
         # Jordan blocks, a singular modal basis, so expm(tA) per sample.
-        m = critical_blocks(rotated)
+        m = oracles.critical_blocks(rotated)
         rep = sd.solve_qep(m)
         assert conditions.riesz_basis_condition_number(m, rep) > semigroup.MODAL_CONDITION_LIMIT
         for x0 in (rep.eigenpairs[0].vector, sd.PhaseVector(np.ones(4), np.zeros(4))):
@@ -144,15 +144,6 @@ class TestEvolve:
         assert np.all(np.diff(traj.energies) <= 1e-10 * traj.energies[0])
         want = oracles.flow_energies_mp(m, x0, times[::40])
         assert np.max(np.abs(traj.energies[::40] - want)) <= 1e-12 * want[0]
-
-
-def critical_blocks(rotated):
-    roots = np.repeat([1.0, 2.0], 2)
-    k, c = np.diag(roots**2), np.diag(2.0 * roots)
-    if rotated:
-        q = np.linalg.qr(np.random.default_rng(68).standard_normal((4, 4)))[0]
-        k, c = q @ k @ q.T, q @ c @ q.T
-    return sd.SystemModel(K=0.5 * (k + k.T), C=0.5 * (c + c.T))
 
 
 def stiff_critical_model():

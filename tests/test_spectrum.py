@@ -8,7 +8,7 @@ import pytest
 
 import specdamp as sd
 from specdamp import spectrum
-from specdamp.model import phase_operator
+from specdamp.model import phase_operator, validate
 from specdamp.tolerances import RESIDUAL_TOL
 
 import oracles
@@ -175,6 +175,48 @@ class TestCoupledSolver:
         want = oracles.polynomial_spectrum(phase_operator(m))
         assert oracles.multiset_distance(got, want) <= 1e-9
         assert np.array_equal(np.sort_complex(got), np.sort_complex(got.conj()))
+
+
+def two_patch_rod(N):
+    return sd.beam_assemble(
+        sd.BeamSpec(E=1.0, patches=(sd.Patch(1.2, 0.0, 0.5), sd.Patch(2.5, 0.5, 1.0)), N=N)
+    )
+
+
+def diagonal_model():
+    return sd.SystemModel(K=np.diag([1.0, 4.0, 9.0]), C=np.diag([0.5, 5.0, 1.0]))
+
+
+class TestEigenvectorConventions:
+    # The phase convention is applied once, in solve_qep: by one
+    # normalize_columns pass per coupled block, in closed form on the scalar
+    # modes.  The rotated critical blocks are one coupled Jordan component.
+    @pytest.mark.parametrize(
+        "make, coupled",
+        [(lambda: two_patch_rod(16), True), (diagonal_model, False), (lambda: oracles.critical_blocks(True), True)],
+        ids=["two-patch-rod-N16", "diagonal-n3", "critical-blocks-rotated"],
+    )
+    def test_phase_convention(self, make, coupled):
+        m = make()
+        assert bool(validate(m).coupled_blocks) == coupled
+        for p in sd.solve_qep(m).eigenpairs:
+            v = p.vector.stacked()
+            assert abs(np.linalg.norm(v) - 1.0) <= 4.0 * np.finfo(float).eps
+            top = v[np.argmax(np.abs(v))]
+            assert np.imag(top) == 0.0 and np.real(top) > 0.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: two_patch_rod(16), lambda: two_patch_rod(32), lambda: two_patch_rod(64), diagonal_model],
+        ids=["two-patch-rod-N16", "two-patch-rod-N32", "two-patch-rod-N64", "diagonal-n3"],
+    )
+    def test_velocity_is_value_times_position_to_rounding(self, make):
+        # Not bit for bit: the normalizing factor multiplies x and lam x
+        # separately.  The worst entry on these models is 1.54 eps.
+        eps = np.finfo(float).eps
+        for p in sd.solve_qep(make()).eigenpairs:
+            x, y, lam = p.vector.position, p.vector.velocity, p.value
+            assert np.all(np.abs(y - lam * x) <= 4.0 * eps * abs(lam) * np.abs(x))
 
 
 class TestEigenvalueBound:

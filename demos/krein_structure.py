@@ -20,9 +20,8 @@ def classify_rod():
     spec = sd.BeamSpec(E=1.0, patches=(sd.Patch(2.0, 0.0, 1.0),), N=8)
     model = sd.beam_assemble(spec)
     rep = sd.solve_qep(model)
-    cls = sd.classify_eigenpairs(model, rep.eigenpairs)
-    print(f"damped rod, N=8: symmetry defect of the product matrix "
-          f"{sd.phase_symmetry_defect(model):.2e}")
+    cls = sd.classify_eigenpairs(model, rep)
+    print("damped rod, N=8:")
     print(f"{'eigenvalue':>14}  {'type':>8}  {'kernel':>6}  {'defect':>6}")
     for c in cls.clusters:
         print(f"{c.eigenvalue.real:14.6f}  {c.sign_type:>8}  "
@@ -40,7 +39,7 @@ def critical_damping():
     # neutral direction, Jordan block of size 2
     model = sd.SystemModel(K=np.array([[1.0]]), C=np.array([[2.0]]))
     rep = sd.solve_qep(model)
-    cls = sd.classify_eigenpairs(model, rep.eigenpairs)
+    cls = sd.classify_eigenpairs(model, rep)
     c = cls.clusters[0]
     print("critical damping x'' + 2x' + x = 0:")
     print(f"  eigenvalue {c.eigenvalue.real:g} with multiplicity "

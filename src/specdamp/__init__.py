@@ -36,7 +36,6 @@ from .krein import (
     decompose,
     indefinite_product,
     kernel_gram_nondegeneracy,
-    phase_symmetry_defect,
 )
 from .linalg import (
     LinalgError,
@@ -70,11 +69,11 @@ from .semigroup import (
 )
 from .spectrum import (
     AccumulationReport,
-    Eigenpair,
     EigenvalueBound,
     SpectrumReport,
     accumulation_experiment,
     eigenvalue_lower_bound,
+    eigenvectors,
     quadratic_pencil,
     solve_qep,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "ConditionIIVerdict",
     "ConditionReport",
     "Decomposition",
-    "Eigenpair",
     "EigenvalueBound",
     "IllConditionedCluster",
     "InvalidModel",
@@ -125,6 +123,7 @@ __all__ = [
     "decompose",
     "energy",
     "eigenvalue_lower_bound",
+    "eigenvectors",
     "evolve",
     "indefinite_product",
     "kernel_gram_nondegeneracy",
@@ -132,7 +131,6 @@ __all__ = [
     "perturbed_kelvin_voigt",
     "phase_operator",
     "phase_operator_inverse",
-    "phase_symmetry_defect",
     "propagator",
     "quadratic_pencil",
     "resolvent_norm_at",

@@ -272,8 +272,8 @@ def _complex_dict(z: complex) -> dict:
 def _spectrum_section(report: spectrum.SpectrumReport) -> dict:
     return {
         "eigenvalues": [
-            {"re": p.value.real, "im": p.value.imag, "residual": p.residual}
-            for p in report.eigenpairs
+            {"re": lam.real, "im": lam.imag, "residual": r}
+            for lam, r in zip(report.eigenvalues.tolist(), report.residuals.tolist())
         ],
         "bound": {
             "norm_ainv": report.bound.norm_ainv,
@@ -319,11 +319,7 @@ def _krein_section(
         }
     except krein.MixedClusterObstruction as exc:
         decomposition = {"obstruction": str(exc)}
-    return {
-        "clusters": clusters,
-        "decomposition": decomposition,
-        "symmetry_defect": krein.phase_symmetry_defect(model),
-    }
+    return {"clusters": clusters, "decomposition": decomposition}
 
 
 def _conditions_section(rep: conditions.ConditionReport) -> dict:
@@ -464,14 +460,14 @@ def _eigenvalue_csv(
             "gram_min_eig",
         ]
     )
-    for i, p in enumerate(report.eigenpairs):
+    for i, (lam, r) in enumerate(zip(report.eigenvalues.tolist(), report.residuals.tolist())):
         c = by_index[i]
         writer.writerow(
             [
                 i,
-                _fmt_float(p.value.real),
-                _fmt_float(p.value.imag),
-                _fmt_float(p.residual),
+                _fmt_float(lam.real),
+                _fmt_float(lam.imag),
+                _fmt_float(r),
                 c.sign_type,
                 c.jordan_defect,
                 _fmt_float(float(np.min(np.abs(c.gram_eigenvalues)))),
@@ -566,7 +562,7 @@ def _svg_spectrum(
     for c in clf.clusters:
         for i in c.member_indices:
             by_index[i] = c.sign_type
-    for i, p in enumerate(report.eigenpairs):
+    for i in range(values.size):
         color = _SIGN_COLORS[by_index[i]]
         out.append(
             f'<circle cx="{px(float(xs[i])):.2f}" cy="{py(float(ys[i])):.2f}" '
@@ -709,9 +705,10 @@ def _parse_x0(
             k = int(rest)
         except ValueError as exc:
             raise ConfigError(f"eigenvector index must be an integer, got {rest!r}") from exc
-        if not 0 <= k < len(report.eigenpairs):
-            raise ConfigError(f"eigenvector index {k} out of range [0, {len(report.eigenpairs)})")
-        return report.eigenpairs[k].vector
+        count = report.eigenvalues.size
+        if not 0 <= k < count:
+            raise ConfigError(f"eigenvector index {k} out of range [0, {count})")
+        return PhaseVector.from_stacked(spectrum.eigenvectors(model, report, [k])[:, 0])
     try:
         weights = [float(w) for w in rest.split(",") if w != ""]
     except ValueError as exc:

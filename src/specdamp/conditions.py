@@ -291,9 +291,8 @@ def check_condition_ii(
             )
             continue
         inside = np.flatnonzero(dist <= CLUSTER_TOL * (1.0 + abs(lam)))
-        nd = krein.kernel_gram_nondegeneracy(
-            model, lam, cluster=[report.eigenpairs[i].vector for i in inside]
-        )
+        positions = spectrum.eigenvectors(model, report, inside)[: model.n]
+        nd = krein.kernel_gram_nondegeneracy(model, lam, positions)
         out.append(
             ConditionIIVerdict(
                 mu=mu,

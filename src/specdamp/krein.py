@@ -46,7 +46,6 @@ __all__ = [
     "classify_eigenpairs",
     "kernel_gram_nondegeneracy",
     "decompose",
-    "phase_symmetry_defect",
 ]
 
 
@@ -162,28 +161,30 @@ def _sign_type(mu: np.ndarray, tau: float) -> str:
     return "mixed"
 
 
-def classify_eigenpairs(model: SystemModel, pairs) -> SignClassification:
+def classify_eigenpairs(model: SystemModel, report: spectrum.SpectrumReport) -> SignClassification:
     """Cluster the eigenvalues and sign-classify each cluster's eigenspace.
 
-    ``pairs`` is a :class:`~specdamp.spectrum.SpectrumReport` or a sequence
-    of :class:`~specdamp.spectrum.Eigenpair`.  Each cluster is classified
-    over the span of its members' eigenvector positions, orthonormalized
-    by a thin SVD that keeps the directions whose singular value exceeds
-    ``RANK_TOL`` times the largest.  The sign type is the inertia of the
-    Gram over that span, so it does not depend on how the eigenvectors
-    were paired up inside the cluster.
+    ``report`` is the solved spectrum of ``model``.  Each cluster is
+    classified over the span of its members' eigenvector positions,
+    orthonormalized by a thin SVD that keeps the directions whose singular
+    value exceeds ``RANK_TOL`` times the largest.  The sign type is the
+    inertia of the Gram over that span, so it does not depend on how the
+    eigenvectors were paired up inside the cluster.
     """
-    if isinstance(pairs, spectrum.SpectrumReport):
-        pairs = pairs.eigenpairs
-    values = np.array([p.value for p in pairs])
-    out = []
-    for members in spectrum.cluster_eigenvalues(values, CLUSTER_TOL):
+    values = report.eigenvalues
+    clusters = spectrum.cluster_eigenvalues(values, CLUSTER_TOL)
+    # Every eigenvector in one scatter, cluster after cluster.
+    vectors = spectrum.eigenvectors(model, report, [i for members in clusters for i in members])
+    out, start = [], 0
+    for members in clusters:
         mem_vals = values[members]
         mean = complex(np.mean(mem_vals))
         if abs(mean.imag) <= SNAP_REAL_TOL * (1.0 + abs(mean)):
             mean = complex(mean.real)
-        positions = np.column_stack([pairs[i].vector.position for i in members])
-        basis = _orthonormal_range(positions)
+        cols = vectors[:, start : start + len(members)]
+        start += len(members)
+        # Real when all the cluster's eigenvectors are, as eigenvectors() would return them.
+        basis = _orthonormal_range((cols if cols.imag.any() else cols.real)[: model.n])
         gram, mu, _, tau = _cluster_gram(model, mean, basis)
         dim = basis.shape[1]
         margin = float(np.min(np.abs(mu)) - tau)
@@ -228,18 +229,18 @@ class NondegeneracyReport:
     witness: PhaseVector | None
 
 
-def kernel_gram_nondegeneracy(model: SystemModel, lam: complex, cluster) -> NondegeneracyReport:
+def kernel_gram_nondegeneracy(model: SystemModel, lam: complex, positions) -> NondegeneracyReport:
     """Test whether ``[.,.]`` restricted to ``ker Q(lam)`` is nondegenerate.
 
-    ``cluster`` supplies the solved eigenvectors (phase vectors) near
-    ``lam``; their position blocks, orthonormalized as in
-    :func:`classify_eigenpairs`, span the eigenspace.
+    ``positions`` is the ``(n, k)`` matrix of the position blocks of the
+    solved eigenvectors near ``lam``; orthonormalized as in
+    :func:`classify_eigenpairs`, they span the eigenspace.
     """
     lam = complex(lam)
-    vecs = list(cluster)
-    if not vecs:
-        raise ValueError("cluster must contain at least one phase vector")
-    basis = _orthonormal_range(np.column_stack([v.position for v in vecs]))
+    positions = np.asarray(positions)
+    if positions.ndim != 2 or positions.shape[1] == 0:
+        raise ValueError("positions must be an (n, k) matrix with k >= 1")
+    basis = _orthonormal_range(positions)
     gram, mu, coeff, tau = _cluster_gram(model, lam, basis)
     k = int(np.argmin(np.abs(mu)))
     min_abs = float(np.abs(mu[k]))
@@ -290,33 +291,30 @@ def _cross_gram_norm(model: SystemModel, report: spectrum.SpectrumReport, fast: 
     # coupling components have disjoint supports, so only pairs within one
     # component contribute: a scalar mode whose two eigenpairs fall on
     # different sides of the split, or two members of one coupled block.
-    validation, pairs = validate(model), report.eigenpairs
+    validation = validate(model)
     worst = 0.0
     # Each scalar mode's two eigenpairs, the fast one first.
     rows = report.mode_pairs
-    ends = np.take_along_axis(rows, np.argsort(~fast[rows], axis=1, kind="stable"), axis=1)
+    first = np.argsort(~fast[rows], axis=1, kind="stable")
+    ends = np.take_along_axis(rows, first, axis=1)
     split = fast[ends[:, 0]] & ~fast[ends[:, 1]]
     if np.any(split):
-        coords = validation.scalar_modes.index[split].tolist()
-        entries = np.array(
-            [
-                [(pairs[j].vector.position[i], pairs[j].vector.velocity[i]) for j in row]
-                for i, row in zip(coords, ends[split].tolist())
-            ]
-        )  # [mode, (fast, slow), (position, velocity)]
-        x, y = entries[..., 0], entries[..., 1]
+        # [mode, (x, y), (fast, slow)]
+        entries = np.take_along_axis(report.mode_vectors[split], first[split][:, None, :], axis=2)
+        x, y = entries[:, 0], entries[:, 1]
         kx = validation.scalar_modes.k[split][:, None] * x
         energy = np.real(x.conj() * kx) + np.abs(y) ** 2
         g = x[:, 1].conj() * kx[:, 0] - y[:, 1].conj() * y[:, 0]
         worst = float(np.max(np.abs(g) / np.sqrt(energy[:, 1] * energy[:, 0])))
-    for block, members in zip(validation.coupled_blocks, report.block_pairs):
-        order = [j for j in members.tolist() if fast[j]]
-        p = len(order)
-        order += [j for j in members.tolist() if not fast[j]]
-        if p == 0 or p == len(order):
+    for block, members, vectors in zip(validation.coupled_blocks, report.block_pairs, report.block_vectors):
+        on_fast = fast[members]
+        p = int(np.count_nonzero(on_fast))
+        if p == 0 or p == members.size:
             continue
-        x = np.column_stack([pairs[j].vector.position[block.index] for j in order])
-        y = np.column_stack([pairs[j].vector.velocity[block.index] for j in order])
+        # Fast columns first, in row-major order: the BLAS path, and so the
+        # rounding of the products below, depends on the layout.
+        vectors = np.ascontiguousarray(vectors[:, np.argsort(~on_fast, kind="stable")])
+        x, y = vectors[: block.n], vectors[block.n :]
         kx = block.K @ x
         energy = np.real(np.sum(x.conj() * kx, axis=0)) + np.sum(np.abs(y) ** 2, axis=0)
         # Entry (j, i) is [v_i, v_j] for v_i fast and v_j slow.
@@ -354,7 +352,7 @@ def decompose(
             prefix.append(c)
         else:
             break
-    fast = np.zeros(len(report.eigenpairs), dtype=bool)
+    fast = np.zeros(report.eigenvalues.size, dtype=bool)
     fast[[i for c in prefix for i in c.member_indices]] = True
     hprime = tuple(np.flatnonzero(fast).tolist())
     hsecond = tuple(np.flatnonzero(~fast).tolist())
@@ -373,23 +371,3 @@ def decompose(
         hprime_definiteness=hp_max,
         neutral_real_eigenvalues=neutral,
     )
-
-
-def phase_symmetry_defect(model: SystemModel) -> float:
-    """Asymmetry of ``J S`` for the energy-similarity transform of the phase operator.
-
-    With ``S = diag(K^{1/2}, I) A diag(K^{-1/2}, I)`` and ``J = diag(I, -I)``,
-    the product ``J S = [[0, K^{1/2}], [K^{1/2}, C]]`` is symmetric exactly
-    when the phase operator is self-adjoint in the Krein product.  Returns
-    ``||J S - (J S)^T||_F / ||J S||_F``.
-    """
-    report = validate(model)
-    roots = [block.k_sqrt for block in report.coupled_blocks]
-    # J S - (J S)^T holds root - root^T twice and C - C^T, J S holds root
-    # twice and C, so neither 2n x 2n matrix is formed.  Per component, a
-    # scalar mode's root sqrt(k) is symmetric and adds k to ||root||^2.
-    asymmetry = sum(np.linalg.norm(root - root.T) ** 2 for root in roots)
-    root_sq = np.sum(report.scalar_modes.k) + sum(np.linalg.norm(root) ** 2 for root in roots)
-    defect = np.sqrt(2.0 * asymmetry + np.linalg.norm(model.C - model.C.T) ** 2)
-    scale = np.sqrt(2.0 * root_sq + np.linalg.norm(model.C) ** 2)
-    return float(defect / max(scale, 1e-300))

@@ -52,9 +52,8 @@ against a 40-digit oracle it is off by 3e-14 relative on the two-patch
 rod at ``N = 16`` and by 1.2e-11 on a model whose ``K`` spans 1e-4..1e4
 (condition number 1e8), where these formulas stay within 3.7e-16 and
 2e-13.  The adjoint needs no solve of its own: the energy-scaled operator
-``A_E`` is real with ``A_E^T = J A_E J``, ``J = diag(I, -I)`` (what
-:func:`~specdamp.krein.phase_symmetry_defect` checks), so
-``R_E^H v = J conj(R_E conj(J v))``.  One
+``A_E`` is real with ``A_E^T = J A_E J``, ``J = diag(I, -I)``, because
+``K^{1/2}`` and ``C`` are symmetric, so ``R_E^H v = J conj(R_E conj(J v))``.  One
 Schur form shared by the whole scan was rejected: its backward error is
 eps times the norm of the energy-scaled operator, whose damping block
 grows like the fourth power of the rod's top frequency, and that cost up

@@ -27,8 +27,10 @@ kernel of ``Q(lam)``.  The solver leans on that structure:
    fewer directions than the cluster has members, the cluster is a Jordan
    block and the members are polished with the basis directions instead,
 4. eigenvectors are rebuilt as ``(x, lam x)`` and given the phase
-   convention of :class:`Eigenpair` by one
+   convention of :class:`SpectrumReport` by one
    :func:`~specdamp.linalg.normalize_columns` pass per coupled block.
+   The report keeps them per component, as solved; :func:`eigenvectors`
+   is the one place that embeds them in phase space.
 
 Step 3 matters: for stiff models the raw eigenvalues of the block matrix
 carry absolute errors on the scale of ``eps * ||A||``, which drowns the
@@ -52,7 +54,6 @@ from . import linalg
 from .model import (
     BeamSpec,
     CoupledBlock,
-    PhaseVector,
     SystemModel,
     beam_assemble,
     phase_operator,
@@ -61,12 +62,12 @@ from .model import (
 from .tolerances import CLUSTER_TOL, RANK_TOL, RESIDUAL_TOL, SNAP_REAL_TOL
 
 __all__ = [
-    "Eigenpair",
     "EigenvalueBound",
     "SpectrumReport",
     "EnergyBasis",
     "AccumulationReport",
     "solve_qep",
+    "eigenvectors",
     "energy_basis",
     "eigenvalue_lower_bound",
     "accumulation_experiment",
@@ -74,23 +75,6 @@ __all__ = [
     "pencil_kernel_basis",
     "cluster_eigenvalues",
 ]
-
-
-@dataclass(frozen=True)
-class Eigenpair:
-    """One eigenvalue with its phase-space eigenvector and residual.
-
-    ``residual`` is measured against the Frobenius norm of the phase
-    operator.  The eigenvector has unit Euclidean norm, its
-    largest-magnitude entry is real and positive, and ``velocity`` equals
-    ``value * position`` to rounding, not bit for bit, since the normalizing
-    factor scales ``x`` and ``value * x`` separately:
-    ``|velocity_i - value position_i| <= 4 eps |value| |position_i|``.
-    """
-
-    value: complex
-    vector: PhaseVector
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -137,29 +121,41 @@ class EnergyBasis:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Sorted eigenpairs plus the magnitude lower bound.
+    """Sorted eigenvalues, their eigenvectors per component, and the magnitude lower bound.
 
-    ``bound.value`` is also the radius of the spectrum-free disk around the
-    origin: a Neumann-series argument on the inverse phase operator gives
-    the same expression.  Every eigenvector lives on one coupling component
-    of the model (:class:`~specdamp.model.ValidationReport`):
-    ``mode_pairs[i]`` holds the indices of the two eigenpairs of the
-    ``i``-th scalar mode and ``block_pairs[b]`` those of the ``b``-th
-    coupled block, ascending.  :func:`energy_basis` stores its result on the
-    report.
+    ``eigenvalues`` (read-only) are sorted by ``(Re, Im)``, and
+    ``residuals[j]`` is the residual of eigenpair ``j`` relative to the
+    Frobenius norm of the phase operator.  ``bound.value`` is also the
+    radius of the spectrum-free disk around the origin: a Neumann-series
+    argument on the inverse phase operator gives the same expression.
+
+    Every eigenvector lives on one coupling component of the model
+    (:class:`~specdamp.model.ValidationReport`) and is stored there, on
+    that component's coordinates only.  ``mode_pairs[i]`` holds the indices
+    of the two eigenpairs of the ``i``-th scalar mode, ascending, and
+    ``mode_vectors[i]`` is the ``2 x 2`` matrix ``[x; y]`` whose columns
+    are their eigenvectors, in the same order.  ``block_pairs[b]`` holds the
+    indices of the eigenpairs of the ``b``-th coupled block, ascending, and
+    ``block_vectors[b]`` the ``2 n_b x 2 n_b`` matrix ``[X; Y]`` of their
+    eigenvectors, column by column.  :func:`eigenvectors` embeds chosen
+    columns in phase space.  Each eigenvector ``(x, y)`` has unit Euclidean
+    norm, its largest-magnitude entry is real and positive, and ``y``
+    equals ``lam x`` to rounding, not bit for bit, since the normalizing
+    factor scales ``x`` and ``lam x`` separately:
+    ``|y_i - lam x_i| <= 4 eps |lam| |x_i|``.  :func:`energy_basis` stores
+    its result on the report.
     """
 
-    eigenpairs: tuple[Eigenpair, ...]
+    eigenvalues: np.ndarray = field(repr=False)
+    residuals: np.ndarray = field(repr=False)
     bound: EigenvalueBound
     mode_pairs: np.ndarray = field(repr=False, compare=False)
     block_pairs: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    mode_vectors: np.ndarray = field(repr=False, compare=False)
+    block_vectors: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     _energy_basis: EnergyBasis | None = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([p.value for p in self.eigenpairs])
 
     @property
     def min_abs(self) -> float:
@@ -368,8 +364,8 @@ def _linearized_eigenpairs(block: CoupledBlock) -> tuple[np.ndarray, list[np.nda
     )
 
 
-def _dense_eigensolve(block: CoupledBlock) -> list[tuple[complex, np.ndarray]]:
-    """Eigenvalues plus pencil-kernel vectors for one coupled block."""
+def _dense_eigensolve(block: CoupledBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues plus pencil-kernel vectors, as columns, for one coupled block."""
     values, starts = _linearized_eigenpairs(block)
     values = _snap_real(values, SNAP_REAL_TOL)
     xs = list(starts)
@@ -398,16 +394,17 @@ def _dense_eigensolve(block: CoupledBlock) -> list[tuple[complex, np.ndarray]]:
                 dim = basis.shape[1]
                 if dim < len(members):
                     vectors = [basis[:, min(rank, dim - 1)] for rank in range(len(members))]
-            for idx, x in zip(members, vectors):
-                # A tight cluster member may move ten cluster tolerances; a
-                # member of a spread-out chain only well inside the gap to its
-                # nearest sibling, so no two can collapse onto one root.
-                lam0 = complex(values[idx])
-                if tight:
-                    limit = 10.0 * CLUSTER_TOL * (1.0 + abs(lam0))
-                else:
-                    limit = 0.4 * min(abs(lam0 - complex(values[j])) for j in members if j != idx)
-                moves.append((idx, lam0, limit))
+            # A tight cluster member may move ten cluster tolerances; a member
+            # of a spread-out chain only well inside the gap to its nearest
+            # sibling, so no two can collapse onto one root.
+            if tight:
+                limits = 10.0 * CLUSTER_TOL * (1.0 + np.abs(mem_vals))
+            else:
+                gaps = np.abs(mem_vals[:, None] - mem_vals[None, :])
+                np.fill_diagonal(gaps, np.inf)
+                limits = 0.4 * np.min(gaps, axis=1)
+            for idx, x, limit in zip(members, vectors, limits.tolist()):
+                moves.append((idx, complex(values[idx]), limit))
                 coeffs.append([np.vdot(x, block.K @ x).real, np.vdot(x, block.C @ x).real, np.vdot(x, x).real])
                 xs[idx] = x
         # All of the pass's quadratics at once, by the scalar modes' root rule.
@@ -416,7 +413,7 @@ def _dense_eigensolve(block: CoupledBlock) -> list[tuple[complex, np.ndarray]]:
             refined[idx] = lam0 if abs(lam - lam0) > limit else lam
         values = _snap_real(refined, SNAP_REAL_TOL)
 
-    return [(complex(values[i]), xs[i]) for i in range(values.shape[0])]
+    return values, np.column_stack(xs)
 
 
 def _pencil_residuals(block: CoupledBlock, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -434,7 +431,8 @@ def solve_qep(model: SystemModel) -> SpectrumReport:
     The phase operator is a direct sum over the coupling components of the
     model.  Every scalar mode is solved in closed form, all of them in one
     vectorized pass; every coupled block by the dense path above.  Returns
-    eigenpairs sorted by ``(Re, Im)``.  Raises
+    eigenvalues sorted by ``(Re, Im)`` with their eigenvectors kept per
+    component.  Raises
     :class:`~specdamp.model.InvalidModel` before any factorization if the
     model breaks (A1) or (A2), and :class:`~specdamp.linalg.NoConvergence`
     if any final residual exceeds ``RESIDUAL_TOL`` relative to
@@ -443,56 +441,80 @@ def solve_qep(model: SystemModel) -> SpectrumReport:
     validation = validate(model)
     n = model.n
     scale = float(np.sqrt(n + np.linalg.norm(model.K) ** 2 + np.linalg.norm(model.C) ** 2))
-    pairs: list[Eigenpair] = []
-    groups: list[int] = []  # the component of each eigenpair: modes first, then blocks
+    modes, blocks = validation.scalar_modes, validation.coupled_blocks
 
-    modes = validation.scalar_modes
-    if modes.size:
-        lams = _snap_real(_mode_roots(modes.k, modes.c, np.ones(modes.size)), SNAP_REAL_TOL)
-        k, c = modes.k[:, None], modes.c[:, None]
-        resid = np.abs(lams * lams + c * lams + k) / (np.sqrt(1.0 + np.abs(lams) ** 2) * scale)
-        position, velocity = _mode_vectors(lams)
-        for i, coord in enumerate(modes.index.tolist()):
-            for j in range(2):
-                lam = complex(lams[i, j])
-                if lam.imag == 0.0:
-                    vec = np.zeros(2 * n)
-                    vec[coord], vec[n + coord] = position[i, j].real, velocity[i, j].real
-                else:
-                    vec = np.zeros(2 * n, dtype=complex)
-                    vec[coord], vec[n + coord] = position[i, j], velocity[i, j]
-                pairs.append(Eigenpair(lam, PhaseVector.from_stacked(vec), float(resid[i, j])))
-                groups.append(i)
-
-    for b, block in enumerate(validation.coupled_blocks):
-        found = _dense_eigensolve(block)
-        lams = np.array([lam for lam, _ in found])
-        xs = np.column_stack([x for _, x in found])
-        resid = _pencil_residuals(block, lams, xs) / scale
+    lams = _snap_real(_mode_roots(modes.k, modes.c, np.ones(modes.size)), SNAP_REAL_TOL)
+    k, c = modes.k[:, None], modes.c[:, None]
+    resid = np.abs(lams * lams + c * lams + k) / (np.sqrt(1.0 + np.abs(lams) ** 2) * scale)
+    mode_vectors = np.stack(_mode_vectors(lams), axis=1)  # [mode, (x, y), root]
+    values, residuals, block_vectors = [lams.ravel()], [resid.ravel()], []
+    for block in blocks:
+        lams, xs = _dense_eigensolve(block)
+        values.append(lams)
+        residuals.append(_pencil_residuals(block, lams, xs) / scale)
         # The block's phase eigenvectors (x, lam x), all brought to the phase
-        # convention at once, then embedded in R^2n.
+        # convention at once; a real eigenvalue's column keeps no imaginary
+        # part at rounding level.
         stacked = linalg.normalize_columns(np.vstack([xs, xs * lams]))
-        for (lam, _), r, col in zip(found, resid, stacked.T):
-            if lam.imag == 0.0 and np.max(np.abs(col.imag)) <= 1e-14:
-                col = col.real
-            vec = np.zeros(2 * n, dtype=col.dtype)
-            vec[block.index], vec[n + block.index] = col[: block.n], col[block.n :]
-            pairs.append(Eigenpair(value=lam, vector=PhaseVector.from_stacked(vec), residual=float(r)))
-            groups.append(modes.size + b)
-
-    order = sorted(range(len(pairs)), key=lambda i: (pairs[i].value.real, pairs[i].value.imag))
-    worst = max(p.residual for p in pairs)
+        real = (lams.imag == 0.0) & (np.max(np.abs(stacked.imag), axis=0) <= 1e-14)
+        stacked.imag[:, real] = 0.0
+        block_vectors.append(stacked)
+    values, residuals = np.concatenate(values), np.concatenate(residuals)
+    worst = float(np.max(residuals))
     if worst > RESIDUAL_TOL:
         raise linalg.NoConvergence(f"worst eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    # Positions in the sorted list, grouped by component and ascending within each.
-    by_component = np.argsort(np.array(groups)[order], kind="stable")
-    ends = np.cumsum([2 * modes.size] + [2 * block.n for block in validation.coupled_blocks])
+
+    order = np.lexsort((values.imag, values.real))
+    # Positions in the sorted order, grouped by component (modes first, then
+    # blocks) and ascending within each; order[] maps them back to columns.
+    sizes = [2] * modes.size + [2 * block.n for block in blocks]
+    by_component = np.argsort(np.repeat(np.arange(len(sizes)), sizes)[order], kind="stable")
+    ends = np.cumsum([2 * modes.size] + sizes[modes.size :])
+    mode_pairs = by_component[: ends[0]].reshape(modes.size, 2)
+    roots = order[mode_pairs] - 2 * np.arange(modes.size)[:, None]
+    block_pairs = tuple(by_component[lo:hi] for lo, hi in zip(ends[:-1], ends[1:]))
+    for b, (lo, members) in enumerate(zip(ends[:-1], block_pairs)):
+        block_vectors[b] = block_vectors[b][:, order[members] - lo]
+    values, residuals = values[order], residuals[order]
+    mode_vectors = np.take_along_axis(mode_vectors, roots[:, None, :], axis=2)
+    for array in [values, residuals, mode_vectors] + block_vectors:
+        array.setflags(write=False)
     return SpectrumReport(
-        eigenpairs=tuple(pairs[i] for i in order),
+        eigenvalues=values,
+        residuals=residuals,
         bound=eigenvalue_lower_bound(model),
-        mode_pairs=by_component[: ends[0]].reshape(modes.size, 2),
-        block_pairs=tuple(by_component[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])),
+        mode_pairs=mode_pairs,
+        block_pairs=block_pairs,
+        mode_vectors=mode_vectors,
+        block_vectors=tuple(block_vectors),
     )
+
+
+def eigenvectors(model: SystemModel, report: SpectrumReport, members) -> np.ndarray:
+    """Phase-space eigenvectors of the eigenpairs ``members`` of ``report``, as columns.
+
+    ``report`` is the solved spectrum of ``model``.  Returns the dense
+    ``(2n, len(members))`` matrix whose columns are ``(x, y)``, zero off
+    each eigenvector's component; it is real when every chosen column is.
+    """
+    members = np.asarray(members, dtype=int).reshape(-1)
+    validation = validate(model)
+    modes, n = validation.scalar_modes, model.n
+    # The component (the modes, then the blocks) and column of each eigenpair.
+    component = np.empty(report.eigenvalues.size, dtype=int)
+    column = np.empty_like(component)
+    component[report.mode_pairs], column[report.mode_pairs] = np.arange(modes.size)[:, None], np.arange(2)
+    for b, pairs in enumerate(report.block_pairs):
+        component[pairs], column[pairs] = modes.size + b, np.arange(pairs.size)
+    component, column = component[members], column[members]
+    out = np.zeros((2 * n, members.size), dtype=complex)
+    cols = np.flatnonzero(component < modes.size)
+    rows = modes.index[component[cols]] + np.array([[0], [n]])  # x row over y row
+    out[rows, cols] = report.mode_vectors[component[cols], :, column[cols]].T
+    for b, (block, vectors) in enumerate(zip(validation.coupled_blocks, report.block_vectors)):
+        cols = np.flatnonzero(component == modes.size + b)
+        out[np.concatenate([block.index, n + block.index])[:, None], cols] = vectors[:, column[cols]]
+    return out if out.imag.any() else out.real.copy()
 
 
 def energy_basis(model: SystemModel, report: SpectrumReport) -> EnergyBasis:
@@ -506,27 +528,15 @@ def energy_basis(model: SystemModel, report: SpectrumReport) -> EnergyBasis:
     if report._energy_basis is not None:
         return report._energy_basis
     validation = validate(model)
-    pairs = report.eigenpairs
     modes = validation.scalar_modes
-    entries = np.array(
-        [
-            [(pairs[j].vector.position[i], pairs[j].vector.velocity[i]) for j in row]
-            for i, row in zip(modes.index.tolist(), report.mode_pairs.tolist())
-        ],
-        dtype=complex,
-    ).reshape(modes.size, 2, 2)  # [mode, column, (position, velocity)]
-    mode_vectors = np.stack([np.sqrt(modes.k)[:, None] * entries[..., 0], entries[..., 1]], axis=1)
+    entries = report.mode_vectors
+    mode_vectors = np.stack([np.sqrt(modes.k)[:, None] * entries[:, 0], entries[:, 1]], axis=1)
     mode_vectors /= np.linalg.norm(mode_vectors, axis=1, keepdims=True)
     sigmas = [np.linalg.svd(mode_vectors, compute_uv=False)] if modes.size else []
     blocks = []
-    for block, members in zip(validation.coupled_blocks, report.block_pairs):
-        cols = []
-        for j in members:
-            v = pairs[j].vector
-            position, velocity = v.position[block.index], v.velocity[block.index]
-            col = np.concatenate([block.k_sqrt @ position, velocity]).astype(complex)
-            cols.append(col / np.linalg.norm(col))
-        vectors = np.column_stack(cols)
+    for block, stacked in zip(validation.coupled_blocks, report.block_vectors):
+        vectors = np.vstack([block.k_sqrt @ stacked[: block.n], stacked[block.n :]])
+        vectors /= np.linalg.norm(vectors, axis=0)
         vectors.setflags(write=False)
         blocks.append(vectors)
         sigmas.append(np.linalg.svd(vectors, compute_uv=False))

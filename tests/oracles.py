@@ -75,6 +75,22 @@ def critical_blocks(rotated: bool) -> sd.SystemModel:
     return sd.SystemModel(K=0.5 * (k + k.T), C=0.5 * (c + c.T))
 
 
+def phase_symmetry_defect(model: sd.SystemModel) -> float:
+    """Asymmetry of ``J S = [[0, K^{1/2}], [K^{1/2}, C]]``, relative to its norm.
+
+    ``S = diag(K^{1/2}, I) A diag(K^{-1/2}, I)`` is the energy-similarity
+    transform of the phase operator and ``J = diag(I, -I)``; ``J S`` is
+    symmetric exactly when ``A`` is self-adjoint in the Krein product.
+    ``K^{1/2}`` comes from ``scipy.linalg.sqrtm``, which does not
+    symmetrize its result, and ``C`` is the model's own, so the defect is
+    not zero by construction.  Returns ``||J S - (J S)^T||_F / ||J S||_F``.
+    """
+    root = scipy.linalg.sqrtm(model.K)
+    zero = np.zeros((model.n, model.n))
+    js = np.block([[zero, root], [root, model.C]])
+    return float(np.linalg.norm(js - js.T) / np.linalg.norm(js))
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial route (independent of any eigensolver)
 

@@ -56,14 +56,6 @@ class TestIndefiniteProduct:
         )
 
 
-class TestPhaseSymmetry:
-    def test_defect_zero_on_random_models(self):
-        rng = np.random.default_rng(43)
-        for _ in range(20):
-            m = oracles.random_model(rng, int(rng.integers(1, 6)))
-            assert krein.phase_symmetry_defect(m) <= 1e-15
-
-
 class TestClassify:
     def test_scalar_overdamped_slow_positive_fast_negative(self):
         m = scalar_model(1.0, 3.0)
@@ -110,7 +102,7 @@ class TestClassify:
             rep = sd.solve_qep(m)
             clf = krein.classify_eigenpairs(m, rep)
             members = sorted(i for c in clf.clusters for i in c.member_indices)
-            assert members == list(range(len(rep.eigenpairs)))
+            assert members == list(range(rep.eigenvalues.size))
 
     def test_gram_exactly_hermitian(self):
         rng = np.random.default_rng(45)
@@ -126,35 +118,38 @@ class TestClassify:
         for _ in range(30):
             m = oracles.random_model(rng, int(rng.integers(1, 5)))
             rep = sd.solve_qep(m)
-            for p in rep.eigenpairs:
-                if p.value.imag == 0.0:
+            vecs = sd.eigenvectors(m, rep, range(2 * m.n))
+            for lam, col in zip(rep.eigenvalues, vecs.T):
+                if lam.imag == 0.0:
                     continue
-                val = abs(krein.indefinite_product(m, p.vector, p.vector))
-                assert val <= 1e-10 * energy_norm_sq(m, p.vector)
+                v = sd.PhaseVector.from_stacked(col)
+                val = abs(krein.indefinite_product(m, v, v))
+                assert val <= 1e-10 * energy_norm_sq(m, v)
 
     def test_cross_cluster_orthogonality(self):
         rng = np.random.default_rng(47)
         for _ in range(30):
             m = oracles.random_model(rng, int(rng.integers(2, 5)))
             rep = sd.solve_qep(m)
-            pairs = rep.eigenpairs
-            for i in range(len(pairs)):
-                for j in range(i + 1, len(pairs)):
-                    li, lj = pairs[i].value, pairs[j].value
+            values = rep.eigenvalues
+            vecs = [sd.PhaseVector.from_stacked(col) for col in sd.eigenvectors(m, rep, range(2 * m.n)).T]
+            for i in range(values.size):
+                for j in range(i + 1, values.size):
+                    li, lj = values[i], values[j]
                     # orthogonality needs lam_i != conj(lam_j)
                     if abs(li - np.conj(lj)) <= 1e-3 * (1.0 + abs(li)):
                         continue
-                    val = abs(krein.indefinite_product(m, pairs[i].vector, pairs[j].vector))
-                    scale = np.sqrt(
-                        energy_norm_sq(m, pairs[i].vector) * energy_norm_sq(m, pairs[j].vector)
-                    )
+                    val = abs(krein.indefinite_product(m, vecs[i], vecs[j]))
+                    scale = np.sqrt(energy_norm_sq(m, vecs[i]) * energy_norm_sq(m, vecs[j]))
                     assert val <= 1e-8 * scale
 
 
 def solved_near(m, lam):
-    # The eigenvectors solve_qep returns within cluster tolerance of lam.
-    tol = CLUSTER_TOL * (1.0 + abs(lam))
-    return [p.vector for p in sd.solve_qep(m).eigenpairs if abs(p.value - lam) <= tol]
+    # The positions of the eigenvectors solve_qep returns within cluster
+    # tolerance of lam, as columns.
+    rep = sd.solve_qep(m)
+    near = np.flatnonzero(np.abs(rep.eigenvalues - lam) <= CLUSTER_TOL * (1.0 + abs(lam)))
+    return sd.eigenvectors(m, rep, near)[: m.n]
 
 
 class TestNondegeneracy:
@@ -237,8 +232,8 @@ class TestDecompose:
         dec = krein.decompose(m, rep)
         assert len(dec.h_prime) == 5 and dec.orthogonal
         # The dense cross-Gram over all eigenvectors, fast against slow.
-        x = np.column_stack([rep.eigenpairs[i].vector.position for i in dec.h_prime + dec.h_doubleprime])
-        y = np.column_stack([rep.eigenpairs[i].vector.velocity for i in dec.h_prime + dec.h_doubleprime])
+        vecs = sd.eigenvectors(m, rep, dec.h_prime + dec.h_doubleprime)
+        x, y = vecs[:5], vecs[5:]
         kx = m.K @ x
         energy = np.real(np.sum(x.conj() * kx, axis=0)) + np.sum(np.abs(y) ** 2, axis=0)
         g = x[:, 5:].conj().T @ kx[:, :5] - y[:, 5:].conj().T @ y[:, :5]

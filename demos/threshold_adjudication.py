@@ -20,7 +20,7 @@ def adjudicate(E, a, N=16):
     model = sd.beam_assemble(spec)
     rep = sd.solve_qep(model)
     cond = sd.condition_report(model, rep)
-    ptr = cond.patch_thresholds
+    ptr, od = cond.patch_thresholds, cond.overdamping
     entry = ptr.entries[0]
 
     print(f"rod with E={E:g}, uniform patch a={a:g}, N={N}")
@@ -28,14 +28,14 @@ def adjudicate(E, a, N=16):
           f"  -> a above it: {entry.above_inv_sqrt}")
     print(f"  threshold (sqrt-modulus scaling):   {entry.threshold_sqrt_modulus:.6f}"
           f"  -> a above it: {entry.above_sqrt}")
-    print(f"  overdamping margin: {ptr.margin:+.6f} (positive means real spectrum)")
+    print(f"  overdamping margin: {od.margin:+.6f} (positive means real spectrum)")
     print(f"  nonreal eigenvalues found: {ptr.nonreal_count}")
 
     # the mode-1 discriminant decides by closed form
     w1 = 0.5 * np.pi
     disc = (a * w1**4) ** 2 - 4.0 * E * w1**4
     print(f"  mode-1 discriminant (a w^4)^2 - 4 E w^4 = {disc:+.6f}")
-    verdict = "real spectrum guaranteed" if ptr.margin_positive else \
+    verdict = "real spectrum guaranteed" if od.overdamped else \
         "nonreal pair present, weaker threshold insufficient"
     print(f"  => {verdict}\n")
 

@@ -39,9 +39,10 @@ Three independently checkable conditions are implemented:
 The patch threshold report evaluates each beam patch coefficient against
 two candidate overdamping thresholds that differ only in how the modulus
 enters, ``8 / (pi^2 sqrt(E))`` and ``8 sqrt(E) / pi^2`` (equal at
-``E = 1``), plus the norm-gap threshold ``4 sqrt(E) / pi^2``, and attaches
-the measured margin so the data adjudicates which modulus scaling is the
-true sufficient constant.  The report states no preference.
+``E = 1``), plus the norm-gap threshold ``4 sqrt(E) / pi^2``; read beside
+the measured margin of the condition report, the data adjudicates which
+modulus scaling is the true sufficient constant.  The report states no
+preference.
 
 Functions here that take a model together with its solved spectrum or its
 overdamping report, ``(model, report, ...)``, read those and never solve
@@ -365,32 +366,27 @@ class PatchThresholdEntry:
 
 @dataclass(frozen=True)
 class PatchThresholdReport:
-    """Patch-wise thresholds plus the measured margin that adjudicates them.
+    """Patch-wise thresholds plus the count of nonreal eigenvalues.
 
     ``threshold_inv_sqrt_modulus = 8 / (pi^2 sqrt(E))`` and
     ``threshold_sqrt_modulus = 8 sqrt(E) / pi^2`` are the two candidate
     sufficient constants for overdamping (identical at ``E = 1``);
     ``threshold_gap = 4 sqrt(E) / pi^2`` is the norm-gap constant.  The
-    measured ``margin`` and the count of nonreal eigenvalues let the
-    numbers speak for themselves: if every patch clears one candidate but
-    the margin is negative and nonreal eigenvalues exist, that candidate
-    cannot be a sufficient constant.
+    nonreal count here and the measured margin of the
+    :class:`ConditionReport`'s ``overdamping`` let the numbers speak for
+    themselves: if every patch clears one candidate but the margin is
+    negative and nonreal eigenvalues exist, that candidate cannot be a
+    sufficient constant.
     """
 
-    modulus: float
-    order: int
     entries: tuple[PatchThresholdEntry, ...]
-    margin: float
-    margin_positive: bool
     nonreal_count: int
 
 
-def patch_threshold_report(
-    spec: BeamSpec, overdamping: OverdampingReport, report: spectrum.SpectrumReport
-) -> PatchThresholdReport:
+def patch_threshold_report(spec: BeamSpec, report: spectrum.SpectrumReport) -> PatchThresholdReport:
     """Evaluate every patch against the closed-form thresholds.
 
-    ``overdamping`` and ``report`` belong to the model assembled from ``spec``.
+    ``report`` is the solved spectrum of the model assembled from ``spec``.
     """
     e = spec.E
     t_inv = 8.0 / (np.pi**2 * np.sqrt(e))
@@ -411,14 +407,7 @@ def patch_threshold_report(
         for p in spec.patches
     )
     nonreal = int(np.count_nonzero(report.eigenvalues.imag != 0.0))
-    return PatchThresholdReport(
-        modulus=float(e),
-        order=spec.N,
-        entries=entries,
-        margin=overdamping.margin,
-        margin_positive=overdamping.overdamped,
-        nonreal_count=nonreal,
-    )
+    return PatchThresholdReport(entries=entries, nonreal_count=nonreal)
 
 
 def riesz_basis_condition_number(
@@ -443,11 +432,11 @@ class ConditionReport:
     ``equivalence_constants = (gamma, alpha)`` are the tight constants
     with ``gamma x^T K x <= x^T C x <= alpha x^T K x``.  Outside roundoff of
     zero a positive margin comes with a definiteness certificate: the
-    certified interval holds both.
+    certified interval holds both.  The hyperbolicity certificate is
+    ``overdamping.certificate_s`` when ``overdamping.definite_point_exists``.
     """
 
     overdamping: OverdampingReport
-    hyperbolicity_certificate: float | None
     condition_ii: tuple[ConditionIIVerdict, ...]
     condition_iii: ConditionIII | None
     patch_thresholds: PatchThresholdReport | None
@@ -483,11 +472,10 @@ def condition_report(
     else:
         ciii = None
 
-    thresholds = patch_threshold_report(model.beam, od, report) if model.beam else None
+    thresholds = patch_threshold_report(model.beam, report) if model.beam else None
     val = validate(model)
     return ConditionReport(
         overdamping=od,
-        hyperbolicity_certificate=od.certificate_s if od.definite_point_exists else None,
         condition_ii=cii,
         condition_iii=ciii,
         patch_thresholds=thresholds,

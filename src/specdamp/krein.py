@@ -275,7 +275,6 @@ class Decomposition:
     branch (negative exactly when ``[.,.]`` is negative definite there).
     """
 
-    classification: SignClassification
     h_prime: tuple[int, ...]
     h_doubleprime: tuple[int, ...]
     m_cut: float | None
@@ -362,7 +361,6 @@ def decompose(
     cross = _cross_gram_norm(model, report, fast)
 
     return Decomposition(
-        classification=classification,
         h_prime=hprime,
         h_doubleprime=hsecond,
         m_cut=m_cut,

@@ -155,14 +155,15 @@ def test_05_threshold_window_adjudication():
     assert entry.threshold_inv_sqrt_modulus < 1.0 < entry.threshold_sqrt_modulus
     assert entry.above_inv_sqrt is True
     assert entry.above_sqrt is False
-    assert ptr.margin < 0.0
-    assert np.isclose(ptr.margin, -0.1017557160749494, rtol=1e-9)
-    assert ptr.margin_positive is False
+    od = cond.overdamping
+    assert od.margin < 0.0
+    assert np.isclose(od.margin, -0.1017557160749494, rtol=1e-9)
+    assert od.overdamped is False
     assert ptr.nonreal_count >= 1
     announce(
         f"[PASS] acceptance 5/10 threshold window: a=1 in "
         f"({entry.threshold_inv_sqrt_modulus:.4f}, {entry.threshold_sqrt_modulus:.4f}), "
-        f"margin {ptr.margin:+.6e}, nonreal {ptr.nonreal_count}"
+        f"margin {od.margin:+.6e}, nonreal {ptr.nonreal_count}"
     )
 
 

@@ -29,7 +29,6 @@ BEAM_CONFIG = {
         "patches": [{"a": 2.0, "from": 0.0, "to": 1.0}],
     },
     "analyses": ["spectrum", "krein", "conditions"],
-    "seed": 0,
 }
 
 
@@ -47,9 +46,13 @@ class TestAnalyze:
         assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
 
         doc = json.loads((out / "report.json").read_text())
-        for section in ("model", "tolerances", "seed", "spectrum", "krein",
+        for section in ("model", "tolerances", "spectrum", "krein",
                         "conditions", "semigroup", "accumulation"):
             assert section in doc
+        # Each value has one key: no key repeats another of the report.
+        assert "seed" not in doc and "disk_radius" not in doc["spectrum"]
+        assert "hyperbolicity_certificate" not in doc["conditions"]
+        assert set(doc["conditions"]["patch_thresholds"]) == {"entries", "nonreal_count"}
         assert doc["model"]["type"] == "beam" and doc["model"]["n"] == 8
         names = ("RESIDUAL_TOL", "SNAP_REAL_TOL", "CLUSTER_TOL", "NEUTRAL_TOL", "ORTH_TOL", "RANK_TOL")
         assert doc["tolerances"] == {name.lower(): getattr(tolerances, name) for name in names}
@@ -75,6 +78,22 @@ class TestAnalyze:
         assert cli.main(["analyze", "--config", path, "--out", str(out2)]) == 0
         for name in ("report.json", "eigenvalues.csv", "spectrum.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_seed_inputs_change_no_output(self, tmp_path, capsys, monkeypatch):
+        # --seed, the config's "seed" and SPECDAMP_SEED change no byte of
+        # any output, and SPECDAMP_SEED is not even parsed.
+        def outputs(name, cfg, extra):
+            path = write_config(tmp_path / f"{name}.json", cfg)
+            out = tmp_path / name
+            assert cli.main(["analyze", "--config", path, "--out", str(out)] + extra) == 0
+            assert cli.main(["check", "--config", path] + extra) == 0
+            files = [(out / f).read_bytes() for f in ("report.json", "eigenvalues.csv", "spectrum.svg")]
+            return files + [capsys.readouterr().out]
+
+        cfg = dict(BEAM_CONFIG, analyses=list(cli.ANALYSES))
+        plain = outputs("plain", cfg, [])
+        monkeypatch.setenv("SPECDAMP_SEED", "abc")
+        assert outputs("seeded", dict(cfg, seed=5), ["--seed", "3"]) == plain
 
     def test_artifacts_follow_umask(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)
@@ -234,32 +253,6 @@ class TestSchemaErrors:
         assert not (tmp_path / "report.json").exists()
 
 
-class TestSeedPrecedence:
-    def test_config_seed_default(self, tmp_path):
-        cfg = dict(BEAM_CONFIG)
-        cfg["seed"] = 5
-        path = write_config(tmp_path / "cfg.json", cfg)
-        out = tmp_path / "out"
-        cli.main(["analyze", "--config", path, "--out", str(out)])
-        assert json.loads((out / "report.json").read_text())["seed"] == 5
-
-    def test_env_overrides_config(self, tmp_path, monkeypatch):
-        cfg = dict(BEAM_CONFIG)
-        cfg["seed"] = 5
-        path = write_config(tmp_path / "cfg.json", cfg)
-        out = tmp_path / "out"
-        monkeypatch.setenv("SPECDAMP_SEED", "9")
-        cli.main(["analyze", "--config", path, "--out", str(out)])
-        assert json.loads((out / "report.json").read_text())["seed"] == 9
-
-    def test_flag_overrides_env(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)
-        out = tmp_path / "out"
-        monkeypatch.setenv("SPECDAMP_SEED", "9")
-        cli.main(["analyze", "--config", path, "--out", str(out), "--seed", "3"])
-        assert json.loads((out / "report.json").read_text())["seed"] == 3
-
-
 class TestSimulate:
     def test_modal_initial_state(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)
@@ -314,6 +307,22 @@ class TestSimulate:
         with open(tmp_path / "out" / "trajectory.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 201 and {r[2] for r in rows[1:]} == {"expm"}
+
+    def test_energy_axis_stops_at_rounding_floor(self, tmp_path):
+        # Energies below eps times the largest are rounding (or underflow to
+        # exactly 0): two series that differ only there plot the same.
+        times = np.linspace(0.0, 1.0, 4)
+        svg = cli._svg_energy(times, np.array([1.0, 0.5, 1e-20, 0.0]), "exact-modal")
+        assert svg == cli._svg_energy(times, np.array([1.0, 0.5, 1e-25, 1e-30]), "exact-modal")
+        assert "1e-15.65" in svg and "1e-300" not in svg
+        # An all-zero state has no largest energy to scale by, and still plots.
+        cfg = {"model": {"type": "generic", "K": [[1.0]], "C": [[3.0]]}, "analyses": ["spectrum"]}
+        path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", path, "--out", str(out), "--x0", "explicit:0,0"]) == 0
+        with open(out / "trajectory.csv", newline="") as fh:
+            assert {float(r[1]) for r in list(csv.reader(fh))[1:]} == {0.0}
+        ET.fromstring((out / "energy.svg").read_text())
 
     def test_bad_horizon(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)
@@ -517,6 +526,9 @@ class TestDecoupledRod:
         for name in ("eigenvector", "modal"):
             rows = list(csv.reader(io.StringIO((tmp_path / name / "trajectory.csv").read_text())))
             assert len(rows) == 102 and rows[1][2] == "exact-modal"
+        # The fast mode's energy underflows to exactly 0 after t = 0; the
+        # log axis stops at the rounding floor, not at 1e-300.
+        assert "1e-300" not in (tmp_path / "eigenvector" / "energy.svg").read_text()
 
 
 class TestDemos:
@@ -559,7 +571,12 @@ class TestCheck:
         path = write_config(tmp_path / "cfg.json", cfg)
         assert cli.main(["check", "--config", path]) == 0
 
-    def test_malformed_config(self, tmp_path):
+    def test_malformed_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2")
         assert cli.main(["check", "--config", str(path)]) == 2
+        # "seed" has no effect, but a config that carries one must give an integer.
+        for seed in ("7", True):
+            write_config(path, dict(BEAM_CONFIG, seed=seed))
+            assert cli.main(["check", "--config", str(path)]) == 2
+            assert '"seed" must be an integer' in capsys.readouterr().err

@@ -79,22 +79,6 @@ class TestAnalyze:
         for name in ("report.json", "eigenvalues.csv", "spectrum.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_seed_inputs_change_no_output(self, tmp_path, capsys, monkeypatch):
-        # --seed, the config's "seed" and SPECDAMP_SEED change no byte of
-        # any output, and SPECDAMP_SEED is not even parsed.
-        def outputs(name, cfg, extra):
-            path = write_config(tmp_path / f"{name}.json", cfg)
-            out = tmp_path / name
-            assert cli.main(["analyze", "--config", path, "--out", str(out)] + extra) == 0
-            assert cli.main(["check", "--config", path] + extra) == 0
-            files = [(out / f).read_bytes() for f in ("report.json", "eigenvalues.csv", "spectrum.svg")]
-            return files + [capsys.readouterr().out]
-
-        cfg = dict(BEAM_CONFIG, analyses=list(cli.ANALYSES))
-        plain = outputs("plain", cfg, [])
-        monkeypatch.setenv("SPECDAMP_SEED", "abc")
-        assert outputs("seeded", dict(cfg, seed=5), ["--seed", "3"]) == plain
-
     def test_artifacts_follow_umask(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)
         out = tmp_path / "out"
@@ -251,6 +235,39 @@ class TestSchemaErrors:
         assert cli.main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
         assert "'tolerances'" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+
+def analyze_and_check(tmp_path, capsys, name, cfg, extra=()):
+    # The bytes of every analyze artifact and of check's stdout, after both
+    # exit 0.
+    path = write_config(tmp_path / f"{name}.json", cfg)
+    out = tmp_path / name
+    assert cli.main(["analyze", "--config", path, "--out", str(out), *extra]) == 0
+    assert cli.main(["check", "--config", path, *extra]) == 0
+    files = [(out / f).read_bytes() for f in ("report.json", "eigenvalues.csv", "spectrum.svg")]
+    return files + [capsys.readouterr().out]
+
+
+class TestSeedPrecedence:
+    # No result reads a seed, so the config's "seed", SPECDAMP_SEED and
+    # --seed change no byte of any output, in any combination, and
+    # SPECDAMP_SEED is not even parsed.
+    CFG = dict(BEAM_CONFIG, analyses=list(cli.ANALYSES))
+
+    def test_config_seed_default(self, tmp_path, capsys):
+        plain = analyze_and_check(tmp_path, capsys, "plain", self.CFG)
+        assert analyze_and_check(tmp_path, capsys, "seeded", dict(self.CFG, seed=5)) == plain
+
+    def test_env_overrides_config(self, tmp_path, capsys, monkeypatch):
+        plain = analyze_and_check(tmp_path, capsys, "plain", self.CFG)
+        monkeypatch.setenv("SPECDAMP_SEED", "abc")
+        assert analyze_and_check(tmp_path, capsys, "seeded", dict(self.CFG, seed=5)) == plain
+
+    def test_flag_overrides_env(self, tmp_path, capsys, monkeypatch):
+        plain = analyze_and_check(tmp_path, capsys, "plain", self.CFG)
+        monkeypatch.setenv("SPECDAMP_SEED", "9")
+        seeded = analyze_and_check(tmp_path, capsys, "seeded", dict(self.CFG, seed=5), ["--seed", "3"])
+        assert seeded == plain
 
 
 class TestSimulate:

@@ -1,5 +1,7 @@
 """Tests for the sufficient-condition checks and threshold reports."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -132,6 +134,24 @@ class TestCertifiedInterval:
                         '"analyses": ["conditions"]}')
         assert cli.main(["check", "--config", str(path)]) == 3
 
+
+    def test_seed_changes_no_result(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "model": {"type": "beam", "E": 1.0, "N": 16,
+                      "patches": [{"a": 1.2, "from": 0.0, "to": 0.5},
+                                  {"a": 2.5, "from": 0.5, "to": 1.0}]},
+            "analyses": ["spectrum", "conditions"],
+        }))
+        reports, outs = [], []
+        for seed in ("0", "5"):
+            out = tmp_path / seed
+            assert cli.main(["analyze", "--config", str(path), "--out", str(out), "--seed", seed]) == 0
+            reports.append((out / "report.json").read_bytes())
+            assert cli.main(["check", "--config", str(path), "--seed", seed]) == 0
+            outs.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert outs[0] == outs[1]
 
 class TestModalClosedForm:
     # gamma = 1.3 puts u* = 2/gamma^2 - 1 inside [1/k_max, 1/k_min]: phi has

@@ -19,7 +19,9 @@ orthogonality between the two halves.
 
 Every eigenvector these verdicts use is one of ``solve_qep``'s: a
 cluster's eigenspace is the span of its members' position blocks,
-orthonormalized by a thin SVD, and nothing is re-derived from the pencil.
+orthonormalized by a thin SVD (a singleton's is its one unit position,
+and all singletons are classified at once), and nothing is re-derived
+from the pencil.
 A Jordan cluster is no exception, because ``solve_qep`` already gives its
 members the pencil-kernel directions, repeated, so the span has fewer
 directions than the cluster has members.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectrum
+from . import linalg, spectrum
 from .model import PhaseVector, SystemModel, validate
 from .tolerances import CLUSTER_TOL, NEUTRAL_TOL, ORTH_TOL, RANK_TOL, SNAP_REAL_TOL
 
@@ -151,14 +153,15 @@ def _cluster_gram(model: SystemModel, lam: complex, basis: np.ndarray):
     return gram, mu, coeff, tau
 
 
-def _sign_type(mu: np.ndarray, tau: float) -> str:
-    if np.all(mu > tau):
-        return "positive"
-    if np.all(mu < -tau):
-        return "negative"
-    if np.all(np.abs(mu) <= tau):
-        return "neutral"
-    return "mixed"
+def _sign_type(mu: np.ndarray, tau) -> list[str]:
+    # The sign type of each row of Gram eigenvalues mu against its
+    # threshold, tau one per row.
+    mu, tau = np.atleast_2d(mu), np.reshape(tau, (-1, 1))
+    return np.select(
+        [np.all(mu > tau, axis=1), np.all(mu < -tau, axis=1), np.all(np.abs(mu) <= tau, axis=1)],
+        ["positive", "negative", "neutral"],
+        "mixed",
+    ).tolist()
 
 
 def classify_eigenpairs(model: SystemModel, report: spectrum.SpectrumReport) -> SignClassification:
@@ -170,23 +173,39 @@ def classify_eigenpairs(model: SystemModel, report: spectrum.SpectrumReport) -> 
     value exceeds ``RANK_TOL`` times the largest.  The sign type is the
     inertia of the Gram over that span, so it does not depend on how the
     eigenvectors were paired up inside the cluster.
+
+    A singleton's span is its one unit position ``x``, and its Gram the
+    scalar ``x^H K x - |lam|^2 x^H x``: all singletons take theirs at
+    once, from one real product with ``K`` and column-wise sums.  Only the
+    clusters of two or more take the SVD, Gram and ``eigh`` one by one.
     """
     values = report.eigenvalues
     clusters = spectrum.cluster_eigenvalues(values, CLUSTER_TOL)
-    # Every eigenvector in one scatter, cluster after cluster.
-    vectors = spectrum.eigenvectors(model, report, [i for members in clusters for i in members])
-    out, start = [], 0
-    for members in clusters:
-        mem_vals = values[members]
-        mean = complex(np.mean(mem_vals))
-        if abs(mean.imag) <= SNAP_REAL_TOL * (1.0 + abs(mean)):
-            mean = complex(mean.real)
-        cols = vectors[:, start : start + len(members)]
-        start += len(members)
-        # Real when all the cluster's eigenvectors are, as eigenvectors() would return them.
-        basis = _orthonormal_range((cols if cols.imag.any() else cols.real)[: model.n])
-        gram, mu, _, tau = _cluster_gram(model, mean, basis)
-        dim = basis.shape[1]
+    single = np.array([len(members) == 1 for members in clusters])
+    means = values[[members[0] for members in clusters]].astype(complex)
+    for c in np.flatnonzero(~single).tolist():
+        means[c] = np.mean(values[clusters[c]])
+    means = np.where(np.abs(means.imag) <= SNAP_REAL_TOL * (1.0 + np.abs(means)), means.real, means)
+    # The singletons' unit positions, as columns, and their scalar Grams.
+    x = spectrum.eigenvectors(model, report, [clusters[c][0] for c in np.flatnonzero(single).tolist()])
+    x = x[: model.n] / np.linalg.norm(x[: model.n], axis=0)
+    lam2 = np.abs(means[single]) ** 2
+    xkx = np.sum(x.conj() * linalg.real_times(model.K, x), axis=0).real
+    xx = np.sum(x.conj() * x, axis=0).real
+    grams, scales = xkx - lam2 * xx, xkx + lam2 * xx
+    taus = NEUTRAL_TOL * scales
+    singles = zip(grams.tolist(), scales.tolist(), taus.tolist(), _sign_type(grams[:, None], taus))
+    out = []
+    for members, mean in zip(clusters, means.tolist()):
+        if len(members) == 1:
+            g, scale, tau, sign_type = next(singles)
+            if not (np.isfinite(scale) and scale > 0.0 and np.isfinite(g)):
+                raise IllConditionedCluster(mean, "non-finite Gram or zero energy scale")
+            gram, mu, dim = np.array([[g]]), np.array([g]), 1
+        else:
+            basis = _orthonormal_range(spectrum.eigenvectors(model, report, members)[: model.n])
+            gram, mu, _, tau = _cluster_gram(model, mean, basis)
+            sign_type, dim = _sign_type(mu, tau)[0], basis.shape[1]
         margin = float(np.min(np.abs(mu)) - tau)
         out.append(
             ClusterClassification(
@@ -195,7 +214,7 @@ def classify_eigenpairs(model: SystemModel, report: spectrum.SpectrumReport) -> 
                 is_real=(mean.imag == 0.0),
                 kernel_dim=dim,
                 jordan_defect=len(members) - dim,
-                sign_type=_sign_type(mu, tau),
+                sign_type=sign_type,
                 neutral_threshold=tau,
                 margin=margin,
                 nonpositive_directions=int(np.count_nonzero(mu <= tau)),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dpotrf, get_lapack_funcs
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "LinalgError",
@@ -26,6 +26,7 @@ __all__ = [
     "cholesky",
     "sym_eig",
     "nonsym_eig",
+    "real_times",
     "solve",
     "sqrt_pair_from_eig",
 ]
@@ -104,6 +105,20 @@ def normalize_columns(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def real_times(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``mat @ x`` for a real matrix and a real or complex vector or matrix.
+
+    A complex ``x`` is multiplied as its real and imaginary parts, in one
+    real product, where numpy's mixed product would first copy ``mat`` to
+    complex.
+    """
+    if not np.iscomplexobj(x):
+        return mat @ x
+    x = np.ascontiguousarray(x)
+    out = mat @ x.view(float).reshape(x.shape[0], -1)
+    return out.view(complex).reshape((mat.shape[0],) + x.shape[1:])
+
+
 def cholesky(m) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
 
@@ -175,9 +190,9 @@ class LUFactors:
     ``rank_estimate`` set to the number of healthy pivots.  ``scale``
     defaults to the matrix's Frobenius norm; a matrix formed as a sum whose
     terms cancel passes the size of those terms instead, below which a
-    pivot is rounding.  :meth:`solve` checks the residual of its solution;
-    :meth:`apply_inverse` does not, and suits inner loops whose end result
-    goes through :meth:`solve`.
+    pivot is rounding.  :meth:`solve` checks the residual of its solution.
+    Inner loops whose end result goes through :meth:`solve` may call LAPACK
+    ``getrs`` on ``factors`` directly instead.
     """
 
     def __init__(self, m, scale: float | None = None):
@@ -188,16 +203,6 @@ class LUFactors:
         healthy = int(np.count_nonzero(diag > PIVOT_RTOL * self.scale))
         if healthy < self.matrix.shape[0]:
             raise Singular(rank_estimate=healthy)
-
-    def apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        """``m^{-1} b`` for a block of right-hand-side columns; residual unchecked.
-
-        LAPACK ``getrs`` called directly: for a few columns the input checks
-        of ``lu_solve`` cost about as much as the solve itself.
-        """
-        getrs = get_lapack_funcs("getrs", (self.factors[0], b))
-        x, _ = getrs(*self.factors, b)
-        return x
 
     def solve(self, b):
         """Solve ``m @ x = b`` for one vector or stacked columns.

@@ -282,7 +282,9 @@ def _coupling_components(k: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
     pattern = (k != 0.0) | (c != 0.0)
     np.fill_diagonal(pattern, True)
     count, labels = connected_components(csr_matrix(pattern), directed=False)
-    return [np.flatnonzero(labels == i) for i in range(count)]
+    # Grouped by label, ascending within each group: one stable sort.
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
 def _block_validation(model: SystemModel, index: np.ndarray):
@@ -400,15 +402,21 @@ def _sinpi(u: np.ndarray) -> np.ndarray:
 def _sine_overlap(j, k, lo: float, hi: float) -> np.ndarray:
     # integral over [lo, hi] of 2 sin(w_j r) sin(w_k r) dr for 1-based mode
     # indices (integer arrays), w_m = (m - 1/2) pi, by the cosine-difference
-    # antiderivative.  Every sine argument is pi * (integer * r), routed
-    # through _sinpi so that full-interval overlaps of distinct modes vanish
-    # exactly and a beam with one patch over [0, 1] assembles exactly
-    # diagonal matrices.
+    # antiderivative: a Toeplitz part in j - k minus a Hankel part in
+    # j + k - 1, each evaluated once per distinct integer and gathered.
+    # Every sine argument is pi * (integer * r), routed through _sinpi so
+    # that full-interval overlaps of distinct modes vanish exactly and a
+    # beam with one patch over [0, 1] assembles exactly diagonal matrices.
+    def part(d):
+        # (sin(pi d hi) - sin(pi d lo)) / (pi d) at every entry of d
+        first = np.min(d)
+        m = np.arange(first, np.max(d) + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = (_sinpi(m * hi) - _sinpi(m * lo)) / (m * np.pi)
+        return values[d - first]
+
     dm, dp = np.subtract(j, k), np.add(j, k) - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = (_sinpi(dm * hi) - _sinpi(dm * lo)) / (dm * np.pi)
-    same = np.where(dm == 0, hi - lo, diff)
-    return same - (_sinpi(dp * hi) - _sinpi(dp * lo)) / (dp * np.pi)
+    return np.where(dm == 0, hi - lo, part(dm)) - part(dp)
 
 
 def beam_assemble(spec: BeamSpec) -> SystemModel:

@@ -63,14 +63,28 @@ What follows the LU depends only on the block's dimension ``2n``.
 Below ``LANCZOS_MIN_DIMENSION`` ``R_E`` is formed explicitly as
 ``[[-K^{1/2} Z1, -K^{1/2} Z3], [Z2, -lam Z3]]`` from one residual-checked
 solve ``Z = Q^{-1} [(C + lam) K^{-1/2} | K^{1/2} | I]`` and its spectral
-norm taken densely, the faster route at that size.  From there on
-``R_E`` is never formed: Lanczos with full reorthogonalization on
-``R_E^H R_E``, from a seeded random start, applies it through the LU
+norm taken densely, the faster route at that size, point by point.  From
+there on ``R_E`` is never formed: Lanczos with full reorthogonalization
+on ``R_E^H R_E``, from a seeded random start, applies it through the LU
 factors, two ``n x n`` solves with two right-hand sides each per step
 (Trefethen & Embree, *Spectra and Pseudospectra*, 2005; Wright &
-Trefethen, SISC 23, 2001).  It stops when the top Ritz residual falls to
-``LANCZOS_RTOL`` of the Ritz value and returns ``||R_E u|| / ||u||`` for
-that Ritz vector ``u``, through a residual-checked solve.
+Trefethen, SISC 23, 2001).  Each point stops when its top Ritz residual
+falls to ``LANCZOS_RTOL`` of its Ritz value and returns
+``||R_E u|| / ||u||`` for that Ritz vector ``u``, through a
+residual-checked solve.
+
+A scan runs the Lanczos of all its points in lockstep.  Their vectors
+live in one ``(points, steps, 2n)`` array; each step applies ``K^{-1/2}``,
+``C`` and ``K^{1/2}`` to all points' columns in one real product each and
+reorthogonalizes all of them in one batched product, and only the
+triangular solves and the tridiagonal Ritz pair run point by point.  A
+point that converges leaves the active set, so every point keeps its own
+start, stop test and value, and `resolvent_norm_at` is the one-point
+case of the same code.  The points go through in chunks whose ``Q(lam)``
+and LU factors fit ``RESOLVENT_CHUNK_BYTES``, what one point's full
+Lanczos basis would take at ``N = 128``, so the lockstep raises no peak
+memory.  The first failing point in grid order raises, as if the points
+ran one by one.
 
 Every truncation order generates a trivially analytic semigroup, so the
 honest finite-order statement is uniformity: bounded ``fitted_M`` and
@@ -111,6 +125,15 @@ MODAL_CONDITION_LIMIT = 1e8
 # dimension 96 (0.045 s) and half the time by Lanczos at 128 (0.05 s
 # against 0.10 s), one core.
 LANCZOS_MIN_DIMENSION = 128
+
+# The Lanczos of a scan runs its points in lockstep, so it holds the LU
+# factorizations of all of them at once.  A chunk takes as many points as
+# fit this many bytes of Q(lam) and its factors (32 n^2 per point, at
+# least one point): no more than a one-point Lanczos keeping a full
+# dim x dim complex basis and its conjugate holds at N = 128 (dim = 256),
+# so the scan raises no peak memory.  That is 16 points at N = 64, 4 at
+# N = 128 and 1 at N = 256.
+RESOLVENT_CHUNK_BYTES = 2 << 20
 
 # Lanczos stops once the top Ritz residual is at most this times the Ritz
 # value, which puts the Ritz value within that relative distance of an
@@ -301,25 +324,183 @@ def _mode_resolvent_norms(modes: ScalarModes, lam: complex, dim: int) -> np.ndar
     return np.sqrt(top) / np.abs(q)
 
 
-def _block_resolvent_norm(block: CoupledBlock, lam: complex) -> float:
-    # The energy-norm resolvent of one coupled block through one LU of
-    # Q(lam) = K + lam C + lam^2 I (see resolvent_norm_at).
-    n = block.n
-    quad = block.C * lam + block.K
-    quad[np.diag_indices(n)] += lam * lam
-    # Near the spectrum the three terms cancel, so the pivots are judged
-    # against their size: a 1 x 1 Q would otherwise be its own scale.
-    terms = np.linalg.norm(block.K) + abs(lam) * np.linalg.norm(block.C) + abs(lam) ** 2 * np.sqrt(n)
-    lu = linalg.LUFactors(quad, scale=terms)
-    if 2 * n >= LANCZOS_MIN_DIMENSION:
-        return _lanczos_norm(lu, block, lam)
+def _explicit_norm(block: CoupledBlock, lam: complex, lu: linalg.LUFactors):
+    # The block's R_E formed explicitly and normed densely, or the Singular
+    # its residual-checked solve raised; lu holds the factors of Q(lam).
     # Z = Q^{-1} [(C + lam) K^{-1/2} | K^{1/2} | I]; then
     # R_E = [[-K^{1/2} Z1, -K^{1/2} Z3], [Z2, -lam Z3]].
+    n = block.n
     damped = block.C @ block.k_inv_sqrt + lam * block.k_inv_sqrt
-    z = lu.solve(np.hstack([damped, block.k_sqrt, np.eye(n)]))
+    try:
+        z = lu.solve(np.hstack([damped, block.k_sqrt, np.eye(n)]))
+    except linalg.Singular as exc:
+        return exc
     z1, z2, z3 = z[:, :n], z[:, n : 2 * n], z[:, 2 * n :]
     resolvent = np.block([[-(block.k_sqrt @ z1), -(block.k_sqrt @ z3)], [z2, -lam * z3]])
     return float(np.linalg.norm(resolvent, 2))
+
+
+def _apply_resolvent(block: CoupledBlock, lams: np.ndarray, solves, v: np.ndarray) -> np.ndarray:
+    # R_E (a, g) = (K^{1/2} x, y) for each column (a, g) of v, the i-th at
+    # lams[i], with x = -Q^{-1}(g + (C + lam) K^{-1/2} a) and
+    # y = Q^{-1}(K^{1/2} a - lam g) from one solve for both; solves[i]
+    # applies Q(lams[i])^{-1} to an (n, 2) block.  Forming
+    # y = K^{-1/2} a + lam x instead cancels on low modes at large |lam|.
+    n = block.n
+    a, g = v[:n], v[n:]
+    p = linalg.real_times(block.k_inv_sqrt, a)
+    # rhs[i].T is the F-contiguous (n, 2) block of point i.
+    rhs = np.empty((len(solves), 2, n), dtype=complex)
+    rhs[:, 0] = (g + linalg.real_times(block.C, p) + lams * p).T
+    rhs[:, 1] = (linalg.real_times(block.k_sqrt, a) - lams * g).T
+    xy = np.empty((2, n, len(solves)), dtype=complex)
+    for i, solve in enumerate(solves):
+        xy[:, :, i] = solve(rhs[i].T).T
+    return np.concatenate([-linalg.real_times(block.k_sqrt, xy[0]), xy[1]])
+
+
+def _ritz_norm(block: CoupledBlock, lam: complex, lu: linalg.LUFactors, u: np.ndarray):
+    # ||R_E u|| / ||u|| through the residual-checked solve, or the Singular
+    # that solve raised.
+    try:
+        x = _apply_resolvent(block, np.array([lam]), [lu.solve], u[:, None])
+    except linalg.Singular as exc:
+        return exc
+    return float(np.linalg.norm(x) / np.linalg.norm(u))
+
+
+def _lanczos_norms(block: CoupledBlock, lams: np.ndarray, factors: list) -> list:
+    # sigma_max of each point's R_E by Lanczos with full reorthogonalization
+    # on the Hermitian R_E^H R_E, every point in lockstep; factors[i] holds
+    # the LU factors of Q(lams[i]).  Each entry of the result is a norm, or
+    # the Singular that the point's final, residual-checked solve raised.
+    n, dim = block.n, 2 * block.n
+    getrs = lapack.get_lapack_funcs("getrs", (factors[0].factors[0],))
+    solves = [lambda b, f=lu.factors: getrs(*f, b, overwrite_b=True)[0] for lu in factors]
+
+    def gram(v, lams, solves):
+        # R_E^H R_E on every column: A_E^T = J A_E J with J = diag(I, -I) and
+        # A_E real, so R_E^H w = J conj(R_E conj(J w)), no adjoint solve.
+        w = _apply_resolvent(block, lams, solves, v).conj()
+        w[n:] *= -1.0
+        w = _apply_resolvent(block, lams, solves, w).conj()
+        w[n:] *= -1.0
+        return w
+
+    # A fixed generic start: a structured one (all ones, say) can be
+    # orthogonal to the top singular vector of a symmetric model.
+    rng = np.random.default_rng(LANCZOS_SEED)
+    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    cap = min(dim, 16)
+    # basis[i, j] is the j-th Lanczos vector of the i-th active point.
+    basis = np.empty((len(factors), cap, dim), dtype=complex)
+    basis[:, 0] = start / np.linalg.norm(start)
+    alpha, beta = np.empty((len(factors), cap)), np.empty((len(factors), cap))
+    active = np.arange(len(factors))
+    results = [None] * len(factors)
+    for j in range(dim):
+        q = basis[:, j]
+        w = np.ascontiguousarray(gram(np.ascontiguousarray(q.T), lams[active], solves).T)
+        alpha[:, j] = np.sum(q.conj() * w, axis=1).real
+        w -= alpha[:, j, None] * q
+        if j:
+            w -= beta[:, j - 1, None] * basis[:, j - 1]
+        done = basis[:, : j + 1]
+        for _ in range(2):
+            # The coefficients V^H w of every point at once, and their sum.
+            coeff = np.matmul(done, w.conj()[:, :, None]).conj()
+            w -= np.matmul(coeff.transpose(0, 2, 1), done)[:, 0]
+        b = np.linalg.norm(w, axis=1)
+        keep = []
+        for i, point in enumerate(active.tolist()):
+            theta, s = _top_ritz_pair(alpha[i, : j + 1], beta[i, :j])
+            # b * |s_j| is the Ritz residual ||H u - theta u|| of the top Ritz
+            # pair, u = s @ done.  A full basis makes the Ritz pair exact.
+            if b[i] * abs(s[-1]) <= LANCZOS_RTOL * theta or j + 1 == dim:
+                results[point] = _ritz_norm(block, lams[point], factors[point], s @ done[i])
+            else:
+                keep.append(i)
+        if len(keep) < active.size:
+            if not keep:
+                break
+            active, basis, alpha, beta = active[keep], basis[keep], alpha[keep], beta[keep]
+            w, b, solves = w[keep], b[keep], [solves[i] for i in keep]
+        if j + 1 == cap:  # room for twice the steps
+            cap = min(2 * cap, dim)
+            basis, alpha, beta = (
+                np.concatenate([a, np.empty_like(a[:, : cap - j - 1])], axis=1) for a in (basis, alpha, beta)
+            )
+        beta[:, j] = b
+        basis[:, j + 1] = w / b[:, None]
+    return results
+
+
+def _block_norms(block: CoupledBlock, lams: np.ndarray, failures: dict) -> np.ndarray:
+    # The block's resolvent norm at every point of lams before the first
+    # failing one; failures maps a point's position to its exception, and
+    # a point that fails here is added to it.  The Lanczos points go
+    # through in chunks of at most RESOLVENT_CHUNK_BYTES of factorizations.
+    n = block.n
+    norms = np.zeros(lams.size)
+    lanczos = 2 * n >= LANCZOS_MIN_DIMENSION
+    # A point holds Q(lam) and its LU factors, complex; the explicit route
+    # is done with a point before it factors the next.
+    chunk = max(1, RESOLVENT_CHUNK_BYTES // (32 * n * n)) if lanczos else 1
+    k_norm, c_norm = np.linalg.norm(block.K), np.linalg.norm(block.C)
+    for first in range(0, lams.size, chunk):
+        points, factors = [], []
+        for i in range(first, min(first + chunk, min(failures, default=lams.size))):
+            lam = complex(lams[i])
+            quad = block.C * lam + block.K
+            quad[np.diag_indices(n)] += lam * lam
+            # Near the spectrum the three terms cancel, so the pivots are
+            # judged against their size: a 1 x 1 Q would otherwise be its own scale.
+            terms = k_norm + abs(lam) * c_norm + abs(lam) ** 2 * np.sqrt(n)
+            try:
+                factors.append(linalg.LUFactors(quad, scale=terms))
+            except linalg.Singular as exc:
+                failures[i] = exc
+                break
+            points.append(i)
+        if not points:
+            break
+        if lanczos:
+            results = _lanczos_norms(block, lams[points], factors)
+        else:
+            results = [_explicit_norm(block, complex(lams[i]), lu) for i, lu in zip(points, factors)]
+        for i, result in zip(points, results):
+            if isinstance(result, linalg.Singular):
+                failures[i] = result
+            else:
+                norms[i] = result
+    return norms
+
+
+def _resolvent_norms(model: SystemModel, report: SpectrumReport, lams: np.ndarray) -> np.ndarray:
+    # The energy-norm resolvent at every point of lams (see
+    # resolvent_norm_at).  The first failing point in order raises its
+    # error, and nothing past it is computed.
+    dist = np.min(np.abs(report.eigenvalues[None, :] - lams[:, None]), axis=1)
+    near = np.flatnonzero(dist <= CLUSTER_TOL * (1.0 + np.abs(lams)))
+    failures = {}
+    if near.size:
+        failures[int(near[0])] = NearSpectrum(complex(lams[near[0]]), float(dist[near[0]]))
+    validation = validate(model)
+    norms = np.zeros(lams.size)
+    for block in validation.coupled_blocks:
+        stop = min(failures, default=lams.size)
+        norms[:stop] = np.maximum(norms[:stop], _block_norms(block, lams[:stop], failures))
+    modes = validation.scalar_modes
+    for i in range(min(failures, default=lams.size) if modes.size else 0):
+        try:
+            mode_norms = _mode_resolvent_norms(modes, complex(lams[i]), 2 * model.n)
+        except linalg.Singular as exc:
+            failures[i] = exc
+            break
+        norms[i] = max(norms[i], float(np.max(mode_norms)))
+    if failures:
+        raise failures[min(failures)]
+    return norms
 
 
 def resolvent_norm_at(model: SystemModel, report: SpectrumReport, lam: complex) -> float:
@@ -342,81 +523,10 @@ def resolvent_norm_at(model: SystemModel, report: SpectrumReport, lam: complex) 
     solve and normed densely; from there on ``R_E`` is never formed, and
     Lanczos on ``R_E^H R_E`` applies it through the factors and returns
     ``||R_E u|| / ||u||`` for its converged Ritz vector ``u``, computed
-    through a residual-checked solve.
+    through a residual-checked solve.  This is the one-point case of
+    :func:`resolvent_scan`'s computation.
     """
-    lam = complex(lam)
-    dist = float(np.min(np.abs(report.eigenvalues - lam)))
-    if dist <= CLUSTER_TOL * (1.0 + abs(lam)):
-        raise NearSpectrum(lam, dist)
-    validation = validate(model)
-    norms = [_block_resolvent_norm(block, lam) for block in validation.coupled_blocks]
-    if validation.scalar_modes.size:
-        norms.append(float(np.max(_mode_resolvent_norms(validation.scalar_modes, lam, 2 * model.n))))
-    return max(norms)
-
-
-def _lanczos_norm(lu: linalg.LUFactors, block: CoupledBlock, lam: complex) -> float:
-    # sigma_max of the block's R_E by Lanczos with full reorthogonalization
-    # on the Hermitian R_E^H R_E; lu holds the factors of Q(lam).
-    n, dim = block.n, 2 * block.n
-    k_sqrt, k_inv_sqrt = block.k_sqrt, block.k_inv_sqrt
-
-    def real_times(mat, v):
-        # mat @ v for real mat and complex v, without a complex copy of mat
-        return (mat @ v.view(float).reshape(n, 2)).view(complex).ravel()
-
-    def r_e(v, solve=lu.apply_inverse):
-        # R_E (a, g) = (K^{1/2} x, y) with x = -Q^{-1}(g + (C + lam) K^{-1/2} a)
-        # and y = Q^{-1}(K^{1/2} a - lam g), one solve for both.  Forming
-        # y = K^{-1/2} a + lam x instead cancels on low modes at large |lam|.
-        a, g = v[:n], v[n:]
-        p = real_times(k_inv_sqrt, a)
-        rhs = np.empty((n, 2), dtype=complex, order="F")
-        rhs[:, 0] = g + real_times(block.C, p) + lam * p
-        rhs[:, 1] = real_times(k_sqrt, a) - lam * g
-        xy = solve(rhs)
-        return np.concatenate([-real_times(k_sqrt, np.ascontiguousarray(xy[:, 0])), xy[:, 1]])
-
-    def r_e_adjoint(v):
-        # A_E^T = J A_E J with J = diag(I, -I) and A_E real, so
-        # R_E^H v = J conj(R_E conj(J v)): no adjoint solve.
-        jv = v.conj()
-        jv[n:] *= -1.0
-        out = r_e(jv).conj()
-        out[n:] *= -1.0
-        return out
-
-    # A fixed generic start: a structured one (all ones, say) can be
-    # orthogonal to the top singular vector of a symmetric model.
-    rng = np.random.default_rng(LANCZOS_SEED)
-    basis = np.empty((dim, dim), dtype=complex)  # one Lanczos vector per row
-    conj_basis = np.empty((dim, dim), dtype=complex)  # their conjugates
-    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    basis[0] = start / np.linalg.norm(start)
-    conj_basis[0] = basis[0].conj()
-    alpha, beta = np.empty(dim), np.empty(dim)
-    for j in range(dim):
-        q = basis[j]
-        w = r_e_adjoint(r_e(q))
-        alpha[j] = np.vdot(q, w).real
-        w -= alpha[j] * q
-        if j:
-            w -= beta[j - 1] * basis[j - 1]
-        done, conj_done = basis[: j + 1], conj_basis[: j + 1]
-        for _ in range(2):
-            w -= (conj_done @ w) @ done
-        b = float(np.linalg.norm(w))
-        theta, s = _top_ritz_pair(alpha[: j + 1], beta[:j])
-        # b * |s_j| is the Ritz residual ||H u - theta u|| of the top Ritz
-        # pair, u = s @ done.  A full basis makes the Ritz pair exact.
-        if b * abs(s[-1]) <= LANCZOS_RTOL * theta or j + 1 == dim:
-            break
-        beta[j] = b
-        basis[j + 1] = w / b
-        conj_basis[j + 1] = basis[j + 1].conj()
-    u = s @ done
-    x = r_e(u, solve=lu.solve)
-    return float(np.linalg.norm(x) / np.linalg.norm(u))
+    return float(_resolvent_norms(model, report, np.array([complex(lam)]))[0])
 
 
 def _top_ritz_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
@@ -461,18 +571,18 @@ def resolvent_scan(
 
     ``report``, the solved spectrum of ``model``, gives the sector angle.
     ``im_grid`` should be an ascending positive (ideally log-spaced)
-    grid.  :class:`NearSpectrum` from any sample propagates out.
+    grid.  The points run in lockstep (see the module docstring); the
+    :class:`NearSpectrum` or :class:`~specdamp.linalg.Singular` of the
+    first failing point in grid order propagates out.
     """
     im_grid = np.atleast_1d(np.asarray(im_grid, dtype=float))
     if im_grid.size < 2 or np.any(im_grid <= 0.0) or np.any(np.diff(im_grid) <= 0.0):
         raise ValueError("im_grid must be ascending and strictly positive")
-    samples = []
-    for t in im_grid:
-        lam = complex(re_offset, float(t))
-        nrm = resolvent_norm_at(model, report, lam)
-        samples.append((lam, nrm, nrm * float(t)))
-
-    products = np.array([s[2] for s in samples])
+    lams = np.empty(im_grid.size, dtype=complex)
+    lams.real, lams.imag = re_offset, im_grid
+    norms = _resolvent_norms(model, report, lams)
+    products = norms * im_grid
+    samples = tuple(zip(lams.tolist(), norms.tolist(), products.tolist()))
     fitted = float(np.max(products))
     tail = max(2, im_grid.size // 3)
     slope = float(
@@ -487,7 +597,7 @@ def resolvent_scan(
         )
     angle = float(np.max(ratios)) if ratios.size else 0.0
     return ResolventScan(
-        samples=tuple(samples),
+        samples=samples,
         fitted_M=fitted,
         tail_slope=slope,
         products_bounded=bool(bounded),

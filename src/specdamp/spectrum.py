@@ -21,11 +21,13 @@ kernel of ``Q(lam)``.  The solver leans on that structure:
    close values are clustered,
 3. each eigenvalue is polished through the scalar Rayleigh quadratic
    ``(x^H x) lam^2 + (x^H C x) lam + (x^H K x)`` of its own ``x``, all
-   of a pass at once by the scalar modes' root rule.  For a
-   tight cluster (diameter within ``CLUSTER_TOL``) an orthonormal kernel
-   basis of ``Q`` at the cluster mean is extracted by SVD; when it has
-   fewer directions than the cluster has members, the cluster is a Jordan
-   block and the members are polished with the basis directions instead,
+   of a pass at once: the coefficients from one real product with ``K``
+   and one with ``C``, the roots by the scalar modes' root rule.  For a
+   tight cluster of two or more (diameter within ``CLUSTER_TOL``) an
+   orthonormal kernel basis of ``Q`` at the cluster mean is extracted by
+   SVD; when it has fewer directions than the cluster has members, the
+   cluster is a Jordan block and the members are polished with the basis
+   directions instead,
 4. eigenvectors are rebuilt as ``(x, lam x)`` and given the phase
    convention of :class:`SpectrumReport` by one
    :func:`~specdamp.linalg.normalize_columns` pass per coupled block.
@@ -309,18 +311,17 @@ def _mode_vectors(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return position, np.where(big, mag, lams) / norm
 
 
-def _block_vectors(values: np.ndarray, vecs: np.ndarray, n: int) -> list[np.ndarray]:
+def _block_vectors(values: np.ndarray, vecs: np.ndarray, n: int) -> np.ndarray:
     # Companion eigenvectors are (x, lam x): read x from the block that
     # carries it, the top one for |lam| <= 1 and the bottom one / lam above.
-    out = []
-    for j, lam in enumerate(values):
-        x = vecs[:n, j] if abs(lam) <= 1.0 else vecs[n:, j] / lam
-        out.append(x / np.linalg.norm(x))
-    return out
+    # One unit column per eigenvalue.
+    big = np.abs(values) > 1.0
+    xs = np.where(big, vecs[n:] / np.where(big, values, 1.0), vecs[:n])
+    return xs / np.linalg.norm(xs, axis=0)
 
 
-def _linearized_eigenpairs(block: CoupledBlock) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Starting eigenvalues and pencil vectors of one block, all from LAPACK.
+def _linearized_eigenpairs(block: CoupledBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Starting eigenvalues and pencil vectors, as columns, of one block, all from LAPACK.
 
     The large-magnitude eigenvalues come from the phase operator.  When
     its moduli split cleanly ``n``/``n``, the ``n`` small ones come from the
@@ -331,7 +332,7 @@ def _linearized_eigenpairs(block: CoupledBlock) -> tuple[np.ndarray, list[np.nda
     values, vecs = linalg.nonsym_eig(phase_operator(block))
     if n == 1:
         # Q(lam) is 1x1, so its kernel is spanned by 1 for every root.
-        return values, [np.ones(1), np.ones(1)]
+        return values, np.ones((1, 2))
     xs = _block_vectors(values, vecs, n)
     mods = np.abs(values)
     order = np.argsort(mods, kind="stable")
@@ -360,60 +361,82 @@ def _linearized_eigenpairs(block: CoupledBlock) -> tuple[np.ndarray, list[np.nda
     lifted = np.vstack([root_inv @ rvecs[:n], root_inv @ rvecs[n:]])
     return (
         np.concatenate([small, values[order[n:]]]),
-        _block_vectors(mu, lifted, n) + [xs[i] for i in order[n:]],
+        np.hstack([_block_vectors(mu, lifted, n), xs[:, order[n:]]]),
     )
 
 
+def _conjugate_partners(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Indices (lower, upper) that pair each value below the real axis with
+    # its exact conjugate above it, when the values are closed under
+    # conjugation; two empty arrays otherwise.
+    lower, upper = np.flatnonzero(values.imag < 0.0), np.flatnonzero(values.imag > 0.0)
+    lower = lower[np.lexsort((-values.imag[lower], values.real[lower]))]
+    upper = upper[np.lexsort((values.imag[upper], values.real[upper]))]
+    if lower.size == upper.size and np.array_equal(values[lower], values[upper].conj()):
+        return lower, upper
+    return np.empty(0, dtype=int), np.empty(0, dtype=int)
+
+
 def _dense_eigensolve(block: CoupledBlock) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues plus pencil-kernel vectors, as columns, for one coupled block."""
+    """Eigenvalues plus pencil-kernel vectors, as columns, for one coupled block.
+
+    Each of the two polish passes clusters the values.  Every member keeps
+    its own start vector, except in a tight cluster of two or more whose
+    kernel basis has fewer directions than members (a Jordan block): there
+    the basis directions replace them.  A member of a tight cluster, a
+    singleton included, may move ten cluster tolerances, a member of a
+    spread-out chain only well inside the gap to its nearest sibling, so no
+    two can collapse onto one root.  Only the clusters of two or more are
+    visited one by one; the Rayleigh coefficients
+    ``(x^H K x, x^H C x, x^H x)`` of all members come from one real product
+    with ``K`` and one with ``C``, and the roots, the nearest-root choice
+    and the accept test are whole-array steps.  The coefficients are real
+    and nonnegative for any ``x`` because ``K`` and ``C`` are symmetric
+    (semi)definite, so the roots respect the left half plane.  The lower
+    member of each exactly conjugate pair takes its partner's coefficients,
+    so the polished values stay exactly closed under conjugation whatever
+    rounding a batched product gives each column.
+    """
     values, starts = _linearized_eigenpairs(block)
     values = _snap_real(values, SNAP_REAL_TOL)
-    xs = list(starts)
 
     for _pass in range(2):
-        refined = np.array(values, copy=True)
-        # Per polished member: its index, start value, allowed move, and the
-        # coefficients (x^H K x, x^H C x, x^H x) of its Rayleigh quadratic.
-        # They are real and nonnegative for any x because K and C are
-        # symmetric (semi)definite, so the roots respect the left half plane.
-        moves, coeffs = [], []
+        vectors = starts
+        limits = 10.0 * CLUSTER_TOL * (1.0 + np.abs(values))
         for members in cluster_eigenvalues(values, CLUSTER_TOL):
+            if len(members) == 1:
+                continue
             mem_vals = values[members]
             mean = complex(np.mean(mem_vals))
             if abs(mean.imag) <= SNAP_REAL_TOL * (1.0 + abs(mean)):
                 mean = complex(mean.real)
             diameter = float(np.max(np.abs(mem_vals - mean)))
-            tight = diameter <= CLUSTER_TOL * (1.0 + abs(mean))
-            vectors = [starts[i] for i in members]
-            if tight and len(members) > 1:
-                # Genuine numerical coincidence.  The kernel basis at the mean
-                # tells a Jordan block (fewer kernel directions than members)
-                # from a semisimple cluster; only then do its directions
-                # replace the members' own vectors.
-                basis = pencil_kernel_basis(block, mean, max_dim=len(members), diameter=diameter)
-                dim = basis.shape[1]
-                if dim < len(members):
-                    vectors = [basis[:, min(rank, dim - 1)] for rank in range(len(members))]
-            # A tight cluster member may move ten cluster tolerances; a member
-            # of a spread-out chain only well inside the gap to its nearest
-            # sibling, so no two can collapse onto one root.
-            if tight:
-                limits = 10.0 * CLUSTER_TOL * (1.0 + np.abs(mem_vals))
-            else:
+            if diameter > CLUSTER_TOL * (1.0 + abs(mean)):
                 gaps = np.abs(mem_vals[:, None] - mem_vals[None, :])
                 np.fill_diagonal(gaps, np.inf)
-                limits = 0.4 * np.min(gaps, axis=1)
-            for idx, x, limit in zip(members, vectors, limits.tolist()):
-                moves.append((idx, complex(values[idx]), limit))
-                coeffs.append([np.vdot(x, block.K @ x).real, np.vdot(x, block.C @ x).real, np.vdot(x, x).real])
-                xs[idx] = x
-        # All of the pass's quadratics at once, by the scalar modes' root rule.
-        for (idx, lam0, limit), roots in zip(moves, _mode_roots(*np.array(coeffs).T).tolist()):
-            lam = min(roots, key=lambda r: abs(r - lam0))
-            refined[idx] = lam0 if abs(lam - lam0) > limit else lam
-        values = _snap_real(refined, SNAP_REAL_TOL)
+                limits[members] = 0.4 * np.min(gaps, axis=1)
+                continue
+            # Genuine numerical coincidence.  The kernel basis at the mean
+            # tells a Jordan block (fewer kernel directions than members)
+            # from a semisimple cluster; only then do its directions
+            # replace the members' own vectors.
+            basis = pencil_kernel_basis(block, mean, max_dim=len(members), diameter=diameter)
+            dim = basis.shape[1]
+            if dim < len(members):
+                if vectors is starts:
+                    vectors = starts.astype(np.result_type(starts, basis))
+                vectors[:, members] = basis[:, np.minimum(np.arange(len(members)), dim - 1)]
+        products = (linalg.real_times(block.K, vectors), linalg.real_times(block.C, vectors), vectors)
+        coeffs = np.array([np.sum(vectors.conj() * y, axis=0).real for y in products])
+        lower, upper = _conjugate_partners(values)
+        coeffs[:, lower] = coeffs[:, upper]
+        roots = _mode_roots(*coeffs)
+        # The nearer root, the first on a tie; a move beyond the limit is refused.
+        dist = np.abs(roots - values[:, None])
+        nearest = np.where(dist[:, 1] < dist[:, 0], roots[:, 1], roots[:, 0])
+        values = _snap_real(np.where(np.abs(nearest - values) > limits, values, nearest), SNAP_REAL_TOL)
 
-    return values, np.column_stack(xs)
+    return values, vectors
 
 
 def _pencil_residuals(block: CoupledBlock, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -143,6 +143,36 @@ class TestClassify:
                     scale = np.sqrt(energy_norm_sq(m, vecs[i]) * energy_norm_sq(m, vecs[j]))
                     assert val <= 1e-8 * scale
 
+    @pytest.mark.parametrize("case", ["random", "two-patch-N32"])
+    def test_singletons_match_cluster_gram_route(self, case):
+        # The singletons' scalar Grams against the per-cluster route every
+        # cluster of two or more takes: orthonormal range, _cluster_gram, eigh.
+        if case == "random":
+            rng = np.random.default_rng(48)
+            models = [oracles.random_model(rng, int(rng.integers(2, 9))) for _ in range(20)]
+        else:
+            patches = (sd.Patch(1.2, 0.0, 0.5), sd.Patch(2.5, 0.5, 1.0))
+            models = [sd.beam_assemble(sd.BeamSpec(E=1.0, patches=patches, N=32))]
+        singletons = 0
+        for m in models:
+            rep = sd.solve_qep(m)
+            for c in krein.classify_eigenpairs(m, rep).clusters:
+                if c.size > 1:
+                    continue
+                singletons += 1
+                cols = sd.eigenvectors(m, rep, c.member_indices)[: m.n]
+                basis = krein._orthonormal_range(cols)
+                gram, mu, _, tau = krein._cluster_gram(m, c.eigenvalue, basis)
+                scale = tau / krein.NEUTRAL_TOL
+                assert c.sign_type == krein._sign_type(mu, tau)[0]
+                assert (c.kernel_dim, c.jordan_defect) == (basis.shape[1], 0)
+                assert c.nonpositive_directions == int(np.count_nonzero(mu <= tau))
+                assert c.neutral_threshold == pytest.approx(tau, rel=1e-12, abs=0.0)
+                assert np.allclose(c.gram, gram, rtol=0.0, atol=1e-12 * scale)
+                assert np.allclose(c.gram_eigenvalues, mu, rtol=0.0, atol=1e-12 * scale)
+                assert c.margin == pytest.approx(float(np.min(np.abs(mu)) - tau), rel=0.0, abs=1e-12 * scale)
+        assert singletons >= 40
+
 
 def solved_near(m, lam):
     # The positions of the eigenvectors solve_qep returns within cluster

@@ -141,12 +141,17 @@ class TestSolve:
         with pytest.raises(ValueError):
             linalg.solve(np.eye(3), np.ones(2))
 
-    def test_lu_factors_apply_inverse(self):
-        rng = np.random.default_rng(11)
-        b = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-        for a in (rng.standard_normal((6, 6)), rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))):
-            lu = linalg.LUFactors(a)
-            assert np.allclose(a @ lu.apply_inverse(b), b, atol=1e-12)
+
+class TestRealTimes:
+    def test_matches_mixed_product(self):
+        rng = np.random.default_rng(12)
+        m = rng.standard_normal((5, 4))
+        for shape in ((4,), (4, 3)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for v in (x, x.real, x.T.T[::-1]):
+                got = linalg.real_times(m, v)
+                assert got.shape == (5,) + shape[1:] and got.dtype == v.dtype
+                assert np.allclose(got, m @ v, rtol=1e-14, atol=1e-14)
 
 
 class TestSqrtPair:

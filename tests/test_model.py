@@ -76,6 +76,34 @@ class TestValidate:
                 cq = x @ m.C @ x
                 assert rep.gamma * kq - 1e-10 <= cq <= rep.alpha * kq + 1e-10
 
+    def test_components_listed_when_labels_interleave(self):
+        # Coupled pairs (0, 4), (1, 5), (2, 6) and the lone 3: each component's
+        # coordinates ascend, and components come in label order, as one
+        # flatnonzero per label lists them.
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        from specdamp.model import _coupling_components
+
+        rng = np.random.default_rng(25)
+        k = np.diag(rng.uniform(1.0, 2.0, 7))
+        for i, j in ((0, 4), (1, 5), (2, 6)):
+            k[i, j] = k[j, i] = 0.1
+        got = _coupling_components(k, np.zeros((7, 7)))
+        assert [part.tolist() for part in got] == [[0, 4], [1, 5], [2, 6], [3]]
+        # A random interleaved pattern against the per-label reference.
+        perm = rng.permutation(40)
+        k = np.eye(40)
+        for lo, hi in ((0, 7), (7, 8), (8, 20), (20, 33), (33, 40)):
+            for a, b in zip(perm[lo : hi - 1], perm[lo + 1 : hi]):
+                k[a, b] = k[b, a] = 0.01
+        count, labels = connected_components(csr_matrix(k != 0.0), directed=False)
+        want = [np.flatnonzero(labels == i) for i in range(count)]
+        got = _coupling_components(k, np.zeros((40, 40)))
+        assert len(got) == len(want) == 5
+        for part, ref in zip(got, want):
+            assert np.array_equal(part, ref) and part.dtype == ref.dtype
+
     def test_report_fields(self):
         m = sd.SystemModel(K=np.diag([4.0]), C=np.diag([2.0]))
         rep = validate(m)

@@ -8,7 +8,7 @@ import scipy.linalg
 
 import specdamp as sd
 from specdamp import conditions, linalg, semigroup
-from specdamp.model import phase_operator
+from specdamp.model import phase_operator, validate
 
 import oracles
 
@@ -349,6 +349,42 @@ class TestResolventLanczos:
         # The one LU is of the 64 x 64 Q(lam), not of the 128 x 128 A - lam.
         assert [c for c in calls if c[0] == "lu"] == [("lu", (64, 64))]
         assert not [c for c in calls if c[1] == (128, 128)]
+        # The scan: one such LU per point, and still no dense eigensolve.
+        calls.clear()
+        semigroup.resolvent_scan(m, rep, 1.0, CLI_GRID)
+        assert calls == [("lu", (64, 64))] * CLI_GRID.size
+
+    @pytest.mark.parametrize("N", [64, 128])
+    def test_scan_matches_one_point_and_any_chunk(self, N, monkeypatch):
+        # The scan's points run their Lanczos in lockstep, in chunks of a
+        # byte budget of factors; each sample is the one-point value, and
+        # one point per chunk changes none of them.
+        m = two_patch_rod(N)
+        rep = sd.solve_qep(m)
+        scan = semigroup.resolvent_scan(m, rep, 1.0, CLI_GRID)
+        for lam, norm, _ in scan.samples:
+            assert norm == pytest.approx(semigroup.resolvent_norm_at(m, rep, lam), rel=1e-14, abs=0.0)
+        monkeypatch.setattr(semigroup, "RESOLVENT_CHUNK_BYTES", 1)
+        single = semigroup.resolvent_scan(m, rep, 1.0, CLI_GRID)
+        for (lam, norm, _), (lam1, norm1, _) in zip(scan.samples, single.samples):
+            assert lam1 == lam and norm1 == pytest.approx(norm, rel=1e-14, abs=0.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_first_failing_point_raises(self):
+        # Undamped coupled model with K eigenvalues j^2: Q(i j) is singular.
+        # The spectrum handed in holds +-i and 2.5i, so lam = i and 2.5i are
+        # caught as near it, and lam = 2i only by the pivot test.  Whichever
+        # failing point comes first in the grid raises.
+        q = np.linalg.qr(np.random.default_rng(5).standard_normal((64, 64)))[0]
+        stiff = (q * np.arange(1.0, 65.0) ** 2) @ q.T
+        m = sd.SystemModel(K=0.5 * (stiff + stiff.T), C=np.zeros((64, 64)))
+        assert len(validate(m).coupled_blocks) == 1
+        rep = SimpleNamespace(eigenvalues=np.array([-1j, 1j, 2.5j]))
+        with pytest.raises(semigroup.NearSpectrum) as exc:
+            semigroup.resolvent_scan(m, rep, 0.0, [0.5, 0.75, 1.0, 1.5, 2.0])
+        assert exc.value.lam == 1j
+        with pytest.raises(linalg.Singular):
+            semigroup.resolvent_scan(m, rep, 0.0, [0.5, 2.0, 2.5, 3.5])
 
 
 class TestResolventScan:

@@ -176,6 +176,62 @@ class TestCoupledSolver:
         assert np.array_equal(np.sort_complex(got), np.sort_complex(got.conj()))
 
 
+def edge_case_models(seed, names):
+    # The benchmark's edge-cases models of that seed, built by its own code.
+    import importlib.util
+    import os
+    import sys
+    import tempfile
+
+    workloads = sys.modules.get("perfbench_workloads")
+    if workloads is None:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.path.join(root, "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    with tempfile.TemporaryDirectory() as tmp:
+        requests = workloads.build("edge-cases", seed, tmp)
+    return [sd.SystemModel(K=r.K, C=r.C) for r in requests if r.rid in {name + "-analyze" for name in names}]
+
+
+def assert_exactly_conjugate_closed(values):
+    nonreal = values[values.imag != 0.0]
+    order = np.lexsort((nonreal.imag, nonreal.real))
+    conj = nonreal.conj()
+    assert np.array_equal(nonreal[order], conj[np.lexsort((conj.imag, conj.real))])
+
+
+class TestConjugateClosure:
+    """The polish batches its Rayleigh coefficients; conjugates stay exact."""
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_edge_case_models(self, seed):
+        models = edge_case_models(seed, ("near-critical-below", "wide-K", "critical-blocks-rotated"))
+        assert len(models) == 3
+        for m in models:
+            assert_exactly_conjugate_closed(sd.solve_qep(m).eigenvalues)
+
+    def test_partners_pair_exact_conjugates_only(self):
+        values = np.array([-1 + 2j, -3.0, -1 - 1j, -1 - 2j, -1 + 1j, -1 - 2j, -1 + 2j])
+        lower, upper = spectrum._conjugate_partners(values)
+        assert np.array_equal(values[lower], values[upper].conj())
+        assert sorted(lower.tolist()) == [2, 3, 5] and sorted(upper.tolist()) == [0, 4, 6]
+        for broken in (values[:-1], np.append(values[:-1], -1 + 2.0000000000000004j)):
+            assert [part.size for part in spectrum._conjugate_partners(broken)] == [0, 0]
+
+    def test_random_coupled_models(self):
+        rng = np.random.default_rng(40)
+        nonreal = 0
+        for _ in range(20):
+            m = oracles.random_model(rng, int(rng.integers(2, 13)))
+            assert len(validate(m).coupled_blocks) == 1
+            values = sd.solve_qep(m).eigenvalues
+            nonreal += int(np.count_nonzero(values.imag))
+            assert_exactly_conjugate_closed(values)
+        assert nonreal > 0
+
+
 def two_patch_rod(N):
     return sd.beam_assemble(
         sd.BeamSpec(E=1.0, patches=(sd.Patch(1.2, 0.0, 0.5), sd.Patch(2.5, 0.5, 1.0)), N=N)

@@ -16,11 +16,12 @@ Subcommands
     Prints the condition report as a table; exit status 0 only if every
     evaluated condition holds.
 
-Exit codes: 0 success, 1 a checked condition fails, 2 invalid model or
-malformed config, 3 numerical failure.  The config schema is strict:
-unknown keys anywhere are rejected.  All floats are serialized with 17
-significant digits so reports round-trip bit-exactly, and identical
-config yields byte-identical outputs.  Files are written atomically (temp
+Exit codes: 0 success, 1 a checked condition fails, 2 invalid model,
+malformed config or an output that cannot be written, 3 numerical
+failure.  The config schema is strict: unknown keys anywhere are
+rejected.  All floats are serialized with 17 significant digits so
+reports round-trip bit-exactly, and identical config yields
+byte-identical outputs.  Files are written atomically (temp
 file then rename).  No computation is random: ``--seed N`` and an integer
 config ``"seed"`` have no effect, and stay accepted because the benchmark's
 workloads pass them.
@@ -696,18 +697,25 @@ def _parse_x0(
             raise ConfigError(f"eigenvector index {k} out of range [0, {count})")
         return PhaseVector.from_stacked(spectrum.eigenvectors(model, report, [k])[:, 0])
     try:
-        weights = [float(w) for w in rest.split(",") if w != ""]
+        weights = np.array([float(w) for w in rest.split(",")])
     except ValueError as exc:
         raise ConfigError(f"could not parse x0 weights from {rest!r}") from exc
+    if not np.all(np.isfinite(weights)):
+        raise ConfigError(f"x0 values must be finite, got {rest!r}")
     if kind == "modal":
-        if len(weights) != model.n:
-            raise ConfigError(f"modal x0 needs {model.n} weights, got {len(weights)}")
-        return PhaseVector(np.array(weights), np.zeros(model.n))
-    if kind == "explicit":
-        if len(weights) != 2 * model.n:
-            raise ConfigError(f"explicit x0 needs {2 * model.n} values, got {len(weights)}")
-        return PhaseVector.from_stacked(np.array(weights))
-    raise ConfigError(f"unknown x0 kind {kind!r}")
+        if weights.size != model.n:
+            raise ConfigError(f"modal x0 needs {model.n} weights, got {weights.size}")
+        x0 = PhaseVector(weights, np.zeros(model.n))
+    elif kind == "explicit":
+        if weights.size != 2 * model.n:
+            raise ConfigError(f"explicit x0 needs {2 * model.n} values, got {weights.size}")
+        x0 = PhaseVector.from_stacked(weights)
+    else:
+        raise ConfigError(f"unknown x0 kind {kind!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(semigroup.energy(model, x0)):
+            raise ConfigError(f"x0 {rest!r} has an energy that overflows")
+    return x0
 
 
 def run_simulate(
@@ -858,6 +866,11 @@ def main(argv=None) -> int:
         return run_check(args.config)
     except (ConfigError, InvalidModel) as exc:
         print(f"specdamp: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        # Reading the config turns its OSError into a ConfigError, so this
+        # one comes from writing the outputs.
+        print(f"specdamp: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (
         linalg.LinalgError,

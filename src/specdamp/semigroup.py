@@ -4,7 +4,13 @@ The phase flow ``x'(t) = A x(t)`` with ``A = [[0, I], [-K, -C]]`` is a
 contraction in the energy norm ``|x|_E^2 = x^T K x + |y|^2`` because
 ``Re <A u, u>_E = -y^H C y <= 0``.  In energy coordinates
 ``y = S x``, ``S = diag(K^{1/2}, I)``, that norm is the Euclidean one.
-`evolve` and `propagator` work from one basis per solved spectrum, the
+`evolve`, `propagator` and `smoothing_probe` share one kernel, which
+returns ``exp(t A) Z`` for every sample time and every column of a
+``2n x k`` matrix ``Z``, with each column's energy: `evolve` flows
+``Z = x0``, `propagator` the identity at one time, and `smoothing_probe`
+``Z = A x0``, because ``A`` commutes with ``exp(t A)``:
+``A x(t) = exp(t A) A x0``, so the probe reads ``t ||A x(t)||_E`` from the
+energies.  The kernel works from one basis per solved spectrum, the
 energy-normalized eigenvectors ``V_E``
 (:func:`~specdamp.spectrum.energy_basis`), and its condition number, the
 Riesz number that `riesz_basis_condition_number` reports, is the only
@@ -17,12 +23,12 @@ thing that picks the method:
   sample is ``expm(t A) x0`` by scaling and squaring (Higham, SIMAX 26,
   2005), whose cost grows only with ``log ||t A||``.
 
-`smoothing_probe` takes its states from `evolve`.  The phase operator is
-a direct sum over the model's coupling components
+The phase operator is a direct sum over the model's coupling components
 (:class:`~specdamp.model.ValidationReport`), and both methods run on each
-component by itself: the scalar modes' ``2 x 2`` blocks all at once, each
-coupled block on its own, so a decoupled model never forms a ``2n x 2n``
-basis, solve or exponential.
+component by itself: the scalar modes' real ``2 x 2`` flows all at once,
+each coupled block in one product over all samples, or one ``expm`` per
+sample, so a decoupled model never forms a ``2n x 2n`` basis, solve or
+exponential.
 
 Resolvent probes quantify how far the generator is from sectorial:
 `resolvent_norm_at` evaluates ``||(A - lam)^{-1}||`` in the energy norm
@@ -177,24 +183,69 @@ def _maybe_real(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _modal_basis(model: SystemModel, report: SpectrumReport):
-    # The energy basis when the modal formula may use it, else None.
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Re sum_i conj(a_i) b_i over the first axis.
+    return np.einsum("i...,i...->...", a.conj() if np.iscomplexobj(a) else a, b).real
+
+
+def _flow(model: SystemModel, report: SpectrumReport, times: np.ndarray, z: np.ndarray):
+    # exp(tA) z for every time and every column of the 2n x k matrix z, as a
+    # (2n, times, k) array, with each column's squared energy norm as a
+    # (times, k) array, and the method.  Each coupling component flows by
+    # itself: the scalar modes in one batched pass, each coupled block in
+    # one product over all samples (exact-modal) or one expm per sample.
+    validation, n = validate(model), model.n
+    modes = validation.scalar_modes
     basis = energy_basis(model, report)
-    return basis if basis.condition_number <= MODAL_CONDITION_LIMIT else None
-
-
-def _rows(block: CoupledBlock, n: int) -> np.ndarray:
-    # A block's coordinates in the stacked 2n phase vector.
-    return np.concatenate([block.index, n + block.index])
-
-
-def _mode_generators(modes: ScalarModes) -> np.ndarray:
-    # The (m, 2, 2) stack of the scalar modes' phase operators [[0, 1], [-k, -c]].
-    gen = np.zeros((modes.size, 2, 2))
-    gen[:, 0, 1] = 1.0
-    gen[:, 1, 0] = -modes.k
-    gen[:, 1, 1] = -modes.c
-    return gen
+    modal = basis.condition_number <= MODAL_CONDITION_LIMIT
+    shape = (times.size, z.shape[1])
+    blocks = validation.coupled_blocks
+    out = np.empty((2 * n,) + shape, dtype=np.result_type(z, complex if modal and blocks else float))
+    energies = np.zeros(shape)
+    if modes.size:
+        # Each mode's exp(tA_i) as a real (modes, times, 2, 2) stack, applied
+        # entrywise: the identity's 2n columns make a batched solve or
+        # product the bulk of propagator.
+        if modal:
+            # exp(tA_i) = S_i^{-1} V_i exp(L_i t) V_i^{-1} S_i with S_i = diag(sqrt(k_i), 1),
+            # real since A_i is; the imaginary part is rounding.
+            root = np.sqrt(modes.k)[:, None, None]
+            decay = np.exp(basis.mode_values[..., None] * times)
+            flows = np.einsum("mij,mjt,mjl->mtil", basis.modes, decay, np.linalg.inv(basis.modes)).real
+            flows[:, :, 0] /= root
+            flows[:, :, :, 0] *= root
+        else:
+            gen = np.zeros((modes.size, 1, 2, 2))
+            gen[..., 0, 1], gen[..., 1, 0], gen[..., 1, 1] = 1.0, -modes.k[:, None], -modes.c[:, None]
+            flows = expm(gen * times[:, None, None])
+        x, y, f = z[modes.index, None], z[n + modes.index, None], flows[..., None]
+        xt = f[:, :, 0, 0] * x + f[:, :, 0, 1] * y
+        yt = f[:, :, 1, 0] * x + f[:, :, 1, 1] * y
+        out[modes.index], out[n + modes.index] = xt, yt
+        energies += _inner(xt, modes.k[:, None, None] * xt) + _inner(yt, yt)
+    for b, block in enumerate(blocks):
+        m, rows = block.n, np.concatenate([block.index, n + block.index])
+        zb = z[rows]
+        if not modal:
+            a_op = phase_operator(block)
+            for i, t in enumerate(times):
+                out[rows, i] = expm(t * a_op) @ zb
+            x, y = out[block.index], out[n + block.index]
+            kx = linalg.real_times(block.K, x.reshape(m, -1)).reshape(x.shape)
+            energies += _inner(x, kx) + _inner(y, y)
+            continue
+        # In energy coordinates y = diag(K^{1/2}, I) z the flow is
+        # V_E exp(L t) V_E^{-1} y and the energy is |y|^2.
+        vectors = basis.blocks[b]
+        y0 = np.concatenate([linalg.real_times(block.k_sqrt, zb[:m]), zb[m:]])
+        coeff = linalg.solve(vectors, y0.astype(complex))
+        flow = np.exp(np.multiply.outer(basis.block_values[b], times))[..., None] * coeff[:, None]
+        # One product over all samples; a batched one per sample is slower.
+        yb = (vectors @ flow.reshape(2 * m, -1)).reshape(flow.shape)
+        energies += _inner(yb, yb)
+        out[block.index] = linalg.real_times(block.k_inv_sqrt, yb[:m])  # K^{-1/2} is symmetric
+        out[n + block.index] = yb[m:]
+    return out, energies, "exact-modal" if modal else "expm"
 
 
 def evolve(model: SystemModel, report: SpectrumReport, x0: PhaseVector, times) -> TrajectoryReport:
@@ -207,56 +258,15 @@ def evolve(model: SystemModel, report: SpectrumReport, x0: PhaseVector, times) -
     ``expm(t A) x0`` (``expm``).  Either way the flow runs on each coupling
     component by itself, the scalar modes all at once.
     """
-    validation = validate(model)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0 or np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be nonnegative and ascending")
     z0 = x0.stacked()
-    n = model.n
-    if z0.shape[0] != 2 * n:
+    if z0.shape[0] != 2 * model.n:
         raise ValueError("initial state dimension does not match the model")
-
-    modes = validation.scalar_modes
-    basis = _modal_basis(model, report)
-    if basis is not None:
-        method = "exact-modal"
-        ys = np.empty((times.size, 2 * n), dtype=complex)
-        energies = np.zeros(times.size)
-        if modes.size:
-            root = np.sqrt(modes.k)
-            y0 = np.stack([root * z0[modes.index], z0[n + modes.index]], axis=1).astype(complex)
-            coeff = np.linalg.solve(basis.modes, y0[..., None])[..., 0]
-            flow = np.exp(np.multiply.outer(times, basis.mode_values)) * coeff
-            ym = np.einsum("mij,tmj->tmi", basis.modes, flow)
-            energies += np.einsum("tmi,tmi->t", ym.conj(), ym).real
-            ys[:, modes.index] = ym[..., 0] / root
-            ys[:, n + modes.index] = ym[..., 1]
-        for block, vectors, values in zip(validation.coupled_blocks, basis.blocks, basis.block_values):
-            m = block.n
-            y0 = np.concatenate([block.k_sqrt @ z0[block.index], z0[n + block.index]])
-            coeff = linalg.solve(vectors, y0.astype(complex))
-            yb = (np.exp(np.multiply.outer(times, values)) * coeff) @ vectors.T
-            energies += np.einsum("ti,ti->t", yb.conj(), yb).real
-            ys[:, block.index] = yb[:, :m] @ block.k_inv_sqrt  # K^{-1/2} is symmetric
-            ys[:, n + block.index] = yb[:, m:]
-        states = tuple(PhaseVector.from_stacked(_maybe_real(y)) for y in ys)
-    else:
-        method = "expm"
-        zs = np.empty((times.size, 2 * n), dtype=np.result_type(z0, float))
-        if modes.size:
-            flows = expm(np.multiply.outer(times, _mode_generators(modes)))
-            zm = np.stack([z0[modes.index], z0[n + modes.index]], axis=1)
-            out = np.einsum("tmij,mj->tmi", flows, zm)
-            zs[:, modes.index] = out[..., 0]
-            zs[:, n + modes.index] = out[..., 1]
-        for block in validation.coupled_blocks:
-            a_op, rows = phase_operator(block), _rows(block, n)
-            zb = z0[rows]
-            for i, t in enumerate(times):
-                zs[i, rows] = expm(t * a_op) @ zb
-        states = tuple(PhaseVector.from_stacked(z) for z in zs)
-        energies = np.array([energy(model, s) for s in states])
-    return TrajectoryReport(times=times, states=states, energies=energies, method=method)
+    out, energies, method = _flow(model, report, times, z0[:, None])
+    states = tuple(PhaseVector.from_stacked(_maybe_real(z)) for z in out[:, :, 0].T)
+    return TrajectoryReport(times=times, states=states, energies=energies[:, 0], method=method)
 
 
 def propagator(model: SystemModel, report: SpectrumReport, t: float) -> np.ndarray:
@@ -268,38 +278,8 @@ def propagator(model: SystemModel, report: SpectrumReport, t: float) -> np.ndarr
     """
     if t < 0.0:
         raise ValueError("propagator is defined for t >= 0")
-    validation, n = validate(model), model.n
-    modes = validation.scalar_modes
-    basis = _modal_basis(model, report)
-    prop = np.zeros((2 * n, 2 * n), dtype=float if basis is None else complex)
-    if modes.size:
-        if basis is None:
-            flows = expm(t * _mode_generators(modes))
-        else:
-            # exp(tA_i) = S_i^{-1} V_i exp(L_i t) V_i^{-1} S_i with S_i = diag(sqrt(k_i), 1).
-            root = np.sqrt(modes.k)
-            scale = np.zeros((modes.size, 2, 2))
-            scale[:, 0, 0], scale[:, 1, 1] = root, 1.0
-            coeff = np.linalg.solve(basis.modes, scale)
-            flows = basis.modes @ (np.exp(t * basis.mode_values)[..., None] * coeff)
-            flows[:, 0, :] /= root[:, None]
-        coords = (modes.index, n + modes.index)
-        for i in range(2):
-            for j in range(2):
-                prop[coords[i], coords[j]] = flows[:, i, j]
-    for b, block in enumerate(validation.coupled_blocks):
-        rows = _rows(block, n)
-        if basis is None:
-            prop[np.ix_(rows, rows)] = expm(t * phase_operator(block))
-            continue
-        vectors, m = basis.blocks[b], block.n
-        scale = np.eye(2 * m, dtype=complex)
-        scale[:m, :m] = block.k_sqrt
-        coeff = linalg.solve(vectors, scale)
-        flow = vectors @ (np.exp(t * basis.block_values[b])[:, None] * coeff)
-        flow[:m] = block.k_inv_sqrt @ flow[:m]
-        prop[np.ix_(rows, rows)] = flow
-    return _maybe_real(prop)
+    out, _, _ = _flow(model, report, np.array([float(t)]), np.eye(2 * model.n))
+    return _maybe_real(out[:, 0])
 
 
 def _mode_resolvent_norms(modes: ScalarModes, lam: complex, dim: int) -> np.ndarray:
@@ -611,26 +591,15 @@ def smoothing_probe(model: SystemModel, report: SpectrumReport, x0: PhaseVector,
 
     Bounded values as the grid approaches zero are the smoothing
     signature of an analytic flow; the statistic is reported raw and is
-    meant to be read together with the sector angle.
+    meant to be read together with the sector angle.  ``A`` commutes with
+    ``exp(t A)``, so ``A x(t)`` is the flow of ``A x0``.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any(t_grid < 0.0):
-        raise ValueError("t_grid must be nonnegative")
+    if t_grid.size == 0 or np.any(t_grid < 0.0):
+        raise ValueError("t_grid must be nonempty and nonnegative")
     base = np.sqrt(energy(model, x0))
     if base == 0.0:
         return 0.0
-    validation, n = validate(model), model.n
-    modes = validation.scalar_modes
-    ops = [(_rows(block, n), phase_operator(block)) for block in validation.coupled_blocks]
-    traj = evolve(model, report, x0, np.sort(t_grid))
-    worst = 0.0
-    for t, state in zip(traj.times, traj.states):
-        z = state.stacked()
-        az = np.empty_like(z)
-        # A_i (x, y) = (y, -k x - c y) on each scalar mode, A_b z_b on each block.
-        az[modes.index] = z[n + modes.index]
-        az[n + modes.index] = -modes.k * z[modes.index] - modes.c * z[n + modes.index]
-        for rows, a_op in ops:
-            az[rows] = a_op @ z[rows]
-        worst = max(worst, float(t) * np.sqrt(energy(model, PhaseVector.from_stacked(az))) / base)
-    return worst
+    p, v = x0.position, x0.velocity
+    _, energies, _ = _flow(model, report, t_grid, np.concatenate([v, -(model.K @ p) - model.C @ v])[:, None])
+    return float(np.max(t_grid * np.sqrt(energies[:, 0]))) / base

@@ -140,6 +140,14 @@ class TestAnalyze:
         dec = doc["krein"]["decomposition"]
         assert dec["h_prime"] == [] and dec["m_cut"] is None
 
+    def test_unwritable_output_directory(self, tmp_path, capsys):
+        # --out below a regular file: the write fails, and the CLI says so
+        # with the invalid-input exit code instead of a traceback.
+        path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)
+        code = cli.main(["analyze", "--config", path, "--out", os.path.join(path, "sub")])
+        assert code == cli.EXIT_INVALID
+        assert "specdamp: cannot write output:" in capsys.readouterr().err
+
 
 class TestSchemaErrors:
     def test_malformed_json(self, tmp_path):
@@ -304,6 +312,13 @@ class TestSimulate:
         assert cli.main(base + ["--x0", "explicit:1,2,3"]) == 2
         assert cli.main(base + ["--x0", "eigenvector:99"]) == 2
         assert cli.main(base + ["--x0", "nonsense"]) == 2
+        # Non-finite entries, an energy that overflows and an empty field
+        # are config errors too, not a solver's traceback or a skipped weight.
+        assert cli.main(base + ["--x0", "explicit:nan" + ",0" * 15]) == 2
+        assert cli.main(base + ["--x0", "modal:inf" + ",1" * 7]) == 2
+        assert cli.main(base + ["--x0", "explicit:" + ",".join(["1e308"] * 16)]) == 2
+        assert cli.main(base + ["--x0", "modal:1,,1,1,1,1,1,1,1"]) == 2
+        assert not out.exists()
 
     def test_stiff_critical_model_simulates(self, tmp_path):
         # Nearly dependent eigenvectors of a stiff model (K up to 4e8): the

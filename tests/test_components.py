@@ -216,14 +216,19 @@ def test_kelvin_voigt_proxy_matches_dense(case):
     assert proxy == pytest.approx(np.linalg.norm(inv_root @ pert @ inv_root, 2), rel=1e-14, abs=0.0)
 
 
-def test_defective_mode_takes_expm_per_component():
-    # One exactly critical scalar mode (k = 4, c = 4) makes the basis
-    # singular: evolve and propagator fall back to expm on every component.
+def defective_model():
+    # One exactly critical scalar mode (k = 4, c = 4) in a mixed model.
     m, _ = mixed_model(4, 1.3, modes=3, blocks=(2, 3))
     k, c = m.K.copy(), m.C.copy()
     i = validate(m).scalar_modes.index[0]
     k[i, i], c[i, i] = 4.0, 4.0
-    m = sd.SystemModel(K=k, C=c)
+    return sd.SystemModel(K=k, C=c)
+
+
+def test_defective_mode_takes_expm_per_component():
+    # The critical mode makes the basis singular: evolve and propagator
+    # fall back to expm on every component.
+    m = defective_model()
     rep = sd.solve_qep(m)
     assert spectrum.energy_basis(m, rep).condition_number > semigroup.MODAL_CONDITION_LIMIT
     x0 = sd.PhaseVector(np.ones(m.n), np.zeros(m.n))
@@ -235,6 +240,35 @@ def test_defective_mode_takes_expm_per_component():
         assert np.linalg.norm(state.stacked() - want) <= 1e-12 * np.linalg.norm(want)
     prop = semigroup.propagator(m, rep, 0.7)
     assert np.linalg.norm(prop - scipy.linalg.expm(0.7 * phase_operator(m))) <= 1e-12 * np.linalg.norm(prop)
+
+
+def dense_smoothing_statistic(m, x0, t_grid):
+    # max_t t ||A expm(tA) x0||_E / ||x0||_E, with scipy's expm of the whole phase operator.
+    a_op, z0, n = phase_operator(m), x0.stacked(), m.n
+
+    def norm(z):
+        return np.sqrt(z[:n] @ m.K @ z[:n] + z[n:] @ z[n:])
+
+    return max(t * norm(a_op @ (scipy.linalg.expm(t * a_op) @ z0)) for t in t_grid) / norm(z0)
+
+
+def test_smoothing_probe_matches_dense_expm(case):
+    m, _, _, rep = case
+    rng = np.random.default_rng(7)
+    x0 = sd.PhaseVector(rng.standard_normal(m.n), rng.standard_normal(m.n))
+    t_grid = np.logspace(-3.0, 0.0, 13)
+    got = semigroup.smoothing_probe(m, rep, x0, t_grid)
+    assert got == pytest.approx(dense_smoothing_statistic(m, x0, t_grid), rel=1e-12, abs=0.0)
+
+
+def test_smoothing_probe_on_expm_path_matches_dense_expm():
+    m = defective_model()
+    rep = sd.solve_qep(m)
+    assert spectrum.energy_basis(m, rep).condition_number > semigroup.MODAL_CONDITION_LIMIT
+    x0 = sd.PhaseVector(np.ones(m.n), np.linspace(-1.0, 1.0, m.n))
+    t_grid = np.logspace(-3.0, 0.0, 13)
+    got = semigroup.smoothing_probe(m, rep, x0, t_grid)
+    assert got == pytest.approx(dense_smoothing_statistic(m, x0, t_grid), rel=1e-12, abs=0.0)
 
 
 def test_scalar_roots_closed_form():

@@ -429,3 +429,11 @@ class TestSmoothingProbe:
         v1 = semigroup.smoothing_probe(m, rep, x0, np.array([1.0]))
         v2 = semigroup.smoothing_probe(m, rep, x0, np.array([2.0]))
         assert v2 == pytest.approx(2.0 * v1, rel=1e-9)
+
+    def test_grid_validation(self):
+        m = scalar_model(1.0, 1.0)
+        x0 = sd.PhaseVector(np.array([1.0]), np.array([0.0]))
+        rep = sd.solve_qep(m)
+        for grid in (np.array([]), np.array([-1.0, 1.0])):
+            with pytest.raises(ValueError, match="t_grid must be nonempty and nonnegative"):
+                semigroup.smoothing_probe(m, rep, x0, grid)

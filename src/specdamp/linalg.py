@@ -106,14 +106,18 @@ def normalize_columns(v: np.ndarray) -> np.ndarray:
 
 
 def real_times(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``mat @ x`` for a real matrix and a real or complex vector or matrix.
+    """``mat @ x`` for a real matrix and a real or complex array ``x``.
 
-    A complex ``x`` is multiplied as its real and imaginary parts, in one
+    The product contracts ``mat`` with the first axis of ``x``, whatever
+    its number of axes: an ``(n, ...)`` array gives an ``(m, ...)`` one.  A
+    complex ``x`` is multiplied as its real and imaginary parts, in one
     real product, where numpy's mixed product would first copy ``mat`` to
     complex.
     """
     if not np.iscomplexobj(x):
-        return mat @ x
+        if x.ndim <= 2:
+            return mat @ x
+        return (mat @ x.reshape(x.shape[0], -1)).reshape((mat.shape[0],) + x.shape[1:])
     x = np.ascontiguousarray(x)
     out = mat @ x.view(float).reshape(x.shape[0], -1)
     return out.view(complex).reshape((mat.shape[0],) + x.shape[1:])

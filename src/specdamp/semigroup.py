@@ -10,25 +10,31 @@ returns ``exp(t A) Z`` for every sample time and every column of a
 ``Z = x0``, `propagator` the identity at one time, and `smoothing_probe`
 ``Z = A x0``, because ``A`` commutes with ``exp(t A)``:
 ``A x(t) = exp(t A) A x0``, so the probe reads ``t ||A x(t)||_E`` from the
-energies.  The kernel works from one basis per solved spectrum, the
-energy-normalized eigenvectors ``V_E``
-(:func:`~specdamp.spectrum.energy_basis`), and its condition number, the
-Riesz number that `riesz_basis_condition_number` reports, is the only
-thing that picks the method:
+energies.  The phase operator is a direct sum over the model's coupling
+components (:class:`~specdamp.model.ValidationReport`), and the kernel
+flows each component by itself, every sample at once, so a decoupled
+model never forms a ``2n x 2n`` basis, solve or exponential:
 
-* **exact-modal** while that number is at most ``MODAL_CONDITION_LIMIT``:
-  ``y(t) = V_E exp(L t) V_E^{-1} S x0``, energies read as ``|y(t)|^2``
-  and states mapped back through ``K^{-1/2}``;
-* **expm** otherwise (Jordan blocks, nearly dependent eigenvectors): each
-  sample is ``expm(t A) x0`` by scaling and squaring (Higham, SIMAX 26,
-  2005), whose cost grows only with ``log ||t A||``.
-
-The phase operator is a direct sum over the model's coupling components
-(:class:`~specdamp.model.ValidationReport`), and both methods run on each
-component by itself: the scalar modes' real ``2 x 2`` flows all at once,
-each coupled block in one product over all samples, or one ``expm`` per
-sample, so a decoupled model never forms a ``2n x 2n`` basis, solve or
-exponential.
+* every scalar mode's ``exp(t A_i)`` is the closed form of a ``2 x 2``
+  exponential (Putzer's; Moler & Van Loan, SIAM Rev. 45, 2003),
+  ``e^{l1 t} I + phi (A_i - l1 I)`` with
+  ``phi = (e^{l2 t} - e^{l1 t}) / (l2 - l1)``, evaluated through ``expm1``
+  from the slower root ``l1``; at an exact double root ``phi = t e^{l1 t}``,
+  the flow of the Jordan chain ``e^{l t} (I + t (A_i - l))``.  One pass
+  over a ``(modes, samples)`` array covers all of them.
+* each coupled block flows by a method that one number picks for the whole
+  model: the condition number of the energy-normalized eigenvectors
+  ``V_E`` (:func:`~specdamp.spectrum.energy_basis`), the Riesz number that
+  `riesz_basis_condition_number` reports.  While it is at most
+  ``MODAL_CONDITION_LIMIT`` the method is **exact-modal**:
+  ``y(t) = V_E exp(L t) V_E^{-1} S x0`` for all samples in one product,
+  energies read as ``|y(t)|^2`` and states mapped back through
+  ``K^{-1/2}``; ``V_E`` is LU-factored once per report
+  (:meth:`~specdamp.spectrum.EnergyBasis.block_factors`).  Otherwise
+  (Jordan blocks, nearly dependent eigenvectors) it is **expm**: one
+  ``expm`` call on the stack of ``t A_b`` over all samples, each by scaling
+  and squaring (Higham, SIMAX 26, 2005), whose cost grows only with
+  ``log ||t A_b||``.
 
 Resolvent probes quantify how far the generator is from sectorial:
 `resolvent_norm_at` evaluates ``||(A - lam)^{-1}||`` in the energy norm
@@ -167,20 +173,17 @@ def energy(model: SystemModel, x: PhaseVector) -> float:
 
 @dataclass(frozen=True)
 class TrajectoryReport:
-    """Sampled trajectory with energies and the method that produced it."""
+    """Sampled trajectory with energies and the method that produced it.
+
+    ``states`` is one ``(samples, 2n)`` array whose row ``i`` is the state
+    ``(x, y)`` at ``times[i]``: real for a real initial state, since
+    ``exp(t A)`` is real, and complex for a complex one.
+    """
 
     times: np.ndarray
-    states: tuple[PhaseVector, ...]
+    states: np.ndarray
     energies: np.ndarray
     method: str
-
-
-def _maybe_real(arr: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) <= 1e-12 * max(
-        1.0, float(np.max(np.abs(arr.real)))
-    ):
-        return np.ascontiguousarray(arr.real)
-    return arr
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,12 +191,31 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("i...,i...->...", a.conj() if np.iscomplexobj(a) else a, b).real
 
 
+def _mode_flows(modes: ScalarModes, values: np.ndarray, times: np.ndarray):
+    # The entries (f00, f01, f10, f11) of every scalar mode's exp(t A_i) as
+    # real (modes, times) arrays, in Putzer's form (module docstring) with
+    # phi = t e^{l1 t} expm1(d t) / (d t), d = l2 - l1.  values holds each
+    # mode's roots ascending, so l1 is the slower one, Re d <= 0 and nothing
+    # overflows; expm1 keeps phi's digits where the roots nearly coincide.
+    # A_i - l1 I = [[-l1, 1], [-k, l2]], since l1 + l2 = -c.
+    slow, fast = values[:, 1, None], values[:, 0, None]
+    decay = np.exp(slow * times)
+    dt = (fast - slow) * times
+    ratio = np.ones_like(dt)
+    moving = dt != 0.0
+    ratio[moving] = np.expm1(dt[moving]) / dt[moving]
+    phi = times * decay * ratio
+    # The imaginary parts of a conjugate pair's entries are rounding.
+    return (decay - slow * phi).real, phi.real, -modes.k[:, None] * phi.real, (decay + fast * phi).real
+
+
 def _flow(model: SystemModel, report: SpectrumReport, times: np.ndarray, z: np.ndarray):
     # exp(tA) z for every time and every column of the 2n x k matrix z, as a
-    # (2n, times, k) array, with each column's squared energy norm as a
-    # (times, k) array, and the method.  Each coupling component flows by
-    # itself: the scalar modes in one batched pass, each coupled block in
-    # one product over all samples (exact-modal) or one expm per sample.
+    # (2n, times, k) array, real for a real z, with each column's squared
+    # energy norm as a (times, k) array, and the method.  Each coupling
+    # component flows by itself: the scalar modes in closed form, all at
+    # once, and each coupled block in one product over all samples
+    # (exact-modal) or from one stacked expm over all samples.
     validation, n = validate(model), model.n
     modes = validation.scalar_modes
     basis = energy_basis(model, report)
@@ -203,60 +225,50 @@ def _flow(model: SystemModel, report: SpectrumReport, times: np.ndarray, z: np.n
     out = np.empty((2 * n,) + shape, dtype=np.result_type(z, complex if modal and blocks else float))
     energies = np.zeros(shape)
     if modes.size:
-        # Each mode's exp(tA_i) as a real (modes, times, 2, 2) stack, applied
-        # entrywise: the identity's 2n columns make a batched solve or
-        # product the bulk of propagator.
-        if modal:
-            # exp(tA_i) = S_i^{-1} V_i exp(L_i t) V_i^{-1} S_i with S_i = diag(sqrt(k_i), 1),
-            # real since A_i is; the imaginary part is rounding.
-            root = np.sqrt(modes.k)[:, None, None]
-            decay = np.exp(basis.mode_values[..., None] * times)
-            flows = np.einsum("mij,mjt,mjl->mtil", basis.modes, decay, np.linalg.inv(basis.modes)).real
-            flows[:, :, 0] /= root
-            flows[:, :, :, 0] *= root
-        else:
-            gen = np.zeros((modes.size, 1, 2, 2))
-            gen[..., 0, 1], gen[..., 1, 0], gen[..., 1, 1] = 1.0, -modes.k[:, None], -modes.c[:, None]
-            flows = expm(gen * times[:, None, None])
-        x, y, f = z[modes.index, None], z[n + modes.index, None], flows[..., None]
-        xt = f[:, :, 0, 0] * x + f[:, :, 0, 1] * y
-        yt = f[:, :, 1, 0] * x + f[:, :, 1, 1] * y
+        # Entrywise: the identity's 2n columns make a batched product the
+        # bulk of propagator.
+        f00, f01, f10, f11 = (f[..., None] for f in _mode_flows(modes, basis.mode_values, times))
+        x, y = z[modes.index, None], z[n + modes.index, None]
+        xt, yt = f00 * x + f01 * y, f10 * x + f11 * y
         out[modes.index], out[n + modes.index] = xt, yt
         energies += _inner(xt, modes.k[:, None, None] * xt) + _inner(yt, yt)
     for b, block in enumerate(blocks):
         m, rows = block.n, np.concatenate([block.index, n + block.index])
         zb = z[rows]
         if not modal:
-            a_op = phase_operator(block)
-            for i, t in enumerate(times):
-                out[rows, i] = expm(t * a_op) @ zb
+            # scipy exponentiates a stack matrix by matrix, each as a call
+            # of its own would.
+            flows = expm(times[:, None, None] * phase_operator(block))
+            out[rows] = (flows @ zb).transpose(1, 0, 2)
             x, y = out[block.index], out[n + block.index]
-            kx = linalg.real_times(block.K, x.reshape(m, -1)).reshape(x.shape)
-            energies += _inner(x, kx) + _inner(y, y)
+            energies += _inner(x, linalg.real_times(block.K, x)) + _inner(y, y)
             continue
         # In energy coordinates y = diag(K^{1/2}, I) z the flow is
         # V_E exp(L t) V_E^{-1} y and the energy is |y|^2.
-        vectors = basis.blocks[b]
         y0 = np.concatenate([linalg.real_times(block.k_sqrt, zb[:m]), zb[m:]])
-        coeff = linalg.solve(vectors, y0.astype(complex))
+        coeff = basis.block_factors(b).solve(y0.astype(complex))
         flow = np.exp(np.multiply.outer(basis.block_values[b], times))[..., None] * coeff[:, None]
         # One product over all samples; a batched one per sample is slower.
-        yb = (vectors @ flow.reshape(2 * m, -1)).reshape(flow.shape)
+        yb = (basis.blocks[b] @ flow.reshape(2 * m, -1)).reshape(flow.shape)
         energies += _inner(yb, yb)
         out[block.index] = linalg.real_times(block.k_inv_sqrt, yb[:m])  # K^{-1/2} is symmetric
         out[n + block.index] = yb[m:]
-    return out, energies, "exact-modal" if modal else "expm"
+    # exp(tA) is real, so for a real z the imaginary part is rounding.
+    return out if np.iscomplexobj(z) else out.real, energies, "exact-modal" if modal else "expm"
 
 
 def evolve(model: SystemModel, report: SpectrumReport, x0: PhaseVector, times) -> TrajectoryReport:
     """Integrate the phase flow from ``x0`` over an ascending time grid.
 
-    ``report`` is the solved spectrum of ``model``.  While its energy basis
-    has a condition number of at most ``MODAL_CONDITION_LIMIT`` the flow is
-    the modal formula in energy coordinates (``exact-modal``), with energies
-    read as squared Euclidean norms there; otherwise each sample is
-    ``expm(t A) x0`` (``expm``).  Either way the flow runs on each coupling
-    component by itself, the scalar modes all at once.
+    ``report`` is the solved spectrum of ``model``.  The flow runs on each
+    coupling component by itself.  Every scalar mode's ``exp(t A_i)`` is
+    the closed form of a ``2 x 2`` exponential, all modes and samples at
+    once.  While the energy basis has a condition number of at most
+    ``MODAL_CONDITION_LIMIT`` each coupled block flows by the modal formula
+    in energy coordinates (``exact-modal``), with energies read as squared
+    Euclidean norms there; otherwise its ``exp(t A_b)`` for every sample
+    comes from one stacked ``expm`` call (``expm``).  ``states`` is one
+    ``(samples, 2n)`` array, real for a real ``x0``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0 or np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
@@ -265,21 +277,20 @@ def evolve(model: SystemModel, report: SpectrumReport, x0: PhaseVector, times) -
     if z0.shape[0] != 2 * model.n:
         raise ValueError("initial state dimension does not match the model")
     out, energies, method = _flow(model, report, times, z0[:, None])
-    states = tuple(PhaseVector.from_stacked(_maybe_real(z)) for z in out[:, :, 0].T)
+    states = np.ascontiguousarray(out[:, :, 0].T)
     return TrajectoryReport(times=times, states=states, energies=energies[:, 0], method=method)
 
 
 def propagator(model: SystemModel, report: SpectrumReport, t: float) -> np.ndarray:
-    """Time-``t`` solution operator ``exp(t A)`` as a dense matrix.
+    """Time-``t`` solution operator ``exp(t A)`` as a dense real matrix.
 
-    ``report`` is the solved spectrum of ``model``; the modal formula and
-    the ``expm`` fallback are chosen as in :func:`evolve` and applied per
-    coupling component.
+    ``report`` is the solved spectrum of ``model``; each coupling component
+    flows as in :func:`evolve`.
     """
     if t < 0.0:
         raise ValueError("propagator is defined for t >= 0")
     out, _, _ = _flow(model, report, np.array([float(t)]), np.eye(2 * model.n))
-    return _maybe_real(out[:, 0])
+    return np.ascontiguousarray(out[:, 0])
 
 
 def _mode_resolvent_norms(modes: ScalarModes, lam: complex, dim: int) -> np.ndarray:

@@ -111,7 +111,8 @@ class EnergyBasis:
     (``inf`` when singular), the finite-order Riesz basis constant of the
     eigenvectors: the largest block ``sigma_max`` over the smallest block
     ``sigma_min``, since the singular values of a direct sum are those of
-    its blocks.
+    its blocks.  :meth:`block_factors` factors a block on first use and
+    keeps the factors, so every flow of the same report shares them.
     """
 
     modes: np.ndarray = field(repr=False)
@@ -119,6 +120,13 @@ class EnergyBasis:
     blocks: tuple[np.ndarray, ...] = field(repr=False)
     block_values: tuple[np.ndarray, ...] = field(repr=False)
     condition_number: float
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def block_factors(self, b: int) -> linalg.LUFactors:
+        """The LU factors of ``blocks[b]``, computed on the first call and kept."""
+        if b not in self._factors:
+            self._factors[b] = linalg.LUFactors(self.blocks[b])
+        return self._factors[b]
 
 
 @dataclass(frozen=True)

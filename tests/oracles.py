@@ -231,6 +231,18 @@ def flow_energies_mp(model: sd.SystemModel, x0: sd.PhaseVector, times, dps: int 
     return np.array(energies)
 
 
+def scalar_flow_mp(k: float, c: float, t: float, dps: int = 40) -> np.ndarray:
+    """``exp(t A)`` of the scalar mode ``A = [[0, 1], [-k, -c]]`` in energy coordinates.
+
+    ``diag(sqrt(k), 1) exp(t A) diag(1 / sqrt(k), 1)`` from ``mp.expm`` of
+    the float ``k``, ``c`` and ``t`` (converted exactly), rounded once.
+    """
+    with mp.workdps(dps):
+        root = mp.sqrt(mp.mpf(k))
+        flow = mp.expm(mp.matrix([[0, 1], [-mp.mpf(k), -mp.mpf(c)]]) * mp.mpf(t))
+        return np.array([[float(flow[0, 0]), float(flow[0, 1] * root)], [float(flow[1, 0] / root), float(flow[1, 1])]])
+
+
 # ---------------------------------------------------------------------------
 # brute-force sphere minimum for the overdamping margin (n = 2 only)
 

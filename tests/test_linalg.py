@@ -153,6 +153,18 @@ class TestRealTimes:
                 assert got.shape == (5,) + shape[1:] and got.dtype == v.dtype
                 assert np.allclose(got, m @ v, rtol=1e-14, atol=1e-14)
 
+    def test_contracts_first_axis_of_nd_input(self):
+        # An (n, t, k) array, real or complex, contiguous or not, is
+        # multiplied slice by slice along its first axis.
+        rng = np.random.default_rng(13)
+        m = rng.standard_normal((5, 4))
+        x = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
+        for v in (x, x.real, x.real[:, ::2], x[:, ::2]):
+            got = linalg.real_times(m, v)
+            assert got.shape == (5,) + v.shape[1:] and got.dtype == v.dtype
+            for i in range(v.shape[1]):
+                assert np.allclose(got[:, i], m @ v[:, i], rtol=1e-14, atol=1e-14)
+
 
 class TestSqrtPair:
     def test_roots_multiply_back(self):

@@ -36,13 +36,13 @@ class TestEvolve:
         m = scalar_model(1.0, 0.5)
         x0 = sd.PhaseVector(np.array([1.0]), np.array([-2.0]))
         traj = semigroup.evolve(m, sd.solve_qep(m), x0, np.array([0.0]))
-        assert np.allclose(traj.states[0].stacked(), x0.stacked(), atol=1e-14)
+        assert np.allclose(traj.states[0], x0.stacked(), atol=1e-14)
 
     def test_harmonic_quarter_period(self):
         m = scalar_model(1.0, 0.0)
         x0 = sd.PhaseVector(np.array([1.0]), np.array([0.0]))
         traj = semigroup.evolve(m, sd.solve_qep(m), x0, np.array([0.0, np.pi / 2.0]))
-        end = traj.states[-1].stacked()
+        end = traj.states[-1]
         assert np.allclose(end, [0.0, -1.0], atol=1e-12)
 
     def test_critical_damping_eigenvector_decay(self):
@@ -53,7 +53,7 @@ class TestEvolve:
         traj = semigroup.evolve(m, sd.solve_qep(m), x0, np.array([0.0, 1.0]))
         assert traj.method == "expm"
         want = np.exp(-1.0) * np.array([1.0, -1.0])
-        assert np.allclose(traj.states[-1].stacked(), want, atol=1e-12)
+        assert np.allclose(traj.states[-1], want, atol=1e-12)
 
     def test_undamped_energy_constant(self):
         m = scalar_model(1.0, 0.0)
@@ -92,7 +92,7 @@ class TestEvolve:
         fallback = semigroup.evolve(m, rep, x0, times)
         assert fallback.method == "expm"
         for a, b in zip(fallback.states, exact.states):
-            assert np.max(np.abs(a.stacked() - b.stacked())) <= 1e-12
+            assert np.max(np.abs(a - b)) <= 1e-12
         assert np.max(np.abs(fallback.energies - exact.energies)) <= 1e-12 * exact.energies[0]
 
     def test_two_patch_energies_match_40_digit_expm(self):
@@ -125,8 +125,9 @@ class TestEvolve:
 
     def test_stiff_critical_model_evolves_quickly(self, monkeypatch):
         # Rotated critically damped blocks, K eigenvalues 1e8 * {1, 1, 4, 4}:
-        # the eigenvectors are nearly dependent, so every sample is one
-        # expm(tA), whatever the stiffness; no step loop runs.
+        # the eigenvectors are nearly dependent, so the one coupled block
+        # takes one expm call for all samples, whatever the stiffness; no
+        # step loop runs.
         m = stiff_critical_model()
         rep = sd.solve_qep(m)
         x0 = sd.PhaseVector.from_stacked(sd.eigenvectors(m, rep, [0])[:, 0])
@@ -139,12 +140,76 @@ class TestEvolve:
 
         monkeypatch.setattr(semigroup, "expm", counted)
         traj = semigroup.evolve(m, rep, x0, times)
-        assert 0 < len(calls) <= times.size
+        assert calls == [(times.size, 8, 8)]
         assert traj.method == "expm"
         assert np.all(np.isfinite(traj.energies))
         assert np.all(np.diff(traj.energies) <= 1e-10 * traj.energies[0])
         want = oracles.flow_energies_mp(m, x0, times[::40])
         assert np.max(np.abs(traj.energies[::40] - want)) <= 1e-12 * want[0]
+
+    @pytest.mark.parametrize("samples", [4, 2001])
+    @pytest.mark.parametrize("blocks", [0, 1, 2])
+    def test_one_expm_call_per_coupled_block(self, blocks, samples, monkeypatch):
+        # Exactly critical blocks put the whole model on the expm path.  The
+        # plain blocks are four scalar modes, which flow in closed form with
+        # no expm call; each rotated copy is one coupled block, which
+        # exponentiates all samples in one call.
+        plain, rotated = oracles.critical_blocks(False), oracles.critical_blocks(True)
+        parts = [plain] + [rotated] * blocks
+        m = sd.SystemModel(
+            K=scipy.linalg.block_diag(*(p.K for p in parts)), C=scipy.linalg.block_diag(*(p.C for p in parts))
+        )
+        rep = sd.solve_qep(m)
+        assert len(validate(m).coupled_blocks) == blocks
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return scipy.linalg.expm(a)
+
+        monkeypatch.setattr(semigroup, "expm", counted)
+        times = np.linspace(0.0, 1.0, samples)
+        traj = semigroup.evolve(m, rep, sd.PhaseVector(np.ones(m.n), np.zeros(m.n)), times)
+        assert traj.method == "expm"
+        assert calls == [(samples, 8, 8)] * blocks
+        assert np.all(np.diff(traj.energies) <= 1e-12 * traj.energies[0])
+
+    def test_energy_basis_factored_once_per_report(self, monkeypatch):
+        # The Riesz number needs the energy basis but not its factors; the
+        # flows of one report share a single LU of the coupled block's basis.
+        m = two_patch_rod(16)
+        rep = sd.solve_qep(m)
+        shapes, lu_factor = [], linalg.lu_factor
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "lu_factor", counted)
+        conditions.riesz_basis_condition_number(m, rep)
+        assert shapes == []
+        x0 = sd.PhaseVector(np.ones(m.n), np.zeros(m.n))
+        for _ in range(2):
+            semigroup.evolve(m, rep, x0, np.linspace(0.0, 1.0, 5))
+            semigroup.smoothing_probe(m, rep, x0, np.logspace(-3.0, 0.0, 4))
+        assert shapes == [(2 * m.n, 2 * m.n)]
+
+    def test_states_are_one_array_real_for_a_real_state(self):
+        # exp(tA) is real: a real x0 gives real rows even where the modal
+        # formula runs in complex arithmetic, and the eigenvector of a
+        # complex eigenvalue flows as the complex e^{lam t} v.
+        m = oracles.random_model(np.random.default_rng(62), 4)
+        rep = sd.solve_qep(m)
+        times = np.linspace(0.0, 1.0, 7)
+        traj = semigroup.evolve(m, rep, sd.PhaseVector(np.ones(m.n), np.zeros(m.n)), times)
+        assert traj.method == "exact-modal"
+        assert traj.states.shape == (times.size, 2 * m.n) and traj.states.dtype == np.float64
+        k = int(np.argmax(np.abs(rep.eigenvalues.imag)))
+        v = sd.eigenvectors(m, rep, [k])[:, 0]
+        traj = semigroup.evolve(m, rep, sd.PhaseVector.from_stacked(v), times)
+        assert traj.states.shape == (times.size, 2 * m.n) and traj.states.dtype == np.complex128
+        want = np.exp(rep.eigenvalues[k] * times)[:, None] * v
+        assert np.max(np.abs(traj.states - want)) <= 1e-12
 
 
 def stiff_critical_model():
@@ -194,6 +259,25 @@ class TestPropagator:
         nil = phase_operator(m) + np.eye(2)
         want = np.exp(-t) * (np.eye(2) + t * nil)
         assert np.allclose(semigroup.propagator(m, sd.solve_qep(m), t), want, atol=1e-10)
+
+    def test_scalar_mode_flows_match_40_digit_expm(self):
+        # Each scalar mode's closed-form flow against a 40-digit expm, in
+        # energy coordinates, where the flow is a contraction: an exact
+        # double root, discriminants c^2 - 4k = +-1e-3, an underdamped mode,
+        # c^2 / k = 1e9, and the top mode of the single-patch rod with a = 2
+        # at N = 256 (c^2 / k = 1.7e12).
+        top = ((256 - 0.5) * np.pi) ** 4
+        k = np.array([1.0, 1.0, 1.0, 4.0, 1.0, top])
+        c = np.array([2.0, np.sqrt(4.0 + 1e-3), np.sqrt(4.0 - 1e-3), 1.0, np.sqrt(1e9), 2.0 * top])
+        m = sd.SystemModel(K=np.diag(k), C=np.diag(c))
+        rep = sd.solve_qep(m)
+        assert validate(m).scalar_modes.size == m.n
+        for t in (1e-3, 0.1, 1.0, 10.0):
+            prop = semigroup.propagator(m, rep, t)
+            for i in range(m.n):
+                f = prop[np.ix_([i, m.n + i], [i, m.n + i])]
+                got = f * np.array([[1.0, np.sqrt(k[i])], [1.0 / np.sqrt(k[i]), 1.0]])
+                assert np.linalg.norm(got - oracles.scalar_flow_mp(k[i], c[i], t), 2) <= 1e-14
 
 
 class TestResolvent:

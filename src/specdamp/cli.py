@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -90,6 +90,14 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_floats(values: np.ndarray) -> list[str]:
+    # _fmt_float of each value, with one format call per finite value.
+    out = [format(x, ".17g") for x in values.tolist()]
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        out[i] = _fmt_float(values[i])
+    return out
+
+
 def _emit_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -126,14 +134,17 @@ def _emit_json(obj, indent: int = 0) -> str:
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-specdamp-")
+    while True:
+        tmp = os.path.join(directory, f".tmp-specdamp-{os.urandom(8).hex()}")
+        try:
+            # Mode 0o666 with the umask applied by the kernel, as open() gives.
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -612,7 +623,7 @@ def _svg_energy(times: np.ndarray, energies: np.ndarray, method: str) -> str:
         f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
         f'height="{height - 2 * margin}" fill="none" stroke="#333" stroke-width="1"/>'
     )
-    path = " ".join(f"{px(float(t)):.2f},{py(float(v)):.2f}" for t, v in zip(times, ys))
+    path = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px(times).tolist(), py(ys).tolist()))
     out.append(
         f'<polyline points="{path}" fill="none" stroke="#1f77b4" stroke-width="1.6"/>'
     )
@@ -738,12 +749,10 @@ def run_simulate(
     times = np.linspace(0.0, float(t_max), int(samples))
     traj = semigroup.evolve(model, report, x0, times)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["t", "energy", "method"])
-    for t, e in zip(traj.times, traj.energies):
-        writer.writerow([_fmt_float(float(t)), _fmt_float(float(e)), traj.method])
-    _atomic_write(os.path.join(out_dir, "trajectory.csv"), buf.getvalue())
+    # Numbers and a method name: no field needs CSV quoting.
+    rows = zip(_fmt_floats(traj.times), _fmt_floats(traj.energies))
+    text = "".join(f"{t},{e},{traj.method}\r\n" for t, e in rows)
+    _atomic_write(os.path.join(out_dir, "trajectory.csv"), "t,energy,method\r\n" + text)
     _atomic_write(
         os.path.join(out_dir, "energy.svg"),
         _svg_energy(traj.times, traj.energies, traj.method),
@@ -829,6 +838,7 @@ def run_check(config_path: str, stream=None) -> int:
 # entry point
 
 
+@functools.cache  # built once per process; parse_args keeps no state on it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specdamp",

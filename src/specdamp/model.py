@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import linalg
 
@@ -279,12 +277,26 @@ class ValidationReport:
 
 
 def _coupling_components(k: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
+    # Coordinates i and j are coupled when K or C has a nonzero at (i, j) or
+    # (j, i).  Each component is labelled by its smallest coordinate: the
+    # coordinates nothing couples (the scalar modes) label themselves in one
+    # whole-array step, and each other component grows from its smallest
+    # coordinate by a frontier search in which every coordinate enters a
+    # frontier once.  Components come in label order, each ascending.
     pattern = (k != 0.0) | (c != 0.0)
-    np.fill_diagonal(pattern, True)
-    count, labels = connected_components(csr_matrix(pattern), directed=False)
-    # Grouped by label, ascending within each group: one stable sort.
+    pattern = pattern | pattern.T
+    np.fill_diagonal(pattern, False)
+    labels = np.where(pattern.any(axis=1), -1, np.arange(pattern.shape[0]))
+    for root in np.flatnonzero(labels < 0).tolist():
+        if labels[root] >= 0:
+            continue  # reached from a smaller root
+        frontier = np.array([root])
+        labels[root] = root
+        while frontier.size:
+            frontier = np.flatnonzero(pattern[frontier].any(axis=0) & (labels < 0))
+            labels[frontier] = root
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def _block_validation(model: SystemModel, index: np.ndarray):

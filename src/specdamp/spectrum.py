@@ -252,11 +252,18 @@ def pencil_kernel_basis(
 def cluster_eigenvalues(values: np.ndarray, cluster_tol: float) -> list[list[int]]:
     """Group indices of nearby eigenvalues (chain rule on complex distance).
 
-    Values within ``cluster_tol * (1 + |lam|)`` of a cluster's running
-    mean join the first such cluster.  The sweep order puts conjugate
-    partners next to each other so that a nearly defective real pair with a
-    spurious imaginary split is merged into a single real cluster.  Each
-    value is compared with all running means at once.
+    Values are swept in ``(Re, |Im|, Im)`` order, so exact conjugate
+    partners come one after the other, the lower one first.  Each value
+    joins the first cluster, in order of creation, whose running mean
+    ``mu`` lies within ``cluster_tol * (1 + |mu|)`` of it, compared with all
+    running means at once, and otherwise starts a new cluster.  Partners
+    therefore share a cluster only when the upper one lies within that
+    distance of the mean of the cluster the lower one joined, roughly when
+    ``2 |Im| <= cluster_tol * (1 + |lam|)``.  A wider pair lands in two
+    clusters, whether it is a genuine complex pair or a real pair with a
+    spurious imaginary split.  On the two-patch rod (``E = 1``, ``a = 0.3``
+    on ``[0, 1/2]``, ``2.5`` on ``[1/2, 1]``) one genuine pair does at
+    ``N = 128``; at ``N = 256`` it and 40 spurious pairs do.
     """
     values = np.asarray(values)
     order = np.lexsort((values.imag, np.abs(values.imag), values.real))

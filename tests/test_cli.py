@@ -90,6 +90,27 @@ class TestAnalyze:
         for name in ("report.json", "eigenvalues.csv", "spectrum.svg"):
             assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o644
 
+    def test_writes_never_read_the_umask(self, tmp_path, monkeypatch):
+        # Reading the umask means setting it, and a file another thread
+        # creates meanwhile gets the temporary one; the kernel applies it.
+        def forbidden(mask):
+            raise AssertionError("os.umask called")
+
+        path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)
+        out = tmp_path / "out"
+        saved = os.umask(0o027)
+        try:
+            monkeypatch.setattr(os, "umask", forbidden)
+            assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+            assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+        finally:
+            monkeypatch.undo()
+            os.umask(saved)
+        names = {"report.json", "eigenvalues.csv", "spectrum.svg", "trajectory.csv", "energy.svg"}
+        assert set(os.listdir(out)) == names  # no temporary file left behind
+        for name in names:
+            assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o640
+
     def test_report_floats_roundtrip(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)
         out = tmp_path / "out"
@@ -100,6 +121,9 @@ class TestAnalyze:
         # a spot-checked float is lossless
         ev = doc["spectrum"]["eigenvalues"][0]["re"]
         assert float(cli._fmt_float(ev)) == ev
+        # The whole-column form writes what _fmt_float writes, non-finite too.
+        column = np.array([ev, 1.0 / 3.0, -2.5e-300, 0.0, np.nan, np.inf, -np.inf])
+        assert cli._fmt_floats(column) == [cli._fmt_float(v) for v in column.tolist()]
 
     def test_generic_model_sections(self, tmp_path):
         cfg = {
@@ -561,6 +585,53 @@ class TestDecoupledRod:
         # The fast mode's energy underflows to exactly 0 after t = 0; the
         # log axis stops at the rounding floor, not at 1e-300.
         assert "1e-300" not in (tmp_path / "eigenvector" / "energy.svg").read_text()
+
+
+class TestFixedCost:
+    def test_no_scipy_sparse_import(self, tmp_path):
+        # The coupling components are found without scipy.sparse, so no
+        # request imports it: a coupled analyze and a simulate in a fresh
+        # interpreter.
+        cfg = {
+            "model": {"type": "generic", "K": [[2.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 1.0]],
+                      "C": [[0.4, 0.0, 0.1], [0.0, 0.3, 0.0], [0.1, 0.0, 0.5]]},
+            "analyses": ["spectrum", "krein", "conditions", "semigroup"],
+        }
+        coupled = write_config(tmp_path / "coupled.json", cfg)
+        beam = write_config(tmp_path / "beam.json", BEAM_CONFIG)
+        code = (
+            "import sys\n"
+            "from specdamp import cli\n"
+            f"assert cli.main(['analyze', '--config', {coupled!r}, '--out', 'a']) == 0\n"
+            f"assert cli.main(['simulate', '--config', {beam!r}, '--out', 's']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=tmp_path, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "a" / "report.json").exists() and (tmp_path / "s" / "energy.svg").exists()
+
+    def test_shared_parser_keeps_no_state(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)
+
+        def simulate(out, *extra):
+            assert cli.main(["simulate", "--config", path, "--out", str(out), *extra]) == 0
+            return (out / "trajectory.csv").read_bytes()
+
+        assert simulate(tmp_path / "a", "--samples", "101").count(b"\n") == 102
+        # The default of 200 samples is back on the next call.
+        first = simulate(tmp_path / "b")
+        assert first.count(b"\n") == 201
+        # An argparse error halfway through the arguments changes nothing
+        # for the next call.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", path, "--x0", "modal:1", "--samples", "many"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert simulate(tmp_path / "c") == first
+        assert (tmp_path / "c" / "energy.svg").read_bytes() == (tmp_path / "b" / "energy.svg").read_bytes()
 
 
 class TestDemos:

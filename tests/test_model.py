@@ -78,31 +78,54 @@ class TestValidate:
 
     def test_components_listed_when_labels_interleave(self):
         # Coupled pairs (0, 4), (1, 5), (2, 6) and the lone 3: each component's
-        # coordinates ascend, and components come in label order, as one
-        # flatnonzero per label lists them.
+        # coordinates ascend, and components come in order of their smallest
+        # coordinate, as one flatnonzero per csgraph label lists them.
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
         from specdamp.model import _coupling_components
 
+        def check(k, c):
+            pattern = (k != 0.0) | (c != 0.0)
+            count, labels = connected_components(csr_matrix(pattern), directed=False)
+            want = [np.flatnonzero(labels == i) for i in range(count)]
+            got = _coupling_components(k, c)
+            assert len(got) == len(want)
+            for part, ref in zip(got, want):
+                assert np.array_equal(part, ref) and part.dtype == ref.dtype
+            return got
+
         rng = np.random.default_rng(25)
         k = np.diag(rng.uniform(1.0, 2.0, 7))
         for i, j in ((0, 4), (1, 5), (2, 6)):
             k[i, j] = k[j, i] = 0.1
-        got = _coupling_components(k, np.zeros((7, 7)))
+        got = check(k, np.zeros((7, 7)))
         assert [part.tolist() for part in got] == [[0, 4], [1, 5], [2, 6], [3]]
-        # A random interleaved pattern against the per-label reference.
+        # A random interleaved pattern of five chains.
         perm = rng.permutation(40)
         k = np.eye(40)
         for lo, hi in ((0, 7), (7, 8), (8, 20), (20, 33), (33, 40)):
             for a, b in zip(perm[lo : hi - 1], perm[lo + 1 : hi]):
                 k[a, b] = k[b, a] = 0.01
-        count, labels = connected_components(csr_matrix(k != 0.0), directed=False)
-        want = [np.flatnonzero(labels == i) for i in range(count)]
-        got = _coupling_components(k, np.zeros((40, 40)))
-        assert len(got) == len(want) == 5
-        for part, ref in zip(got, want):
-            assert np.array_equal(part, ref) and part.dtype == ref.dtype
+        assert len(check(k, np.zeros((40, 40)))) == 5
+        # n = 1; 256 coordinates nothing couples; 256 all coupled, through C
+        # alone; a randomly permuted chain of 256 (one coordinate per frontier).
+        assert len(check(np.eye(1), np.zeros((1, 1)))) == 1
+        assert len(check(np.eye(256), np.eye(256))) == 256
+        assert len(check(np.eye(256), np.ones((256, 256)))) == 1
+        perm = rng.permutation(256)
+        k = np.eye(256)
+        k[perm[:-1], perm[1:]] = k[perm[1:], perm[:-1]] = 0.5
+        assert len(check(k, np.zeros((256, 256)))) == 1
+        # Seeded random sparse patterns, couplings split between K and C.
+        for n, density in ((12, 0.05), (64, 0.01), (64, 0.03), (200, 0.004), (256, 0.01)):
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            pattern = upper | upper.T
+            in_k = rng.random((n, n)) < 0.5
+            in_k = in_k | in_k.T
+            k = np.eye(n) + np.where(pattern & in_k, 0.01, 0.0)
+            c = np.where(pattern & ~in_k, 0.01, 0.0)
+            check(k, c)
 
     def test_report_fields(self):
         m = sd.SystemModel(K=np.diag([4.0]), C=np.diag([2.0]))

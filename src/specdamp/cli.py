@@ -30,9 +30,7 @@ workloads pass them.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -70,6 +68,11 @@ _SIGN_COLORS = {
     "neutral": "#7f7f7f",
     "mixed": "#ff7f0e",
 }
+SVG_WIDTH, SVG_MARGIN = 640, 56
+
+# simulate refuses a trajectory with more state entries (samples x 2n)
+# than this, 128 MiB of float64, before it solves anything.
+MAX_TRAJECTORY_ENTRIES = 1 << 24
 
 
 class ConfigError(Exception):
@@ -266,10 +269,6 @@ def _load_config(path: str) -> dict:
 # report sections
 
 
-def _complex_dict(z: complex) -> dict:
-    return {"re": float(np.real(z)), "im": float(np.imag(z))}
-
-
 def _spectrum_section(report: spectrum.SpectrumReport) -> dict:
     return {
         "eigenvalues": [
@@ -291,7 +290,7 @@ def _krein_section(
 ) -> dict:
     clusters = [
         {
-            "eigenvalue": _complex_dict(c.eigenvalue),
+            "eigenvalue": c.eigenvalue,
             "size": c.size,
             "kernel_dim": c.kernel_dim,
             "jordan_defect": c.jordan_defect,
@@ -300,7 +299,7 @@ def _krein_section(
             "neutral_threshold": c.neutral_threshold,
             "nonpositive_directions": c.nonpositive_directions,
             "degenerate": c.degenerate,
-            "gram_eigenvalues": [float(m) for m in c.gram_eigenvalues],
+            "gram_eigenvalues": c.gram_eigenvalues,
         }
         for c in clf.clusters
     ]
@@ -313,9 +312,7 @@ def _krein_section(
             "cross_gram_norm": dec.cross_gram_norm,
             "orthogonal": dec.orthogonal,
             "hprime_definiteness": dec.hprime_definiteness,
-            "neutral_real_eigenvalues": [
-                _complex_dict(z) for z in dec.neutral_real_eigenvalues
-            ],
+            "neutral_real_eigenvalues": dec.neutral_real_eigenvalues,
         }
     except krein.MixedClusterObstruction as exc:
         decomposition = {"obstruction": str(exc)}
@@ -418,8 +415,6 @@ def _semigroup_section(model: SystemModel, report: spectrum.SpectrumReport) -> d
 
 
 def _accumulation_section(model: SystemModel) -> dict:
-    if model.beam is None:
-        raise ConfigError('"accumulation" analysis requires a beam model')
     acc = spectrum.accumulation_experiment(model.beam, ACCUMULATION_ORDERS, ACCUMULATION_EPSILON)
     return {
         "orders": list(acc.orders),
@@ -435,63 +430,98 @@ def _accumulation_section(model: SystemModel) -> dict:
 # CSV and SVG emitters
 
 
-def _eigenvalue_csv(
-    report: spectrum.SpectrumReport, clf: krein.SignClassification
-) -> str:
-    by_index: dict[int, krein.ClusterClassification] = {}
-    for c in clf.clusters:
+def _cluster_of(clf: krein.SignClassification, size: int) -> list[int]:
+    # The position in clf.clusters of each eigenvalue's cluster.
+    of = [0] * size
+    for k, c in enumerate(clf.clusters):
         for i in c.member_indices:
-            by_index[i] = c
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(
-        [
-            "index",
-            "re_lambda",
-            "im_lambda",
-            "residual",
-            "sign_type",
-            "jordan_defect",
-            "gram_min_eig",
-        ]
+            of[i] = k
+    return of
+
+
+def _eigenvalue_csv(
+    report: spectrum.SpectrumReport, clf: krein.SignClassification, cluster_of: list[int]
+) -> str:
+    # Numbers and sign types: no field needs CSV quoting.
+    tails = [
+        f"{c.sign_type},{c.jordan_defect},{_fmt_float(float(np.min(np.abs(c.gram_eigenvalues))))}"
+        for c in clf.clusters
+    ]
+    values = report.eigenvalues
+    rows = zip(
+        _fmt_floats(values.real), _fmt_floats(values.imag), _fmt_floats(report.residuals), cluster_of
     )
-    for i, (lam, r) in enumerate(zip(report.eigenvalues.tolist(), report.residuals.tolist())):
-        c = by_index[i]
-        writer.writerow(
-            [
-                i,
-                _fmt_float(lam.real),
-                _fmt_float(lam.imag),
-                _fmt_float(r),
-                c.sign_type,
-                c.jordan_defect,
-                _fmt_float(float(np.min(np.abs(c.gram_eigenvalues)))),
-            ]
-        )
-    return buf.getvalue()
+    text = "".join(f"{i},{a},{b},{r},{tails[k]}\r\n" for i, (a, b, r, k) in enumerate(rows))
+    return "index,re_lambda,im_lambda,residual,sign_type,jordan_defect,gram_min_eig\r\n" + text
 
 
 def _symlog(v: np.ndarray, thr: float) -> np.ndarray:
     return np.sign(v) * np.log10(1.0 + np.abs(v) / thr)
 
 
-def _svg_header(width: int, height: int, title: str) -> list[str]:
-    return [
+def _svg_plot(height, title, x_range, y_range, body, ticks, labels) -> str:
+    # A titled plot frame.  body(px, py) draws inside it through the maps
+    # from plot to pixel coordinates, which take floats or arrays; ticks
+    # holds the text of an x and a y tick at a plot coordinate, and labels
+    # the two axis labels.
+    width, margin = SVG_WIDTH, SVG_MARGIN
+    (x_lo, x_hi), (y_lo, y_hi) = x_range, y_range
+
+    def px(u):
+        return margin + (u - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+
+    def py(v):
+        return height - margin - (v - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{title}</text>',
+        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
+        f'height="{height - 2 * margin}" fill="none" stroke="#333" stroke-width="1"/>',
     ]
+    out += body(px, py)
+    x_tick, y_tick = ticks
+    for frac in (0.0, 0.5, 1.0):
+        u = x_lo + frac * (x_hi - x_lo)
+        v = y_lo + frac * (y_hi - y_lo)
+        out.append(
+            f'<text x="{px(u):.2f}" y="{height - margin + 16}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="10">{x_tick(u)}</text>'
+        )
+        out.append(
+            f'<text x="{margin - 6}" y="{py(v) + 3:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="10">{y_tick(v)}</text>'
+        )
+    x_label, y_label = labels
+    out.append(
+        f'<text x="{width / 2:.1f}" y="{height - 14}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="11">{x_label}</text>'
+    )
+    out.append(
+        f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="11" '
+        f'transform="rotate(-90 16 {height / 2:.1f})">{y_label}</text>'
+    )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xs.tolist(), ys.tolist()))
 
 
 def _svg_spectrum(
     model: SystemModel,
     report: spectrum.SpectrumReport,
     clf: krein.SignClassification,
+    cluster_of: list[int],
 ) -> str:
-    width, height, margin = 640, 480, 56
+    height = 480
+    top, bottom = SVG_MARGIN, height - SVG_MARGIN
     values = report.eigenvalues
     mags = np.abs(np.concatenate([values.real, values.imag]))
     mags = mags[mags > 0.0]
@@ -500,105 +530,68 @@ def _svg_spectrum(
     xs = _symlog(values.real, thr)
     ys = _symlog(values.imag, thr)
     bound = report.bound.value
-    extra_x = [_symlog(np.array([-bound, bound]), thr)]
-    extra_y = [_symlog(np.array([-bound, bound]), thr)]
+    disk = _symlog(np.array([-bound, bound]), thr)
+    # The beam's accumulation points -E/a, one per damping value.
+    acc = np.empty(0)
     if model.beam is not None:
-        pts = np.array([-model.beam.E / a for a in model.beam.damping_values])
-        extra_x.append(_symlog(pts, thr))
-    all_x = np.concatenate([xs] + extra_x)
-    all_y = np.concatenate([ys] + extra_y)
+        acc = _symlog(np.array([-model.beam.E / a for a in model.beam.damping_values]), thr)
+    all_x = np.concatenate([xs, disk, acc])
+    all_y = np.concatenate([ys, disk])
     x_lo, x_hi = float(np.min(all_x)), float(np.max(all_x))
     y_lo, y_hi = float(np.min(all_y)), float(np.max(all_y))
     x_pad = 0.05 * (x_hi - x_lo) or 1.0
     y_pad = 0.05 * (y_hi - y_lo) or 1.0
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
-    def px(u: float) -> float:
-        return margin + (u - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-
-    def py(u: float) -> float:
-        return height - margin - (u - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
-
-    out = _svg_header(width, height, "spectrum (symlog axes, colored by sign type)")
-    out.append(
-        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
-        f'height="{height - 2 * margin}" fill="none" stroke="#333" stroke-width="1"/>'
-    )
-    zx, zy = px(0.0), py(0.0)
-    out.append(
-        f'<line x1="{zx:.2f}" y1="{margin}" x2="{zx:.2f}" y2="{height - margin}" '
-        f'stroke="#bbb" stroke-width="0.7"/>'
-    )
-    out.append(
-        f'<line x1="{margin}" y1="{zy:.2f}" x2="{width - margin}" y2="{zy:.2f}" '
-        f'stroke="#bbb" stroke-width="0.7"/>'
-    )
-
-    # Spectrum-free disk |lambda| = bound, drawn as a transformed polyline.
-    theta = np.linspace(0.0, 2.0 * np.pi, 121)
-    cx = _symlog(bound * np.cos(theta), thr)
-    cy = _symlog(bound * np.sin(theta), thr)
-    path = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(cx, cy))
-    out.append(
-        f'<polyline points="{path}" fill="none" stroke="#2ca02c" '
-        f'stroke-width="1" stroke-dasharray="4 3"/>'
-    )
-    if model.beam is not None:
-        for a in model.beam.damping_values:
-            u = px(float(_symlog(np.array([-model.beam.E / a]), thr)[0]))
+    def body(px, py) -> list[str]:
+        zx, zy = px(0.0), py(0.0)
+        out = [
+            f'<line x1="{zx:.2f}" y1="{top}" x2="{zx:.2f}" y2="{bottom}" '
+            f'stroke="#bbb" stroke-width="0.7"/>',
+            f'<line x1="{SVG_MARGIN}" y1="{zy:.2f}" x2="{SVG_WIDTH - SVG_MARGIN}" y2="{zy:.2f}" '
+            f'stroke="#bbb" stroke-width="0.7"/>',
+        ]
+        # Spectrum-free disk |lambda| = bound, drawn as a transformed polyline.
+        theta = np.linspace(0.0, 2.0 * np.pi, 121)
+        cx = _symlog(bound * np.cos(theta), thr)
+        cy = _symlog(bound * np.sin(theta), thr)
+        out.append(
+            f'<polyline points="{_points(px(cx), py(cy))}" fill="none" stroke="#2ca02c" '
+            f'stroke-width="1" stroke-dasharray="4 3"/>'
+        )
+        out += [
+            f'<line x1="{u:.2f}" y1="{top}" x2="{u:.2f}" y2="{bottom}" stroke="#9467bd" '
+            f'stroke-width="1" stroke-dasharray="2 3"/>'
+            for u in px(acc).tolist()
+        ]
+        colors = [_SIGN_COLORS[c.sign_type] for c in clf.clusters]
+        out += [
+            f'<circle cx="{u:.2f}" cy="{v:.2f}" r="3.5" fill="{colors[k]}" fill-opacity="0.8"/>'
+            for u, v, k in zip(px(xs).tolist(), py(ys).tolist(), cluster_of)
+        ]
+        for k, (name, color) in enumerate(sorted(_SIGN_COLORS.items())):
+            lx, ly = SVG_WIDTH - SVG_MARGIN - 110, SVG_MARGIN + 14 + 16 * k
+            out.append(f'<circle cx="{lx}" cy="{ly}" r="4" fill="{color}"/>')
             out.append(
-                f'<line x1="{u:.2f}" y1="{margin}" x2="{u:.2f}" '
-                f'y2="{height - margin}" stroke="#9467bd" stroke-width="1" '
-                f'stroke-dasharray="2 3"/>'
+                f'<text x="{lx + 10}" y="{ly + 4}" font-family="sans-serif" '
+                f'font-size="11">{name}</text>'
             )
+        return out
 
-    by_index: dict[int, str] = {}
-    for c in clf.clusters:
-        for i in c.member_indices:
-            by_index[i] = c.sign_type
-    for i in range(values.size):
-        color = _SIGN_COLORS[by_index[i]]
-        out.append(
-            f'<circle cx="{px(float(xs[i])):.2f}" cy="{py(float(ys[i])):.2f}" '
-            f'r="3.5" fill="{color}" fill-opacity="0.8"/>'
-        )
+    def tick(u: float) -> str:
+        return f"{np.sign(u) * thr * (10.0 ** abs(u) - 1.0):.3g}"
 
-    for k, (name, color) in enumerate(sorted(_SIGN_COLORS.items())):
-        lx, ly = width - margin - 110, margin + 14 + 16 * k
-        out.append(f'<circle cx="{lx}" cy="{ly}" r="4" fill="{color}"/>')
-        out.append(
-            f'<text x="{lx + 10}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
-        )
-    for frac in (0.0, 0.5, 1.0):
-        ux = x_lo + frac * (x_hi - x_lo)
-        uy = y_lo + frac * (y_hi - y_lo)
-        rx = np.sign(ux) * thr * (10.0 ** abs(ux) - 1.0)
-        ry = np.sign(uy) * thr * (10.0 ** abs(uy) - 1.0)
-        out.append(
-            f'<text x="{px(ux):.2f}" y="{height - margin + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{rx:.3g}</text>'
-        )
-        out.append(
-            f'<text x="{margin - 6}" y="{py(uy) + 3:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{ry:.3g}</text>'
-        )
-    out.append(
-        f'<text x="{width / 2:.1f}" y="{height - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">Re</text>'
+    return _svg_plot(
+        height,
+        "spectrum (symlog axes, colored by sign type)",
+        (x_lo - x_pad, x_hi + x_pad),
+        (y_lo - y_pad, y_hi + y_pad),
+        body,
+        (tick, tick),
+        ("Re", "Im"),
     )
-    out.append(
-        f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11" '
-        f'transform="rotate(-90 16 {height / 2:.1f})">Im</text>'
-    )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
 
 
 def _svg_energy(times: np.ndarray, energies: np.ndarray, method: str) -> str:
-    width, height, margin = 640, 400, 56
     # Energies are accurate to about eps times the largest of them (two
     # evolutions that agree to roundoff differ by that much), so the log
     # axis stops there instead of at whatever rounding or underflow left;
@@ -612,43 +605,21 @@ def _svg_energy(times: np.ndarray, energies: np.ndarray, method: str) -> str:
     if t_hi - t_lo <= 0.0:
         t_hi = t_lo + 1.0
 
-    def px(t: float) -> float:
-        return margin + (t - t_lo) / (t_hi - t_lo) * (width - 2 * margin)
+    def body(px, py) -> list[str]:
+        return [
+            f'<polyline points="{_points(px(times), py(ys))}" fill="none" stroke="#1f77b4" '
+            f'stroke-width="1.6"/>'
+        ]
 
-    def py(v: float) -> float:
-        return height - margin - (v - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
-
-    out = _svg_header(width, height, f"energy decay ({method})")
-    out.append(
-        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
-        f'height="{height - 2 * margin}" fill="none" stroke="#333" stroke-width="1"/>'
+    return _svg_plot(
+        400,
+        f"energy decay ({method})",
+        (t_lo, t_hi),
+        (y_lo, y_hi),
+        body,
+        (lambda t: f"{t:.3g}", lambda v: f"1e{v:.2f}"),
+        ("t", "energy (log10)"),
     )
-    path = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px(times).tolist(), py(ys).tolist()))
-    out.append(
-        f'<polyline points="{path}" fill="none" stroke="#1f77b4" stroke-width="1.6"/>'
-    )
-    for frac in (0.0, 0.5, 1.0):
-        t = t_lo + frac * (t_hi - t_lo)
-        v = y_lo + frac * (y_hi - y_lo)
-        out.append(
-            f'<text x="{px(t):.2f}" y="{height - margin + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{t:.3g}</text>'
-        )
-        out.append(
-            f'<text x="{margin - 6}" y="{py(v) + 3:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">1e{v:.2f}</text>'
-        )
-    out.append(
-        f'<text x="{width / 2:.1f}" y="{height - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">t</text>'
-    )
-    out.append(
-        f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11" '
-        f'transform="rotate(-90 16 {height / 2:.1f})">energy (log10)</text>'
-    )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +631,12 @@ def run_analyze(config_path: str, out_dir: str = ".") -> int:
     cfg = _load_config(config_path)
     model, echo = _build_model(cfg["model"])
     analyses = cfg["analyses"]
+    if "accumulation" in analyses and model.beam is None:
+        raise ConfigError('"accumulation" analysis requires a beam model')
 
     report = spectrum.solve_qep(model)
     clf = krein.classify_eigenpairs(model, report)
+    cluster_of = _cluster_of(clf, report.eigenvalues.size)
 
     doc: dict = {"model": echo, "analyses": sorted(set(analyses))}
     doc["tolerances"] = {
@@ -685,8 +659,10 @@ def run_analyze(config_path: str, out_dir: str = ".") -> int:
         doc["accumulation"] = _accumulation_section(model)
 
     _atomic_write(os.path.join(out_dir, "report.json"), _emit_json(doc) + "\n")
-    _atomic_write(os.path.join(out_dir, "eigenvalues.csv"), _eigenvalue_csv(report, clf))
-    _atomic_write(os.path.join(out_dir, "spectrum.svg"), _svg_spectrum(model, report, clf))
+    _atomic_write(os.path.join(out_dir, "eigenvalues.csv"), _eigenvalue_csv(report, clf, cluster_of))
+    _atomic_write(
+        os.path.join(out_dir, "spectrum.svg"), _svg_spectrum(model, report, clf, cluster_of)
+    )
     return EXIT_OK
 
 
@@ -743,6 +719,11 @@ def run_simulate(
         raise ConfigError("--t-max must be positive")
     if samples < 2:
         raise ConfigError("--samples must be at least 2")
+    if samples * 2 * model.n > MAX_TRAJECTORY_ENTRIES:
+        raise ConfigError(
+            f"--samples {samples} with 2n = {2 * model.n} asks for more than "
+            f"{MAX_TRAJECTORY_ENTRIES} trajectory entries"
+        )
 
     report = spectrum.solve_qep(model)
     x0 = _parse_x0(x0_spec, model, report)

@@ -131,11 +131,12 @@ __all__ = [
 # modal formula loses too many digits, and expm(tA) takes over.
 MODAL_CONDITION_LIMIT = 1e8
 
-# From this operator dimension on, resolvent_norm_at runs Lanczos through
-# the LU factors of Q(lam); below it the explicit R_E is faster.  On the
-# two-patch rod a 25-point scan takes about the same time either way at
-# dimension 96 (0.045 s) and half the time by Lanczos at 128 (0.05 s
-# against 0.10 s), one core.
+# The coupled-block dimension 2n from which the resolvent norm runs Lanczos
+# through the LU factors of Q(lam); below it R_E is formed and normed
+# densely.  With the scan in lockstep, a 25-point scan of the two-patch rod
+# (one core, ROADMAP.md Baseline) is faster by Lanczos from dimension 96 on
+# and slower below: at N = 32 (dimension 64) Lanczos takes 25 ms against
+# 22 ms.  The value stays 128, since no benchmark request has 33 <= N <= 63.
 LANCZOS_MIN_DIMENSION = 128
 
 # The Lanczos of a scan runs its points in lockstep, so it holds the LU

@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 import specdamp
-from specdamp import cli, conditions, linalg, model, semigroup, spectrum, tolerances
+from specdamp import cli, conditions, krein, linalg, model, semigroup, spectrum, tolerances
+
+import oracles
 
 
 BEAM_CONFIG = {
@@ -35,6 +37,15 @@ BEAM_CONFIG = {
 def write_config(path, cfg):
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def forbid_solve(monkeypatch):
+    # A request that must be refused before anything is solved: a call to
+    # solve_qep fails the test instead of running (or allocating) anything.
+    def forbidden(model):
+        raise AssertionError("solve_qep called")
+
+    monkeypatch.setattr(spectrum, "solve_qep", forbidden)
 
 
 class TestAnalyze:
@@ -152,6 +163,41 @@ class TestAnalyze:
         assert doc["model"]["alpha"] == 0.4
         assert doc["model"]["perturbation_proxy"] > 0.0
 
+    @pytest.mark.parametrize("rotated", [False, True], ids=["modes", "rotated"])
+    def test_rows_and_markers_carry_their_clusters_verdicts(self, tmp_path, rotated):
+        # Critical blocks (two eigenvalues, each of four members in two 2 x 2
+        # Jordan blocks) next to an overdamped mode (a positive and a
+        # negative singleton) and an underdamped one (a neutral pair): each
+        # eigenvalue's CSV row and marker must carry its own cluster's cells.
+        blocks = oracles.critical_blocks(rotated)
+        K = np.zeros((6, 6))
+        C = np.zeros((6, 6))
+        K[:4, :4], C[:4, :4] = blocks.K, blocks.C
+        K[4:, 4:], C[4:, 4:] = np.diag([1.0, 4.0]), np.diag([3.0, 1.0])
+        cfg = {"model": {"type": "generic", "K": K.tolist(), "C": C.tolist()},
+               "analyses": ["spectrum"]}
+        path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+
+        m = model.SystemModel(K=K, C=C)
+        clf = krein.classify_eigenpairs(m, spectrum.solve_qep(m))
+        assert max(c.jordan_defect for c in clf.clusters) == 2
+        assert {c.sign_type for c in clf.clusters} == {"positive", "negative", "neutral"}
+        expected, colors = {}, {}
+        for c in clf.clusters:
+            gram = cli._fmt_float(float(np.min(np.abs(c.gram_eigenvalues))))
+            for i in c.member_indices:
+                expected[i] = [str(i), c.sign_type, str(c.jordan_defect), gram]
+                colors[i] = cli._SIGN_COLORS[c.sign_type]
+        with open(out / "eigenvalues.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [[r[0]] + r[4:] for r in rows] == [expected[i] for i in range(12)]
+
+        root = ET.fromstring((out / "spectrum.svg").read_text())
+        markers = [e for e in root.iter() if e.get("r") == "3.5"]
+        assert [e.get("fill") for e in markers] == [colors[i] for i in range(12)]
+
     def test_critical_damping_obstruction_reported_not_fatal(self, tmp_path):
         cfg = {
             "model": {"type": "generic", "K": [[1.0]], "C": [[2.0]]},
@@ -243,13 +289,18 @@ class TestSchemaErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    def test_accumulation_needs_beam(self, tmp_path):
+    def test_accumulation_needs_beam(self, tmp_path, capsys, monkeypatch):
+        # Refused before the model is solved or any other analysis runs.
+        forbid_solve(monkeypatch)
         cfg = {
             "model": {"type": "generic", "K": [[1.0]], "C": [[0.0]]},
-            "analyses": ["accumulation"],
+            "analyses": ["spectrum", "accumulation"],
         }
         path = write_config(tmp_path / "cfg.json", cfg)
-        assert cli.main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 2
+        assert '"accumulation" analysis requires a beam model' in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_analyses(self, tmp_path):
         cfg = dict(BEAM_CONFIG)
@@ -379,6 +430,22 @@ class TestSimulate:
         with open(out / "trajectory.csv", newline="") as fh:
             assert {float(r[1]) for r in list(csv.reader(fh))[1:]} == {0.0}
         ET.fromstring((out / "energy.svg").read_text())
+
+    def test_samples_beyond_trajectory_cap(self, tmp_path, capsys, monkeypatch):
+        # 1e11 samples would ask numpy for hundreds of GiB of states: the
+        # request is refused from its size alone, before anything is solved.
+        forbid_solve(monkeypatch)
+        path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)  # 2n = 16
+        out = tmp_path / "out"
+        base = ["simulate", "--config", path, "--out", str(out), "--samples"]
+        assert cli.main(base + ["100000000000"]) == cli.EXIT_INVALID
+        assert "--samples 100000000000" in capsys.readouterr().err
+        limit = cli.MAX_TRAJECTORY_ENTRIES // 16
+        assert cli.main(base + [str(limit + 1)]) == cli.EXIT_INVALID
+        # The largest allowed request gets as far as the solve.
+        with pytest.raises(AssertionError, match="solve_qep called"):
+            cli.main(base + [str(limit)])
+        assert not out.exists()
 
     def test_bad_horizon(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", BEAM_CONFIG)

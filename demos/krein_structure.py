@@ -27,7 +27,7 @@ def classify_rod():
         print(f"{c.eigenvalue.real:14.6f}  {c.sign_type:>8}  "
               f"{c.kernel_dim:6d}  {c.jordan_defect:6d}")
 
-    dec = sd.decompose(model, rep)
+    dec = sd.decompose(model, rep, cls)
     print(f"\nsplit at the sign change: {len(dec.h_prime)} fast (negative type) "
           f"vs {len(dec.h_doubleprime)} slow (positive type)")
     print(f"  cross-orthogonality between the branches: {dec.cross_gram_norm:.2e}")
@@ -45,7 +45,7 @@ def critical_damping():
     print(f"  eigenvalue {c.eigenvalue.real:g} with multiplicity "
           f"{len(c.member_indices)}, kernel dimension {c.kernel_dim}, "
           f"Jordan defect {c.jordan_defect}, sign type {c.sign_type}")
-    dec = sd.decompose(model, rep)
+    dec = sd.decompose(model, rep, cls)
     print(f"  neutral real eigenvalues reported by the split: "
           f"{[f'{z.real:g}' for z in dec.neutral_real_eigenvalues]}, "
           f"no negative-type prefix (m_cut = {dec.m_cut})\n")
@@ -58,7 +58,7 @@ def mixed_cluster():
     rep = sd.solve_qep(model)
     print("two decoupled oscillators sharing eigenvalue -1 with opposite signs:")
     try:
-        sd.decompose(model, rep)
+        sd.decompose(model, rep, sd.classify_eigenpairs(model, rep))
         print("  unexpectedly split")
     except sd.MixedClusterObstruction as exc:
         print(f"  split refused, mixed cluster at {exc}")

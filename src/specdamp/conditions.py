@@ -27,14 +27,16 @@ Three independently checkable conditions are implemented:
   the scalar modes the top of their parabolas, and each form of the witness
   is a sum over the components.
 
-* **Kernel nondegeneracy at candidate accumulation values** (condition
-  ``ii``): for each declared essential value ``mu`` of ``-K^{-1} C``, the
+* **Kernel nondegeneracy at the accumulation points** (condition ``ii``):
+  for each essential value ``mu = -a_k / E`` of a beam's ``-K^{-1} C``, the
   reciprocal ``1/mu`` is either spectrum-free (holds vacuously) or must
   carry a nondegenerate Krein Gram.
 
 * **Norm gap** (condition ``iii``): ``lam_min(K)^{-1/2}`` must stay below
-  the smallest declared essential value of ``K^{-1} C`` (for beams,
-  ``min_k a_k / E`` in closed form).
+  the smallest essential value ``min_k a_k / E`` of a beam's ``K^{-1} C``.
+
+Only a beam model has essential values: conditions ``ii`` and ``iii`` are
+checked on beam models and omitted on every other model.
 
 The patch threshold report evaluates each beam patch coefficient against
 two candidate overdamping thresholds that differ only in how the modulus
@@ -62,7 +64,6 @@ from .tolerances import CLUSTER_TOL
 
 __all__ = [
     "OptimizerDisagreement",
-    "MissingEssentialSpectrumProxy",
     "OverdampingReport",
     "ConditionIIVerdict",
     "ConditionIII",
@@ -100,10 +101,6 @@ class OptimizerDisagreement(Exception):
             f"overdamping margin not certified: witness value {margin:.6e} vs "
             f"lower bound -4 phi(s*) = {-4.0 * certificate_value:.6e}"
         )
-
-
-class MissingEssentialSpectrumProxy(Exception):
-    """Generic models have no essential spectrum; a proxy must be declared."""
 
 
 @dataclass(frozen=True)
@@ -315,37 +312,17 @@ class ConditionIII:
     holds: bool
 
 
-def check_condition_iii(
-    target, essential_proxy: float | None = None
-) -> ConditionIII:
-    """Compare ``lam_min(K)^{-1/2}`` against the essential-value floor.
+def check_condition_iii(model: SystemModel) -> ConditionIII:
+    """Compare ``lam_min(K)^{-1/2}`` against the floor ``min_k a_k / E``.
 
-    For a :class:`~specdamp.model.BeamSpec` (or a model assembled from
-    one) the floor is ``min_k a_k / E`` in closed form.  Generic matrix
-    models have no essential spectrum, so ``essential_proxy`` must be
-    declared explicitly; otherwise
-    :class:`MissingEssentialSpectrumProxy` is raised.
+    ``model`` must be a beam model; any other has no essential values, and
+    raises ``ValueError``.
     """
-    spec: BeamSpec | None = None
-    if isinstance(target, BeamSpec):
-        spec = target
-        k_min = spec.E * (0.5 * np.pi) ** 4
-    elif isinstance(target, SystemModel):
-        spec = target.beam
-        k_min = validate(target).k_min_eigenvalue
-    else:
-        raise TypeError(f"expected SystemModel or BeamSpec, got {type(target)!r}")
-
-    if spec is not None:
-        rhs = min(spec.damping_values) / spec.E
-    elif essential_proxy is not None:
-        rhs = float(essential_proxy)
-    else:
-        raise MissingEssentialSpectrumProxy(
-            "generic models need a declared essential-value floor (none exists "
-            "in finite dimension); pass essential_proxy"
-        )
-    lhs = 1.0 / np.sqrt(k_min)
+    spec = model.beam
+    if spec is None:
+        raise ValueError("condition iii needs a beam model: no other model has essential values")
+    lhs = 1.0 / np.sqrt(validate(model).k_min_eigenvalue)
+    rhs = min(spec.damping_values) / spec.E
     return ConditionIII(lhs=float(lhs), rhs=float(rhs), holds=bool(lhs < rhs))
 
 
@@ -444,35 +421,22 @@ class ConditionReport:
     riesz_condition_number: float
 
 
-def condition_report(
-    model: SystemModel,
-    report: spectrum.SpectrumReport,
-    essential_candidates=None,
-    essential_proxy: float | None = None,
-) -> ConditionReport:
+def condition_report(model: SystemModel, report: spectrum.SpectrumReport) -> ConditionReport:
     """Assemble the full condition report for one model.
 
-    For beam models the candidate values ``-a_k / E`` and the norm-gap
-    floor come from the patch data automatically; generic models check
-    condition ``ii``/``iii`` only against explicitly supplied candidates
-    and proxy (sections are omitted, not guessed, when absent).  ``report``
-    is the solved spectrum of ``model``.
+    ``report`` is the solved spectrum of ``model``.  On a beam model
+    conditions ``ii`` (at ``-a_k / E``) and ``iii`` and the patch thresholds
+    come from the patch data; on any other model, which has no essential
+    values, those sections are empty.
     """
     od = check_overdamping(model)
-
-    if essential_candidates is None and model.beam is not None:
-        essential_candidates = [-a / model.beam.E for a in model.beam.damping_values]
-    cii = check_condition_ii(model, report, essential_candidates) if essential_candidates else ()
-
-    ciii: ConditionIII | None
-    if model.beam is not None:
+    beam = model.beam
+    cii: tuple[ConditionIIVerdict, ...] = ()
+    ciii = thresholds = None
+    if beam is not None:
+        cii = check_condition_ii(model, report, [-a / beam.E for a in beam.damping_values])
         ciii = check_condition_iii(model)
-    elif essential_proxy is not None:
-        ciii = check_condition_iii(model, essential_proxy=essential_proxy)
-    else:
-        ciii = None
-
-    thresholds = patch_threshold_report(model.beam, report) if model.beam else None
+        thresholds = patch_threshold_report(beam, report)
     val = validate(model)
     return ConditionReport(
         overdamping=od,

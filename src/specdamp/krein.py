@@ -342,22 +342,18 @@ def _cross_gram_norm(model: SystemModel, report: spectrum.SpectrumReport, fast: 
 
 
 def decompose(
-    model: SystemModel,
-    report: spectrum.SpectrumReport,
-    classification: SignClassification | None = None,
+    model: SystemModel, report: spectrum.SpectrumReport, classification: SignClassification
 ) -> Decomposition:
     """Split the spectrum into the negative-type fast branch and the rest.
 
-    ``report`` is the solved spectrum of ``model``.  Raises
+    ``report`` is the solved spectrum of ``model`` and ``classification``
+    its :func:`classify_eigenpairs`.  Raises
     :class:`MixedClusterObstruction` when some real cluster has mixed sign
     type, because then no invariant-subspace split by sign exists.  Real
     neutral clusters (Jordan blocks at critical damping) do not raise; they
     are routed to the slow branch and reported.  The cross-Gram is taken
     per coupling component: entries between components are exact zeros.
     """
-    if classification is None:
-        classification = classify_eigenpairs(model, report)
-
     real = [c for c in classification.clusters if c.is_real]
     real.sort(key=lambda c: c.eigenvalue.real)
     for c in real:

@@ -27,7 +27,6 @@ __all__ = [
     "sym_eig",
     "nonsym_eig",
     "real_times",
-    "solve",
     "sqrt_pair_from_eig",
 ]
 
@@ -222,16 +221,6 @@ class LUFactors:
         if not np.isfinite(resid) or resid > 1e-10 * (self.scale * np.linalg.norm(x) + np.linalg.norm(rhs)):
             raise Singular(rank_estimate=a.shape[0], message="solution residual exceeds tolerance; matrix is effectively singular")
         return x
-
-
-def solve(m, b):
-    """Solve ``m @ x = b`` by LU factorization with partial pivoting.
-
-    Accepts one right-hand side vector or a matrix of stacked columns.
-    Raises :class:`Singular` on a negligible pivot or an excessive
-    residual, as :class:`LUFactors` does.
-    """
-    return LUFactors(m).solve(b)
 
 
 def sqrt_pair_from_eig(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

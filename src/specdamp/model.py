@@ -131,19 +131,19 @@ def _normalize_patches(patches) -> tuple[Patch, ...]:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Second-order system ``z'' + K z + C z' = 0`` with provenance tag.
+    """Second-order system ``z'' + K z + C z' = 0``.
 
-    ``source`` is ``"generic"``, ``"beam"`` (with ``beam`` set), or
-    ``"perturbed"`` (Kelvin-Voigt plus a symmetric perturbation).
+    ``beam`` is the :class:`BeamSpec` that :func:`beam_assemble` built the
+    model from, and ``None`` for any other model.  It is the one provenance
+    field: only a beam has the accumulation points ``-E / a_k`` that the
+    conditions ``ii`` and ``iii`` of :mod:`~specdamp.conditions` test.
     Construction checks shapes and symmetry only; definiteness is the job
     of :func:`validate`.
     """
 
     K: np.ndarray
     C: np.ndarray
-    source: str = "generic"
     beam: BeamSpec | None = None
-    perturbation_alpha: float | None = None
     _validation: ValidationReport | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -391,7 +391,7 @@ def phase_operator_inverse(model: SystemModel) -> np.ndarray:
     as :class:`~specdamp.linalg.Singular`.
     """
     n = model.n
-    k_inv = linalg.solve(model.K, np.eye(n))
+    k_inv = linalg.LUFactors(model.K).solve(np.eye(n))
     top = np.hstack([-(k_inv @ model.C), -k_inv])
     bot = np.hstack([np.eye(n), np.zeros((n, n))])
     return np.vstack([top, bot])
@@ -451,7 +451,7 @@ def beam_assemble(spec: BeamSpec) -> SystemModel:
         overlap = np.where(j <= k, overlap, overlap.T)
         damp += patch.a * (w2[:, None] * overlap * w2[None, :])
     damp = 0.5 * (damp + damp.T)
-    model = SystemModel(K=stiff, C=damp, source="beam", beam=spec)
+    model = SystemModel(K=stiff, C=damp, beam=spec)
     validate(model)
     return model
 
@@ -472,7 +472,7 @@ def perturbed_kelvin_voigt(stiffness, alpha: float, perturbation) -> tuple[Syste
         raise InvalidModel(f"proportional coefficient alpha must be positive, got {alpha!r}")
     if b.shape != k.shape:
         raise InvalidModel(f"perturbation shape {b.shape} does not match stiffness shape {k.shape}")
-    model = SystemModel(K=k, C=alpha * k + b, source="perturbed", perturbation_alpha=float(alpha))
+    model = SystemModel(K=k, C=alpha * k + b)
     report = validate(model)
     modes = report.scalar_modes
     proxy = float(np.max(np.abs(b[modes.index, modes.index]) / modes.k, initial=0.0))

@@ -31,10 +31,12 @@ model never forms a ``2n x 2n`` basis, solve or exponential:
   energies read as ``|y(t)|^2`` and states mapped back through
   ``K^{-1/2}``; ``V_E`` is LU-factored once per report
   (:meth:`~specdamp.spectrum.EnergyBasis.block_factors`).  Otherwise
-  (Jordan blocks, nearly dependent eigenvectors) it is **expm**: one
-  ``expm`` call on the stack of ``t A_b`` over all samples, each by scaling
-  and squaring (Higham, SIMAX 26, 2005), whose cost grows only with
-  ``log ||t A_b||``.
+  (Jordan blocks, nearly dependent eigenvectors) it is **expm**: ``expm``
+  on the stack of ``t A_b`` over all samples, each by scaling and squaring
+  (Higham, SIMAX 26, 2005), whose cost grows only with ``log ||t A_b||``.
+  One call takes as many samples as keep the stack within
+  ``MAX_TRAJECTORY_ENTRIES`` entries, so a long grid on a large block takes
+  a few.
 
 Resolvent probes quantify how far the generator is from sectorial:
 `resolvent_norm_at` evaluates ``||(A - lam)^{-1}||`` in the energy norm
@@ -156,6 +158,12 @@ LANCZOS_RTOL = 1e-13
 # Seed of the Lanczos start vector, fixed so the norms are reproducible.
 LANCZOS_SEED = 0
 
+# The most state entries (samples x 2n) a trajectory may hold, 128 MiB of
+# float64: the CLI's simulate refuses more before it solves anything.  The
+# expm path exponentiates a coupled block's samples in chunks whose stack
+# of (2n_b)^2 entries per sample stays within it too.
+MAX_TRAJECTORY_ENTRIES = 1 << 24
+
 
 class NearSpectrum(Exception):
     """Requested resolvent point is within cluster tolerance of the spectrum."""
@@ -216,7 +224,7 @@ def _flow(model: SystemModel, report: SpectrumReport, times: np.ndarray, z: np.n
     # energy norm as a (times, k) array, and the method.  Each coupling
     # component flows by itself: the scalar modes in closed form, all at
     # once, and each coupled block in one product over all samples
-    # (exact-modal) or from one stacked expm over all samples.
+    # (exact-modal) or from stacked expm calls, one per chunk of samples.
     validation, n = validate(model), model.n
     modes = validation.scalar_modes
     basis = energy_basis(model, report)
@@ -238,9 +246,11 @@ def _flow(model: SystemModel, report: SpectrumReport, times: np.ndarray, z: np.n
         zb = z[rows]
         if not modal:
             # scipy exponentiates a stack matrix by matrix, each as a call
-            # of its own would.
-            flows = expm(times[:, None, None] * phase_operator(block))
-            out[rows] = (flows @ zb).transpose(1, 0, 2)
+            # of its own would, so the chunks change no flow.
+            gen, step = phase_operator(block), max(1, MAX_TRAJECTORY_ENTRIES // (2 * m) ** 2)
+            for lo in range(0, times.size, step):
+                flows = expm(times[lo : lo + step, None, None] * gen)
+                out[rows, lo : lo + step] = (flows @ zb).transpose(1, 0, 2)
             x, y = out[block.index], out[n + block.index]
             energies += _inner(x, linalg.real_times(block.K, x)) + _inner(y, y)
             continue
@@ -268,7 +278,7 @@ def evolve(model: SystemModel, report: SpectrumReport, x0: PhaseVector, times) -
     ``MODAL_CONDITION_LIMIT`` each coupled block flows by the modal formula
     in energy coordinates (``exact-modal``), with energies read as squared
     Euclidean norms there; otherwise its ``exp(t A_b)`` for every sample
-    comes from one stacked ``expm`` call (``expm``).  ``states`` is one
+    comes from stacked ``expm`` calls (``expm``).  ``states`` is one
     ``(samples, 2n)`` array, real for a real ``x0``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))

@@ -440,7 +440,7 @@ class TestSimulate:
         base = ["simulate", "--config", path, "--out", str(out), "--samples"]
         assert cli.main(base + ["100000000000"]) == cli.EXIT_INVALID
         assert "--samples 100000000000" in capsys.readouterr().err
-        limit = cli.MAX_TRAJECTORY_ENTRIES // 16
+        limit = semigroup.MAX_TRAJECTORY_ENTRIES // 16
         assert cli.main(base + [str(limit + 1)]) == cli.EXIT_INVALID
         # The largest allowed request gets as far as the solve.
         with pytest.raises(AssertionError, match="solve_qep called"):

@@ -151,7 +151,7 @@ def test_layers_build_no_phase_vector(make, monkeypatch):
     monkeypatch.setattr(sd.model.PhaseVector, "__post_init__", counting)
     rep = sd.solve_qep(m)
     clf = krein.classify_eigenpairs(m, rep)
-    krein.decompose(m, rep, classification=clf)
+    krein.decompose(m, rep, clf)
     spectrum.energy_basis(m, rep)
     conditions.condition_report(m, rep)
     assert built == []

@@ -218,7 +218,7 @@ class TestDecompose:
         spec = sd.BeamSpec(E=1.0, patches=(sd.Patch(2.0, 0.0, 1.0),), N=8)
         m = sd.beam_assemble(spec)
         rep = sd.solve_qep(m)
-        dec = krein.decompose(m, rep)
+        dec = krein.decompose(m, rep, krein.classify_eigenpairs(m, rep))
         assert len(dec.h_prime) == 8 and len(dec.h_doubleprime) == 8
         vals = rep.eigenvalues
         fast = np.array([vals[i] for i in dec.h_prime])
@@ -236,12 +236,14 @@ class TestDecompose:
     def test_mixed_cluster_raises_obstruction(self):
         m = sd.SystemModel(K=np.diag([2.0, 0.5]), C=np.diag([3.0, 1.5]))
         rep = sd.solve_qep(m)
+        clf = krein.classify_eigenpairs(m, rep)
         with pytest.raises(krein.MixedClusterObstruction):
-            krein.decompose(m, rep)
+            krein.decompose(m, rep, clf)
 
     def test_critical_damping_routed_to_second_part(self):
         m = scalar_model(1.0, 2.0)
-        dec = krein.decompose(m, sd.solve_qep(m))
+        rep = sd.solve_qep(m)
+        dec = krein.decompose(m, rep, krein.classify_eigenpairs(m, rep))
         assert dec.h_prime == ()
         assert dec.m_cut is None
         assert sorted(dec.h_doubleprime) == [0, 1]
@@ -259,7 +261,7 @@ class TestDecompose:
         stiff = 0.5 * (stiff + stiff.T)
         m = sd.SystemModel(K=stiff, C=1.3 * (stiff + np.eye(5)))
         rep = sd.solve_qep(m)
-        dec = krein.decompose(m, rep)
+        dec = krein.decompose(m, rep, krein.classify_eigenpairs(m, rep))
         assert len(dec.h_prime) == 5 and dec.orthogonal
         # The dense cross-Gram over all eigenvectors, fast against slow.
         vecs = sd.eigenvectors(m, rep, dec.h_prime + dec.h_doubleprime)
@@ -272,7 +274,8 @@ class TestDecompose:
 
     def test_undamped_everything_second_part(self):
         m = sd.SystemModel(K=np.diag([1.0, 4.0]), C=np.zeros((2, 2)))
-        dec = krein.decompose(m, sd.solve_qep(m))
+        rep = sd.solve_qep(m)
+        dec = krein.decompose(m, rep, krein.classify_eigenpairs(m, rep))
         assert dec.h_prime == () and len(dec.h_doubleprime) == 4
 
 
@@ -288,6 +291,6 @@ class TestTwoPatchRod:
         rep = sd.solve_qep(m)
         clf = krein.classify_eigenpairs(m, rep)
         assert clf.counts["mixed"] == 0
-        assert krein.decompose(m, rep, classification=clf).orthogonal
+        assert krein.decompose(m, rep, clf).orthogonal
         verdicts = conditions.check_condition_ii(m, rep, [-1.2, -2.5])
         assert [v.verdict for v in verdicts] == ["holds", "holds"]

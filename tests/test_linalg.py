@@ -118,28 +118,28 @@ class TestSolve:
         rng = np.random.default_rng(9)
         a = random_spd(rng, 5, lo=-2.0, hi=4.0)
         b = rng.standard_normal(5)
-        x = linalg.solve(a, b)
+        x = linalg.LUFactors(a).solve(b)
         assert np.allclose(a @ x, b, atol=1e-10)
         bm = rng.standard_normal((5, 3))
-        xm = linalg.solve(a, bm)
+        xm = linalg.LUFactors(a).solve(bm)
         assert np.allclose(a @ xm, bm, atol=1e-10)
 
     def test_complex_rhs(self):
         a = np.array([[2.0, 1.0], [1.0, 3.0]])
         b = np.array([1.0 + 2.0j, -1.0j])
-        x = linalg.solve(a, b)
+        x = linalg.LUFactors(a).solve(b)
         assert np.allclose(a @ x, b)
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_raises_with_rank(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(linalg.Singular) as exc:
-            linalg.solve(a, np.ones(2))
+            linalg.LUFactors(a).solve(np.ones(2))
         assert exc.value.rank_estimate == 1
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            linalg.solve(np.eye(3), np.ones(2))
+            linalg.LUFactors(np.eye(3)).solve(np.ones(2))
 
 
 class TestRealTimes:

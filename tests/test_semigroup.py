@@ -174,6 +174,32 @@ class TestEvolve:
         assert calls == [(samples, 8, 8)] * blocks
         assert np.all(np.diff(traj.energies) <= 1e-12 * traj.energies[0])
 
+    @pytest.mark.parametrize("cap", [10, 5 * 64, 23 * 64])
+    def test_expm_chunks_stay_within_the_cap(self, cap, monkeypatch):
+        # One rotated critical block, 2n_b = 8, so 64 stack entries a sample:
+        # each expm call takes max(1, cap // 64) samples, the last the rest,
+        # and the states are those of the single-call flow bit for bit.
+        m = oracles.critical_blocks(True)
+        rep = sd.solve_qep(m)
+        x0 = sd.PhaseVector(np.ones(m.n), np.zeros(m.n))
+        times = np.linspace(0.0, 1.0, 23)
+        whole = semigroup.evolve(m, rep, x0, times)
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return scipy.linalg.expm(a)
+
+        monkeypatch.setattr(semigroup, "expm", counted)
+        monkeypatch.setattr(semigroup, "MAX_TRAJECTORY_ENTRIES", cap)
+        traj = semigroup.evolve(m, rep, x0, times)
+        step = max(1, cap // 64)
+        assert calls == [(min(step, times.size - lo), 8, 8) for lo in range(0, times.size, step)]
+        assert all(shape[0] == 1 or shape[0] * 64 <= cap for shape in calls)
+        assert traj.method == whole.method == "expm"
+        assert np.array_equal(traj.states, whole.states)
+        assert np.array_equal(traj.energies, whole.energies)
+
     def test_energy_basis_factored_once_per_report(self, monkeypatch):
         # The Riesz number needs the energy basis but not its factors; the
         # flows of one report share a single LU of the coupled block's basis.

@@ -437,10 +437,11 @@ def _eigenvalue_csv(
     report: spectrum.SpectrumReport, clf: krein.SignClassification, cluster_of: list[int]
 ) -> str:
     # Numbers and sign types: no field needs CSV quoting.
-    tails = [
-        f"{c.sign_type},{c.jordan_defect},{_fmt_float(float(np.min(np.abs(c.gram_eigenvalues))))}"
-        for c in clf.clusters
-    ]
+    # Each cluster's min |gram eigenvalue|, all clusters in one reduction.
+    grams = [c.gram_eigenvalues for c in clf.clusters]
+    starts = np.cumsum([0] + [g.size for g in grams[:-1]])
+    gram_min = _fmt_floats(np.minimum.reduceat(np.abs(np.concatenate(grams)), starts))
+    tails = [f"{c.sign_type},{c.jordan_defect},{g}" for c, g in zip(clf.clusters, gram_min)]
     values = report.eigenvalues
     rows = zip(
         _fmt_floats(values.real), _fmt_floats(values.imag), _fmt_floats(report.residuals), cluster_of

@@ -14,7 +14,7 @@ so that it is available to callers.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.linalg.lapack import dpotrf
 
 __all__ = [
@@ -23,6 +23,8 @@ __all__ = [
     "NoConvergence",
     "Singular",
     "LUFactors",
+    "solve_stack",
+    "healthy_pivots",
     "cholesky",
     "sym_eig",
     "nonsym_eig",
@@ -35,6 +37,9 @@ SYMMETRY_RTOL = 1e-12
 
 # An LU pivot at most this times the matrix's Frobenius norm is negligible.
 PIVOT_RTOL = 1e-13
+
+# A solution whose residual exceeds this times scale * ||x|| + ||b|| is rejected.
+RESIDUAL_RTOL = 1e-10
 
 
 class LinalgError(Exception):
@@ -185,6 +190,25 @@ def nonsym_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
+def healthy_pivots(pivots, scale) -> np.ndarray:
+    """The pivot rule, elementwise: ``|pivot| > PIVOT_RTOL * scale``.
+
+    A pivot that fails it is rounding against ``scale``, the size of its
+    matrix (:class:`LUFactors`).
+    """
+    return np.abs(pivots) > PIVOT_RTOL * scale
+
+
+def _residual_fails(resid, x_norm, b_norm, scale) -> np.ndarray:
+    # The residual rule: a solution is rejected when its residual is not
+    # finite or exceeds RESIDUAL_RTOL of scale * ||x|| + ||b||.
+    return ~np.isfinite(resid) | (resid > RESIDUAL_RTOL * (scale * x_norm + b_norm))
+
+
+def _residual_singular(n: int) -> Singular:
+    return Singular(rank_estimate=n, message="solution residual exceeds tolerance; matrix is effectively singular")
+
+
 class LUFactors:
     """LU factorization with partial pivoting of a square matrix.
 
@@ -202,25 +226,61 @@ class LUFactors:
         self.matrix = _as_square(m)
         self.scale = _frobenius_scale(self.matrix) if scale is None else float(scale)
         self.factors = lu_factor(self.matrix)
-        diag = np.abs(np.diag(self.factors[0]))
-        healthy = int(np.count_nonzero(diag > PIVOT_RTOL * self.scale))
+        healthy = int(np.count_nonzero(healthy_pivots(np.diag(self.factors[0]), self.scale)))
         if healthy < self.matrix.shape[0]:
             raise Singular(rank_estimate=healthy)
 
     def solve(self, b):
         """Solve ``m @ x = b`` for one vector or stacked columns.
 
-        Raises :class:`Singular` when the residual exceeds ``1e-10`` of
-        ``scale * ||x|| + ||b||``: the matrix is then effectively singular.
+        Raises :class:`Singular` when the residual exceeds ``RESIDUAL_RTOL``
+        of ``scale * ||x|| + ||b||``: the matrix is then effectively singular.
         """
         a, rhs = self.matrix, np.asarray(b)
         if rhs.shape[0] != a.shape[0]:
             raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix order {a.shape[0]}")
         x = lu_solve(self.factors, rhs)
         resid = np.linalg.norm(a @ x - rhs)
-        if not np.isfinite(resid) or resid > 1e-10 * (self.scale * np.linalg.norm(x) + np.linalg.norm(rhs)):
-            raise Singular(rank_estimate=a.shape[0], message="solution residual exceeds tolerance; matrix is effectively singular")
+        if _residual_fails(resid, np.linalg.norm(x), np.linalg.norm(rhs), self.scale):
+            raise _residual_singular(a.shape[0])
         return x
+
+
+def solve_stack(mats: np.ndarray, rhs: np.ndarray, scales: np.ndarray):
+    """Solve ``mats[i] @ x[i] = rhs[i]`` for a stack, up to its first singular system.
+
+    ``mats`` is a ``(p, n, n)`` stack, ``rhs`` a ``(p, n, k)`` one and
+    ``scales`` holds each matrix's ``scale`` as :class:`LUFactors` takes it.
+    Each matrix is factored and solved by the LAPACK calls of
+    :class:`LUFactors` (``getrf``, ``getrs``), so matrix by matrix the
+    pivots and solutions are bit for bit its own; the pivot test and the
+    residual check then run on the whole stack at once, by the rules of
+    :class:`LUFactors` and :meth:`LUFactors.solve`.  Returns
+    ``(x, error)``: ``x`` holds the solutions of the systems before the
+    first one that fails either test, and ``error`` is the
+    :class:`Singular` that :class:`LUFactors` would raise for that one, or
+    ``None`` when none fails.
+    """
+    # Chosen by dtype as lu_factor and lu_solve choose them.
+    (getrf,) = get_lapack_funcs(("getrf",), (mats,))
+    (getrs,) = get_lapack_funcs(("getrs",), (mats, rhs))
+    x, pivots = np.empty(rhs.shape, dtype=getrs.dtype), np.empty(mats.shape[:2], dtype=getrf.dtype)
+    for i, (m, b) in enumerate(zip(mats, rhs)):
+        factors, piv, _ = getrf(m)
+        pivots[i] = np.diagonal(factors)
+        x[i] = getrs(factors, piv, b)[0]
+    n = mats.shape[-1]
+    ranks = np.count_nonzero(healthy_pivots(pivots, scales[:, None]), axis=-1)
+    low = np.flatnonzero(ranks < n)
+    good, error = (int(low[0]), Singular(rank_estimate=ranks[low[0]])) if low.size else (ranks.size, None)
+    mats, rhs, x = mats[:good], rhs[:good], x[:good]
+    resid = mats @ x
+    resid -= rhs
+    norms = [np.linalg.norm(v, axis=(-2, -1)) for v in (resid, x, rhs)]
+    failed = np.flatnonzero(_residual_fails(*norms, scales[:good]))
+    if failed.size:
+        good, error = int(failed[0]), _residual_singular(n)
+    return x[:good], error
 
 
 def sqrt_pair_from_eig(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -73,19 +73,22 @@ eps times the norm of the energy-scaled operator, whose damping block
 grows like the fourth power of the rod's top frequency, and that cost up
 to 1e-8 relative at N = 128.
 
-What follows the LU depends only on the block's dimension ``2n``.
-Below ``LANCZOS_MIN_DIMENSION`` ``R_E`` is formed explicitly as
-``[[-K^{1/2} Z1, -K^{1/2} Z3], [Z2, -lam Z3]]`` from one residual-checked
-solve ``Z = Q^{-1} [(C + lam) K^{-1/2} | K^{1/2} | I]`` and its spectral
-norm taken densely, the faster route at that size, point by point.  From
-there on ``R_E`` is never formed: Lanczos with full reorthogonalization
-on ``R_E^H R_E``, from a seeded random start, applies it through the LU
-factors, two ``n x n`` solves with two right-hand sides each per step
-(Trefethen & Embree, *Spectra and Pseudospectra*, 2005; Wright &
-Trefethen, SISC 23, 2001).  Each point stops when its top Ritz residual
-falls to ``LANCZOS_RTOL`` of its Ritz value and returns
-``||R_E u|| / ||u||`` for that Ritz vector ``u``, through a
-residual-checked solve.
+What follows depends only on the block's dimension ``2n``.  Below
+``LANCZOS_MIN_DIMENSION`` ``R_E`` is formed explicitly and normed densely,
+a chunk of points in one pass: one stack of ``Q(lam)`` and of the
+right-hand sides ``[(C + lam) K^{-1/2} | K^{1/2} | I]``, solved for ``Z``
+by :func:`~specdamp.linalg.solve_stack` (the LAPACK calls of
+:class:`~specdamp.linalg.LUFactors` point by point, then one pivot test
+and one residual check of the whole stack, by its rules), one stack of
+``R_E = [[-K^{1/2} Z1, -K^{1/2} Z3], [Z2, -lam Z3]]`` and one batched SVD.
+From there on each point's ``Q(lam)`` is factored by itself and ``R_E`` is
+never formed: Lanczos with full reorthogonalization on ``R_E^H R_E``, from
+a seeded random start, applies it through the LU factors, two ``n x n``
+solves with two right-hand sides each per step (Trefethen & Embree,
+*Spectra and Pseudospectra*, 2005; Wright & Trefethen, SISC 23, 2001).
+Each point stops when its top Ritz residual falls to ``LANCZOS_RTOL`` of
+its Ritz value and returns ``||R_E u|| / ||u||`` for that Ritz vector
+``u``, through a residual-checked solve.
 
 A scan runs the Lanczos of all its points in lockstep.  Their vectors
 live in one ``(points, steps, 2n)`` array; each step applies ``K^{-1/2}``,
@@ -93,12 +96,13 @@ live in one ``(points, steps, 2n)`` array; each step applies ``K^{-1/2}``,
 reorthogonalizes all of them in one batched product, and only the
 triangular solves and the tridiagonal Ritz pair run point by point.  A
 point that converges leaves the active set, so every point keeps its own
-start, stop test and value, and `resolvent_norm_at` is the one-point
-case of the same code.  The points go through in chunks whose ``Q(lam)``
-and LU factors fit ``RESOLVENT_CHUNK_BYTES``, what one point's full
-Lanczos basis would take at ``N = 128``, so the lockstep raises no peak
-memory.  The first failing point in grid order raises, as if the points
-ran one by one.
+start, stop test and value.  On both routes the points go through in
+chunks whose working set fits ``RESOLVENT_CHUNK_BYTES``, so stacking
+raises no peak memory; every stacked step treats each point as a
+one-point call would, bit for bit, so `resolvent_norm_at` is the
+one-point case of the same code.  The scalar modes of all points are
+normed at once, as one ``(points, modes)`` array.  The first failing
+point in grid order raises, as if the points ran one by one.
 
 Every truncation order generates a trivially analytic semigroup, so the
 honest finite-order statement is uniformity: bounded ``fitted_M`` and
@@ -135,19 +139,24 @@ MODAL_CONDITION_LIMIT = 1e8
 
 # The coupled-block dimension 2n from which the resolvent norm runs Lanczos
 # through the LU factors of Q(lam); below it R_E is formed and normed
-# densely.  With the scan in lockstep, a 25-point scan of the two-patch rod
-# (one core, ROADMAP.md Baseline) is faster by Lanczos from dimension 96 on
-# and slower below: at N = 32 (dimension 64) Lanczos takes 25 ms against
-# 22 ms.  The value stays 128, since no benchmark request has 33 <= N <= 63.
+# densely.  Against the stacked explicit route, a 25-point scan of the
+# two-patch rod (PYTHONPATH=src python3 tools/scan_crossover.py, one core)
+# is faster by Lanczos from between dimensions 56 and 64 on: 15.7 against
+# 13.0 ms at N = 32 (dimension 64), 4.0 against 9.2 ms at N = 16.  The
+# value stays 128: the routes agree only to about 2e-15 relative, so moving
+# it would move the last digits of the reported norms of every order it
+# crosses.
 LANCZOS_MIN_DIMENSION = 128
 
-# The Lanczos of a scan runs its points in lockstep, so it holds the LU
-# factorizations of all of them at once.  A chunk takes as many points as
-# fit this many bytes of Q(lam) and its factors (32 n^2 per point, at
-# least one point): no more than a one-point Lanczos keeping a full
-# dim x dim complex basis and its conjugate holds at N = 128 (dim = 256),
-# so the scan raises no peak memory.  That is 16 points at N = 64, 4 at
-# N = 128 and 1 at N = 256.
+# The points of a scan go through in chunks of at most this many bytes of
+# working set, at least one point each.  On the Lanczos route a point holds
+# Q(lam) and its LU factors (32 n^2 bytes, complex), which all stay alive
+# through the lockstep: 16 points at N = 64, 4 at N = 128 and 1 at N = 256.
+# On the explicit route a point's share of the stacks of Q(lam), right-hand
+# sides, solutions, residuals and R_E is about 288 n^2 bytes: 7 points at
+# N = 32 and every point of the 25 up to n = 17.  The budget is no more
+# than a one-point Lanczos keeping a full dim x dim complex basis and its
+# conjugate holds at N = 128 (dim = 256), so the scan raises no peak memory.
 RESOLVENT_CHUNK_BYTES = 2 << 20
 
 # Lanczos stops once the top Ritz residual is at most this times the Ritz
@@ -304,7 +313,20 @@ def propagator(model: SystemModel, report: SpectrumReport, t: float) -> np.ndarr
     return np.ascontiguousarray(out[:, 0])
 
 
-def _mode_resolvent_norms(modes: ScalarModes, lam: complex, dim: int) -> np.ndarray:
+def _point_scalars(lams: np.ndarray):
+    # |lam|, |lam|^2 and lam^2 of every point in Python's complex arithmetic.
+    # numpy's vectorized abs and complex product can differ from it in the
+    # last bit; these keep every norm bit for bit what a point-by-point
+    # evaluation in Python scalars gives, and the reports' bytes with it.
+    points = lams.tolist()
+    mags = [abs(lam) for lam in points]
+    return np.array(mags), np.array([m**2 for m in mags]), np.array([lam * lam for lam in points])
+
+
+def _mode_resolvent_norms(modes: ScalarModes, lams: np.ndarray, dim: int, failures: dict) -> np.ndarray:
+    # The norm of every scalar mode's R_E at every point of lams, a
+    # (points, modes) array that is zero from the first failing point on;
+    # that point's Singular is added to failures.
     # R_E of a scalar mode is S (A_i - lam)^{-1} S^{-1} = N / q with
     # S = diag(sqrt(k), 1), q = lam^2 + c lam + k and
     # N = [[-(c + lam), -sqrt(k)], [sqrt(k), -lam]].  Its norm is the root of
@@ -312,34 +334,48 @@ def _mode_resolvent_norms(modes: ScalarModes, lam: complex, dim: int) -> np.ndar
     # nonnegative terms free of cancellation.  LU with partial pivoting of
     # A_i - lam = [[-lam, 1], [-k, -(c + lam)]] has pivots max(|lam|, k) and
     # |q| / max(|lam|, k); a negligible one raises Singular as LUFactors does.
-    k, c = modes.k, modes.c
-    q = lam * lam + c * lam + k
-    first = np.maximum(abs(lam), k)
-    scale = np.sqrt(abs(lam) ** 2 + 1.0 + k * k + np.abs(c + lam) ** 2)  # ||A_i - lam||_F
-    bad = np.minimum(first, np.abs(q) / first) <= linalg.PIVOT_RTOL * scale
+    k, c, col = modes.k, modes.c, lams[:, None]
+    mags, mag_sq, squares = _point_scalars(lams)
+    q = squares[:, None] + c * col + k
+    first = np.maximum(mags[:, None], k)
+    shifted_sq = np.abs(c + col) ** 2
+    scale = np.sqrt((mag_sq + 1.0)[:, None] + k * k + shifted_sq)  # ||A_i - lam||_F
+    bad = ~linalg.healthy_pivots(np.minimum(first, np.abs(q) / first), scale)
+    stop = lams.size
     if np.any(bad):
-        raise linalg.Singular(rank_estimate=dim - int(np.count_nonzero(bad)))
-    h11 = np.abs(c + lam) ** 2 + k
-    h22 = k + abs(lam) ** 2
-    h12_sq = k * (c * c + 4.0 * lam.imag**2)  # |h12|^2, h12 = sqrt(k) (c - 2i Im lam)
+        stop = int(np.flatnonzero(np.any(bad, axis=1))[0])
+        failures[stop] = linalg.Singular(rank_estimate=dim - int(np.count_nonzero(bad[stop])))
+    imag_sq4 = np.array([4.0 * lam.imag**2 for lam in lams[:stop].tolist()])
+    h11 = shifted_sq[:stop] + k
+    h22 = k + mag_sq[:stop, None]
+    h12_sq = k * (c * c + imag_sq4[:, None])  # |h12|^2, h12 = sqrt(k) (c - 2i Im lam)
     top = 0.5 * (h11 + h22) + np.sqrt(0.25 * (h11 - h22) ** 2 + h12_sq)
-    return np.sqrt(top) / np.abs(q)
+    norms = np.zeros(q.shape)
+    norms[:stop] = np.sqrt(top) / np.abs(q[:stop])
+    return norms
 
 
-def _explicit_norm(block: CoupledBlock, lam: complex, lu: linalg.LUFactors):
-    # The block's R_E formed explicitly and normed densely, or the Singular
-    # its residual-checked solve raised; lu holds the factors of Q(lam).
-    # Z = Q^{-1} [(C + lam) K^{-1/2} | K^{1/2} | I]; then
-    # R_E = [[-K^{1/2} Z1, -K^{1/2} Z3], [Z2, -lam Z3]].
+def _explicit_norms(block: CoupledBlock, lams: np.ndarray, quads: np.ndarray, terms: np.ndarray) -> list:
+    # The norm of the block's R_E at every point of lams, formed explicitly
+    # and normed densely, up to the first failing point, whose Singular ends
+    # the list; quads stacks the points' Q(lam) and terms their pivot
+    # scales.  One stacked, residual-checked solve gives
+    # Z = Q^{-1} [(C + lam) K^{-1/2} | K^{1/2} | I] at every point, then
+    # R_E = [[-K^{1/2} Z1, -K^{1/2} Z3], [Z2, -lam Z3]] and one batched SVD.
     n = block.n
-    damped = block.C @ block.k_inv_sqrt + lam * block.k_inv_sqrt
-    try:
-        z = lu.solve(np.hstack([damped, block.k_sqrt, np.eye(n)]))
-    except linalg.Singular as exc:
-        return exc
-    z1, z2, z3 = z[:, :n], z[:, n : 2 * n], z[:, 2 * n :]
-    resolvent = np.block([[-(block.k_sqrt @ z1), -(block.k_sqrt @ z3)], [z2, -lam * z3]])
-    return float(np.linalg.norm(resolvent, 2))
+    rhs = np.empty((lams.size, n, 3 * n), dtype=complex)
+    rhs[:, :, :n] = block.C @ block.k_inv_sqrt + lams[:, None, None] * block.k_inv_sqrt
+    rhs[:, :, n : 2 * n] = block.k_sqrt
+    rhs[:, :, 2 * n :] = np.eye(n)
+    z, error = linalg.solve_stack(quads, rhs, terms)
+    z1, z2, z3 = z[:, :, :n], z[:, :, n : 2 * n], z[:, :, 2 * n :]
+    resolvent = np.empty((len(z), 2 * n, 2 * n), dtype=complex)
+    resolvent[:, :n, :n] = -(block.k_sqrt @ z1)
+    resolvent[:, :n, n:] = -(block.k_sqrt @ z3)
+    resolvent[:, n:, :n] = z2
+    resolvent[:, n:, n:] = -lams[: len(z), None, None] * z3
+    norms = np.linalg.svd(resolvent, compute_uv=False)[:, 0].tolist()
+    return norms + [error] if error else norms
 
 
 def _apply_resolvent(block: CoupledBlock, lams: np.ndarray, solves, v: np.ndarray) -> np.ndarray:
@@ -440,37 +476,35 @@ def _lanczos_norms(block: CoupledBlock, lams: np.ndarray, factors: list) -> list
 def _block_norms(block: CoupledBlock, lams: np.ndarray, failures: dict) -> np.ndarray:
     # The block's resolvent norm at every point of lams before the first
     # failing one; failures maps a point's position to its exception, and
-    # a point that fails here is added to it.  The Lanczos points go
-    # through in chunks of at most RESOLVENT_CHUNK_BYTES of factorizations.
+    # a point that fails here is added to it.  The points go through in
+    # chunks of at most RESOLVENT_CHUNK_BYTES of working set.
     n = block.n
     norms = np.zeros(lams.size)
     lanczos = 2 * n >= LANCZOS_MIN_DIMENSION
-    # A point holds Q(lam) and its LU factors, complex; the explicit route
-    # is done with a point before it factors the next.
-    chunk = max(1, RESOLVENT_CHUNK_BYTES // (32 * n * n)) if lanczos else 1
-    k_norm, c_norm = np.linalg.norm(block.K), np.linalg.norm(block.C)
+    chunk = max(1, RESOLVENT_CHUNK_BYTES // ((32 if lanczos else 288) * n * n))
+    mags, mag_sq, squares = _point_scalars(lams)
+    # Near the spectrum the three terms of Q cancel, so the pivots are judged
+    # against their size: a 1 x 1 Q would otherwise be its own scale.
+    terms = np.linalg.norm(block.K) + mags * np.linalg.norm(block.C) + mag_sq * np.sqrt(n)
+    diag = np.arange(n)
     for first in range(0, lams.size, chunk):
-        points, factors = [], []
-        for i in range(first, min(first + chunk, min(failures, default=lams.size))):
-            lam = complex(lams[i])
-            quad = block.C * lam + block.K
-            quad[np.diag_indices(n)] += lam * lam
-            # Near the spectrum the three terms cancel, so the pivots are
-            # judged against their size: a 1 x 1 Q would otherwise be its own scale.
-            terms = k_norm + abs(lam) * c_norm + abs(lam) ** 2 * np.sqrt(n)
-            try:
-                factors.append(linalg.LUFactors(quad, scale=terms))
-            except linalg.Singular as exc:
-                failures[i] = exc
-                break
-            points.append(i)
-        if not points:
+        stop = min(first + chunk, min(failures, default=lams.size))
+        if stop <= first:
             break
-        if lanczos:
-            results = _lanczos_norms(block, lams[points], factors)
+        quads = block.C * lams[first:stop, None, None] + block.K
+        quads[:, diag, diag] += squares[first:stop, None]
+        if not lanczos:
+            results = _explicit_norms(block, lams[first:stop], quads, terms[first:stop])
         else:
-            results = [_explicit_norm(block, complex(lams[i]), lu) for i, lu in zip(points, factors)]
-        for i, result in zip(points, results):
+            factors = []
+            for quad, scale in zip(quads, terms[first:stop]):
+                try:
+                    factors.append(linalg.LUFactors(quad, scale=scale))
+                except linalg.Singular as exc:
+                    failures[first + len(factors)] = exc
+                    break
+            results = _lanczos_norms(block, lams[first : first + len(factors)], factors) if factors else []
+        for i, result in enumerate(results, first):
             if isinstance(result, linalg.Singular):
                 failures[i] = result
             else:
@@ -482,6 +516,8 @@ def _resolvent_norms(model: SystemModel, report: SpectrumReport, lams: np.ndarra
     # The energy-norm resolvent at every point of lams (see
     # resolvent_norm_at).  The first failing point in order raises its
     # error, and nothing past it is computed.
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("resolvent points must be finite")
     dist = np.min(np.abs(report.eigenvalues[None, :] - lams[:, None]), axis=1)
     near = np.flatnonzero(dist <= CLUSTER_TOL * (1.0 + np.abs(lams)))
     failures = {}
@@ -492,14 +528,10 @@ def _resolvent_norms(model: SystemModel, report: SpectrumReport, lams: np.ndarra
     for block in validation.coupled_blocks:
         stop = min(failures, default=lams.size)
         norms[:stop] = np.maximum(norms[:stop], _block_norms(block, lams[:stop], failures))
-    modes = validation.scalar_modes
-    for i in range(min(failures, default=lams.size) if modes.size else 0):
-        try:
-            mode_norms = _mode_resolvent_norms(modes, complex(lams[i]), 2 * model.n)
-        except linalg.Singular as exc:
-            failures[i] = exc
-            break
-        norms[i] = max(norms[i], float(np.max(mode_norms)))
+    modes, stop = validation.scalar_modes, min(failures, default=lams.size)
+    if modes.size:
+        mode_norms = _mode_resolvent_norms(modes, lams[:stop], 2 * model.n, failures)
+        norms[:stop] = np.maximum(norms[:stop], np.max(mode_norms, axis=1))
     if failures:
         raise failures[min(failures)]
     return norms
@@ -520,10 +552,11 @@ def resolvent_norm_at(model: SystemModel, report: SpectrumReport, lam: complex) 
     ``R_E`` is a direct sum over the coupling components, so its norm is
     the largest block norm.  The ``2 x 2`` blocks of the scalar modes are
     normed in closed form, all at once.  Each coupled block of size ``n``
-    factors its ``n x n`` ``Q(lam)`` once: below ``LANCZOS_MIN_DIMENSION``
-    (of ``2n``) its explicit ``R_E`` is formed from one residual-checked
-    solve and normed densely; from there on ``R_E`` is never formed, and
-    Lanczos on ``R_E^H R_E`` applies it through the factors and returns
+    works on its ``n x n`` ``Q(lam)``: below ``LANCZOS_MIN_DIMENSION`` (of
+    ``2n``) its pivots are tested and its explicit ``R_E`` is formed from
+    one residual-checked solve and normed densely; from there on ``Q(lam)``
+    is factored once, ``R_E`` is never formed, and Lanczos on
+    ``R_E^H R_E`` applies it through the factors and returns
     ``||R_E u|| / ||u||`` for its converged Ritz vector ``u``, computed
     through a residual-checked solve.  This is the one-point case of
     :func:`resolvent_scan`'s computation.

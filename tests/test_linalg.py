@@ -142,6 +142,46 @@ class TestSolve:
             linalg.LUFactors(np.eye(3)).solve(np.ones(2))
 
 
+class TestSolveStack:
+    def test_matches_lufactors_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        mats = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+        rhs = rng.standard_normal((4, 6, 5)) + 1j * rng.standard_normal((4, 6, 5))
+        scales = np.linalg.norm(mats, axis=(1, 2))
+        x, error = linalg.solve_stack(mats, rhs, scales)
+        assert error is None and x.shape == rhs.shape
+        for i in range(4):
+            assert np.array_equal(x[i], linalg.LUFactors(mats[i], scale=scales[i]).solve(rhs[i]))
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_stops_at_first_pivot_failure_with_its_rank(self):
+        rng = np.random.default_rng(14)
+        mats = rng.standard_normal((4, 5, 5))
+        mats[2, :, 3] = mats[2, :, 0] + mats[2, :, 1]  # rank 4
+        mats[3, :, 1:] = 0.0  # rank 1, later in the stack
+        rhs = rng.standard_normal((4, 5, 2))
+        scales = np.linalg.norm(mats, axis=(1, 2))
+        x, error = linalg.solve_stack(mats, rhs, scales)
+        assert len(x) == 2
+        with pytest.raises(linalg.Singular) as exc:
+            linalg.LUFactors(mats[2], scale=scales[2])
+        assert isinstance(error, linalg.Singular) and error.rank_estimate == exc.value.rank_estimate == 4
+
+    def test_stops_at_first_residual_failure(self):
+        # With scale 0 every nonzero pivot passes, and the residual of a
+        # Hilbert matrix of order 12 (condition 1e16) fails the residual rule.
+        hilbert = 1.0 / (np.arange(12)[:, None] + np.arange(12)[None, :] + 1.0)
+        mats = np.stack([np.eye(12), hilbert, hilbert])
+        rhs = np.ones((3, 12, 1))
+        scales = np.array([1.0, 0.0, 0.0])
+        x, error = linalg.solve_stack(mats, rhs, scales)
+        assert len(x) == 1 and np.array_equal(x[0], rhs[0])
+        with pytest.raises(linalg.Singular) as exc:
+            linalg.LUFactors(hilbert, scale=0.0).solve(rhs[1])
+        assert isinstance(error, linalg.Singular)
+        assert error.rank_estimate == exc.value.rank_estimate == 12 and str(error) == str(exc.value)
+
+
 class TestRealTimes:
     def test_matches_mixed_product(self):
         rng = np.random.default_rng(12)

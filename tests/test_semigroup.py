@@ -497,6 +497,104 @@ class TestResolventLanczos:
             semigroup.resolvent_scan(m, rep, 0.0, [0.5, 2.0, 2.5, 3.5])
 
 
+def rotated(rng, k, c):
+    # K = Q diag(k) Q^T and C = Q diag(c) Q^T in a random basis Q.
+    q = np.linalg.qr(rng.standard_normal((k.size, k.size)))[0]
+    k, c = (q * k) @ q.T, (q * c) @ q.T
+    return sd.SystemModel(K=0.5 * (k + k.T), C=0.5 * (c + c.T))
+
+
+def explicit_route_models():
+    # Models whose every norm comes from the stacked explicit route or the
+    # closed form of the scalar modes: n = 1, rotated critical Jordan blocks
+    # (n = 4), near-critical (n = 8), K over 1e-4..1e4 (n = 12), a coupled
+    # block beside two scalar modes, and the two-patch rod at N = 32.
+    rng = np.random.default_rng(21)
+    kw = rng.uniform(1.0, 10.0, 8)
+    mixed = np.zeros((5, 5))
+    mixed[:3, :3] = rotated(rng, np.array([1.0, 3.0, 7.0]), np.zeros(3)).K
+    mixed[3:, 3:] = np.diag([2.0, 5.0])
+    return {
+        "n1": scalar_model(2.0, 0.7),
+        "critical-blocks": rotated(rng, np.array([1.0, 1.0, 4.0, 4.0]), np.array([2.0, 2.0, 4.0, 4.0])),
+        "near-critical": rotated(rng, kw, 2.0 * 1.001 * np.sqrt(kw)),
+        "wide-K": oracles.wide_k_model(),
+        "mixed": sd.SystemModel(K=mixed, C=np.diag([0.5, 1.0, 0.2, 0.3, 4.0])),
+        "two-patch-N32": two_patch_rod(32),
+    }
+
+
+class TestResolventStacked:
+    """Operators below LANCZOS_MIN_DIMENSION and scalar modes: whole-grid stacks."""
+
+    @pytest.mark.parametrize("name", list(explicit_route_models()))
+    def test_scan_samples_are_one_point_values_in_any_chunk(self, name, monkeypatch):
+        m = explicit_route_models()[name]
+        rep = sd.solve_qep(m)
+        assert 2 * max([b.n for b in validate(m).coupled_blocks], default=0) < semigroup.LANCZOS_MIN_DIMENSION
+        scan = semigroup.resolvent_scan(m, rep, 1.0, CLI_GRID)
+        for lam, norm, _ in scan.samples:
+            assert norm == semigroup.resolvent_norm_at(m, rep, lam)
+        monkeypatch.setattr(semigroup, "RESOLVENT_CHUNK_BYTES", 1)
+        single = semigroup.resolvent_scan(m, rep, 1.0, CLI_GRID)
+        assert single.samples == scan.samples
+
+    def test_one_stacked_svd_per_chunk_and_no_lu_factor(self, monkeypatch):
+        # At N = 32 a chunk holds 7 points (RESOLVENT_CHUNK_BYTES), so the
+        # 25-point scan runs 4 chunks, one batched SVD each.
+        m = two_patch_rod(32)
+        rep = sd.solve_qep(m)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(linalg, "lu_factor", counted("lu_factor", linalg.lu_factor))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        semigroup.resolvent_scan(m, rep, 1.0, CLI_GRID)
+        assert calls == [("svd", (size, 64, 64)) for size in (7, 7, 7, 4)]
+        calls.clear()
+        semigroup.resolvent_norm_at(m, rep, 1.0 + 10.0j)
+        assert calls == [("svd", (1, 64, 64))]
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_non_finite_point_rejected(self, coupled):
+        # The two-patch rod at N = 8, one coupled block; two scalar modes.
+        m = two_patch_rod(8) if coupled else sd.SystemModel(K=np.diag([2.0, 3.0]), C=np.diag([0.5, 0.2]))
+        rep = sd.solve_qep(m)
+        for lam in (complex(np.nan, 1.0), complex(1.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                semigroup.resolvent_norm_at(m, rep, lam)
+
+    @pytest.mark.parametrize("budget", [semigroup.RESOLVENT_CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_first_failing_point_raises(self, coupled, budget, monkeypatch):
+        # Undamped, K eigenvalues j^2: Q(i j) is singular.  Coupled, one
+        # block of n = 8 on the explicit route; uncoupled, 8 scalar modes.
+        # The spectrum handed in holds +-i and 2.5i, so lam = i and 2.5i are
+        # caught as near it, and lam = 2i only by the pivot test, which
+        # counts the one negligible pivot out of 8 or of 16.
+        monkeypatch.setattr(semigroup, "RESOLVENT_CHUNK_BYTES", budget)
+        k = np.arange(1.0, 9.0) ** 2
+        if coupled:
+            m = rotated(np.random.default_rng(5), k, np.zeros(8))
+        else:
+            m = sd.SystemModel(K=np.diag(k), C=np.zeros((8, 8)))
+        parts = validate(m)
+        assert (len(parts.coupled_blocks), parts.scalar_modes.size) == ((1, 0) if coupled else (0, 8))
+        rep = SimpleNamespace(eigenvalues=np.array([-1j, 1j, 2.5j]))
+        with pytest.raises(semigroup.NearSpectrum) as exc:
+            semigroup.resolvent_scan(m, rep, 0.0, [0.5, 0.75, 1.0, 1.5, 2.0])
+        assert exc.value.lam == 1j
+        with pytest.raises(linalg.Singular) as exc:
+            semigroup.resolvent_scan(m, rep, 0.0, [0.5, 2.0, 2.5, 3.5])
+        assert exc.value.rank_estimate == (7 if coupled else 15)
+
+
 class TestResolventScan:
     def test_damped_beam_bounded_products(self):
         spec = sd.BeamSpec(E=1.0, patches=(sd.Patch(2.0, 0.0, 1.0),), N=16)

@@ -266,7 +266,10 @@ def check_condition_ii(
 
     ``candidates`` lists real values ``mu`` (for beams, ``-a_k / E``);
     each is tested at the would-be eigenvalue ``1 / mu``, over the span of
-    the solved eigenvectors within cluster tolerance of it.
+    the solved eigenvectors within cluster tolerance of it, which
+    :func:`~specdamp.krein.kernel_gram_nondegeneracy` takes per coupling
+    component: on a diagonal model every part is one scalar mode's
+    coordinate, and no SVD or ``eigh`` wider than one is formed.
     """
     values = report.eigenvalues
     out = []

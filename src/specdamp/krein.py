@@ -17,11 +17,22 @@ symmetry forces the familiar indefinite spectral rules checked here:
 and the rest, reporting the decay cut ``M_cut`` and the numerical
 orthogonality between the two halves.
 
-Every eigenvector these verdicts use is one of ``solve_qep``'s: a
-cluster's eigenspace is the span of its members' position blocks,
-orthonormalized by a thin SVD (a singleton's is its one unit position,
-and all singletons are classified at once), and nothing is re-derived
-from the pencil.
+Every eigenvector these verdicts use is one of ``solve_qep``'s, and
+nothing is re-derived from the pencil: a cluster's eigenspace is the span
+of its members' position blocks, taken per coupling component.  Members
+on different components have disjoint supports and ``K`` is block
+diagonal over the components, so the span and its Gram are direct sums of
+one part per component, and nothing is lost by splitting them.  A scalar
+mode's part is its one coordinate, whichever of its roots are members,
+with Gram ``k - |lam|^2`` and energy ``k + |lam|^2`` (to rounding: both
+come from the unit position entry); a part of one member is its unit
+position.  These one-direction parts, over all clusters, are
+classified in one whole-array step.  Only the members of one coupled
+block take a thin SVD, a Gram and an ``eigh``, so a model that is one
+coupled block goes the dense way cluster by cluster, and a diagonal model
+never does.  The per-cluster rules hold across the parts: the rank cut is
+relative to the cluster's largest singular value, and the neutral
+threshold to its largest energy.
 A Jordan cluster is no exception, because ``solve_qep`` already gives its
 members the pencil-kernel directions, repeated, so the span has fewer
 directions than the cluster has members.
@@ -32,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg, spectrum
 from .model import PhaseVector, SystemModel, validate
@@ -127,86 +139,178 @@ class SignClassification:
         return sum(c.jordan_defect for c in self.clusters)
 
 
-def _orthonormal_range(columns: np.ndarray) -> np.ndarray:
-    # Orthonormal basis of the span of the columns: the left singular
-    # vectors whose singular value exceeds RANK_TOL times the largest.
+def _range(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Left singular vectors and singular values of the columns, largest
+    # first; one column is its own, normalized.
     if columns.shape[1] == 1:
-        return columns / np.linalg.norm(columns)
+        norm = np.linalg.norm(columns)
+        return columns / norm, np.array([norm])
     u, sigma, _ = np.linalg.svd(columns, full_matrices=False)
-    return u[:, sigma > RANK_TOL * sigma[0]]
+    return u, sigma
 
 
-def _cluster_gram(model: SystemModel, lam: complex, basis: np.ndarray):
-    # For the phase vectors v_i = (b_i, lam b_i), [v_i, v_j] is entry (j, i)
-    # of B^H K B - |lam|^2 B^H B; the energy of v_i is entry (i, i) of
-    # B^H K B + |lam|^2 B^H B.
-    bkb = basis.conj().T @ (model.K @ basis)
-    bb = basis.conj().T @ basis
-    lam2 = abs(lam) ** 2
-    gram = (bkb - lam2 * bb).T
-    gram = 0.5 * (gram + gram.conj().T)
-    scale = float(np.max(np.real(np.diag(bkb)) + lam2 * np.real(np.diag(bb))))
-    if not (np.isfinite(scale) and scale > 0.0 and np.all(np.isfinite(gram))):
-        raise IllConditionedCluster(lam, "non-finite Gram or zero energy scale")
+def _unit_forms(x: np.ndarray, kx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # x^H K x and x^H x of each column of x, given kx = K x.
+    return np.sum(x.conj() * kx, axis=0).real, np.sum(x.conj() * x, axis=0).real
+
+
+def _span_grams(lams: np.ndarray, ones, dense):
+    """The Gram of each cluster's span, as a direct sum over its parts.
+
+    A part is a cluster's members on one coupling component, and its span
+    lies on that component's coordinates, where ``K`` is a block of its own.
+    ``lams`` holds the cluster means.  ``ones`` describes, as arrays
+    ``(cluster, xkx, xx, sigma)`` in cluster order, the parts whose span is
+    one direction: ``x^H K x`` and ``x^H x`` of its unit direction ``x``,
+    and the norm of its columns.  ``dense`` lists every other part as
+    ``(cluster, K, columns)``, on the part's own coordinates.  Every
+    direction whose singular value is at most ``RANK_TOL`` times the
+    largest of its cluster is dropped.
+
+    Returns one ``(gram, mu, tau, dim, sign_type, margin,
+    nonpositive_directions)`` per cluster, with ``mu`` the Gram eigenvalues
+    ascending and ``tau = NEUTRAL_TOL * max energy``; the Gram of each of
+    the ``ones``, ``inf`` where it was dropped; and each dense part's
+    ``(basis, mu, coeff)``.
+    """
+    cluster, xkx, xx, sigma = ones
+    ranges = [(c, k, *_range(columns)) for c, k, columns in dense]
+    top = np.zeros(lams.size)
+    np.maximum.at(top, cluster, sigma)
+    for c, _, _, s in ranges:
+        top[c] = max(top[c], s[0])
+    keep = sigma > RANK_TOL * top[cluster]
+    lam2 = np.abs(lams[cluster]) ** 2
+    g = (xkx - lam2 * xx)[keep]
+    dirs = [(cluster[keep], g, (xkx + lam2 * xx)[keep])]
+    ones_gram = np.full(cluster.size, np.inf)
+    ones_gram[keep] = g
+    ends = np.cumsum(np.bincount(cluster[keep], minlength=lams.size))
+    grams = [np.diag(g[lo:hi]) for lo, hi in zip([0] + ends[:-1].tolist(), ends.tolist())]
+    parts = []
+    for c, k, u, s in ranges:
+        # For the phase vectors v_i = (b_i, lam b_i), [v_i, v_j] is entry
+        # (j, i) of B^H K B - |lam|^2 B^H B; the energy of v_i is entry (i, i)
+        # of B^H K B + |lam|^2 B^H B.
+        basis = u[:, s > RANK_TOL * top[c]]
+        bkb = basis.conj().T @ (k @ basis)
+        bb = basis.conj().T @ basis
+        # Python's abs(z) ** 2, where the ones take numpy's np.abs(z) ** 2: the
+        # two differ in the last bit for many z, and each route's bytes stay.
+        lam2 = abs(complex(lams[c])) ** 2
+        gram = (bkb - lam2 * bb).T
+        gram = 0.5 * (gram + gram.conj().T)
+        if not np.all(np.isfinite(gram)):
+            raise IllConditionedCluster(complex(lams[c]), "non-finite Gram or zero energy scale")
+        mu, coeff = np.linalg.eigh(gram)
+        grams[c] = scipy.linalg.block_diag(grams[c], gram) if grams[c].size else gram
+        dirs.append((np.full(mu.size, c), mu, np.real(np.diag(bkb)) + lam2 * np.real(np.diag(bb))))
+        parts.append((basis, mu, coeff))
+
+    # Every direction's Gram eigenvalue and energy, by cluster and ascending.
+    cluster, mu, energy = (np.concatenate(column) for column in zip(*dirs))
+    order = np.lexsort((mu, cluster))
+    mu, energy = mu[order], energy[order]
+    dims = np.bincount(cluster, minlength=lams.size)
+    starts = np.cumsum(dims) - dims
+    scale = np.maximum.reduceat(energy, starts)
+    bad = ~(np.isfinite(scale) & (scale > 0.0) & np.logical_and.reduceat(np.isfinite(mu), starts))
+    if np.any(bad):
+        raise IllConditionedCluster(complex(lams[np.argmax(bad)]), "non-finite Gram or zero energy scale")
     tau = NEUTRAL_TOL * scale
-    mu, coeff = np.linalg.eigh(gram)
-    return gram, mu, coeff, tau
-
-
-def _sign_type(mu: np.ndarray, tau) -> list[str]:
-    # The sign type of each row of Gram eigenvalues mu against its
-    # threshold, tau one per row.
-    mu, tau = np.atleast_2d(mu), np.reshape(tau, (-1, 1))
-    return np.select(
-        [np.all(mu > tau, axis=1), np.all(mu < -tau, axis=1), np.all(np.abs(mu) <= tau, axis=1)],
-        ["positive", "negative", "neutral"],
-        "mixed",
-    ).tolist()
+    t = np.repeat(tau, dims)
+    # The first of positive, negative and neutral that holds in all of a
+    # cluster's directions, else mixed.
+    tests = [np.logical_and.reduceat(test, starts) for test in (mu > t, mu < -t, np.abs(mu) <= t)]
+    kind = np.argmax(np.vstack(tests + [np.ones(lams.size, dtype=bool)]), axis=0)
+    margin = np.minimum.reduceat(np.abs(mu), starts) - tau
+    nonpositive = np.add.reduceat(mu <= t, starts)
+    spans = zip(
+        grams,
+        [mu[lo:hi] for lo, hi in zip(starts.tolist(), (starts + dims).tolist())],
+        tau.tolist(),
+        dims.tolist(),
+        [("positive", "negative", "neutral", "mixed")[i] for i in kind.tolist()],
+        margin.tolist(),
+        nonpositive.tolist(),
+    )
+    return list(spans), ones_gram, parts
 
 
 def classify_eigenpairs(model: SystemModel, report: spectrum.SpectrumReport) -> SignClassification:
     """Cluster the eigenvalues and sign-classify each cluster's eigenspace.
 
     ``report`` is the solved spectrum of ``model``.  Each cluster is
-    classified over the span of its members' eigenvector positions,
-    orthonormalized by a thin SVD that keeps the directions whose singular
-    value exceeds ``RANK_TOL`` times the largest.  The sign type is the
-    inertia of the Gram over that span, so it does not depend on how the
+    classified over the span of its members' eigenvector positions, taken
+    per coupling component: members on different components have disjoint
+    supports and ``K`` is block diagonal over the components, so the span
+    and its Gram are direct sums of one part per component.  The sign type
+    is the inertia of that Gram, so it does not depend on how the
     eigenvectors were paired up inside the cluster.
 
-    A singleton's span is its one unit position ``x``, and its Gram the
-    scalar ``x^H K x - |lam|^2 x^H x``: all singletons take theirs at
-    once, from one real product with ``K`` and column-wise sums.  Only the
-    clusters of two or more take the SVD, Gram and ``eigh`` one by one.
+    A part whose span is one direction takes its scalar Gram ``x^H K x -
+    |lam|^2 x^H x`` from its unit position ``x``: a scalar mode's part,
+    whichever of its roots are members (its span is its coordinate, and its
+    Gram ``k - |lam|^2`` to rounding), and any part of one member.  All of them, over
+    all clusters, are taken at once.  Only the parts of two or more members
+    of one coupled block take a thin SVD of their positions, a Gram and an
+    ``eigh``, one by one.  The SVD keeps the directions whose singular value
+    exceeds ``RANK_TOL`` times the largest of the whole cluster.
     """
     values = report.eigenvalues
     clusters = spectrum.cluster_eigenvalues(values, CLUSTER_TOL)
-    single = np.array([len(members) == 1 for members in clusters])
-    means = values[[members[0] for members in clusters]].astype(complex)
-    for c in np.flatnonzero(~single).tolist():
+    sizes = np.array([len(members) for members in clusters])
+    flat = np.concatenate(clusters)
+    means = values[flat[np.cumsum(sizes) - sizes]].astype(complex)
+    for c in np.flatnonzero(sizes > 1).tolist():
         means[c] = np.mean(values[clusters[c]])
     means = np.where(np.abs(means.imag) <= SNAP_REAL_TOL * (1.0 + np.abs(means)), means.real, means)
-    # The singletons' unit positions, as columns, and their scalar Grams.
-    x = spectrum.eigenvectors(model, report, [clusters[c][0] for c in np.flatnonzero(single).tolist()])
-    x = x[: model.n] / np.linalg.norm(x[: model.n], axis=0)
-    lam2 = np.abs(means[single]) ** 2
-    xkx = np.sum(x.conj() * linalg.real_times(model.K, x), axis=0).real
-    xx = np.sum(x.conj() * x, axis=0).real
-    grams, scales = xkx - lam2 * xx, xkx + lam2 * xx
-    taus = NEUTRAL_TOL * scales
-    singles = zip(grams.tolist(), scales.tolist(), taus.tolist(), _sign_type(grams[:, None], taus))
+
+    validation = validate(model)
+    modes, blocks = validation.scalar_modes, validation.coupled_blocks
+    component, column = spectrum._component_columns(report)
+    # One part per cluster and component, in that order; lead is each part's
+    # first member.
+    components = modes.size + len(blocks)
+    keys, lead, part, count = np.unique(
+        np.repeat(np.arange(sizes.size), sizes) * components + component[flat],
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    owner, comp = np.divmod(keys, components)
+    lead, scalar = flat[lead], comp < modes.size
+    xkx, xx, sigma = np.zeros((3, keys.size))
+    # A scalar mode's part: its lead's one position entry, as a unit, and
+    # the norm of all its members' entries.
+    on = scalar[part]
+    entries = report.mode_vectors[component[flat[on]], 0, column[flat[on]]]
+    sigma[:] = np.sqrt(np.bincount(part[on], (entries.conj() * entries).real, minlength=keys.size))
+    x = report.mode_vectors[comp[scalar], 0, column[lead[scalar]]]
+    x = x / np.sqrt((x.conj() * x).real)
+    xkx[scalar], xx[scalar] = _unit_forms(x[None], modes.k[comp[scalar]] * x[None])
+    # A coupled block's one-member parts: their unit positions, block by block.
+    single = np.flatnonzero(~scalar & (count == 1))
+    if single.size:
+        x = spectrum.eigenvectors(model, report, lead[single])[: model.n]
+        sigma[single] = np.linalg.norm(x, axis=0)
+        x = x / sigma[single]
+        for b, block in enumerate(blocks):
+            on = comp[single] == modes.size + b
+            xb = x[np.ix_(block.index, on)]
+            xkx[single[on]], xx[single[on]] = _unit_forms(xb, linalg.real_times(block.K, xb))
+    one = scalar | (count == 1)
+    dense = []
+    for p in np.flatnonzero(~one).tolist():
+        block = blocks[comp[p] - modes.size]
+        columns = spectrum.eigenvectors(model, report, flat[part == p])[: model.n]
+        dense.append((owner[p], block.K, columns[block.index]))
+    spans, _, _ = _span_grams(means, (owner[one], xkx[one], xx[one], sigma[one]), dense)
+
     out = []
-    for members, mean in zip(clusters, means.tolist()):
-        if len(members) == 1:
-            g, scale, tau, sign_type = next(singles)
-            if not (np.isfinite(scale) and scale > 0.0 and np.isfinite(g)):
-                raise IllConditionedCluster(mean, "non-finite Gram or zero energy scale")
-            gram, mu, dim = np.array([[g]]), np.array([g]), 1
-        else:
-            basis = _orthonormal_range(spectrum.eigenvectors(model, report, members)[: model.n])
-            gram, mu, _, tau = _cluster_gram(model, mean, basis)
-            sign_type, dim = _sign_type(mu, tau)[0], basis.shape[1]
-        margin = float(np.min(np.abs(mu)) - tau)
+    for members, mean, (gram, mu, tau, dim, sign_type, margin, nonpositive) in zip(
+        clusters, means.tolist(), spans
+    ):
         out.append(
             ClusterClassification(
                 eigenvalue=mean,
@@ -217,8 +321,8 @@ def classify_eigenpairs(model: SystemModel, report: spectrum.SpectrumReport) -> 
                 sign_type=sign_type,
                 neutral_threshold=tau,
                 margin=margin,
-                nonpositive_directions=int(np.count_nonzero(mu <= tau)),
-                degenerate=bool(margin <= 0.0),
+                nonpositive_directions=nonpositive,
+                degenerate=margin <= 0.0,
                 gram=gram,
                 gram_eigenvalues=mu,
             )
@@ -253,28 +357,67 @@ def kernel_gram_nondegeneracy(model: SystemModel, lam: complex, positions) -> No
 
     ``positions`` is the ``(n, k)`` matrix of the position blocks of the
     solved eigenvectors near ``lam``; orthonormalized as in
-    :func:`classify_eigenpairs`, they span the eigenspace.
+    :func:`classify_eigenpairs`, per coupling component, they span the
+    eigenspace.  The columns are split by the component that holds their
+    rows, and columns whose rows span several components join those into
+    one part.  The witness comes from the part that holds the Gram
+    eigenvalue of least modulus.
     """
     lam = complex(lam)
     positions = np.asarray(positions)
     if positions.ndim != 2 or positions.shape[1] == 0:
         raise ValueError("positions must be an (n, k) matrix with k >= 1")
-    basis = _orthonormal_range(positions)
-    gram, mu, coeff, tau = _cluster_gram(model, lam, basis)
-    k = int(np.argmin(np.abs(mu)))
-    min_abs = float(np.abs(mu[k]))
-    ok = min_abs > tau
+    validation = validate(model)
+    modes, blocks, n = validation.scalar_modes, validation.coupled_blocks, model.n
+    owner = np.empty(n, dtype=int)  # each coordinate's component
+    owner[modes.index] = np.arange(modes.size)
+    for b, block in enumerate(blocks):
+        owner[block.index] = modes.size + b
+    label = np.arange(modes.size + len(blocks))  # each component's part
+    nonzero = positions != 0.0
+    lead = owner[np.argmax(nonzero, axis=0)]
+    for j in np.flatnonzero(np.any(nonzero & (owner[:, None] != lead), axis=0)).tolist():
+        joined = np.unique(label[owner[nonzero[:, j]]])
+        label[np.isin(label, joined)] = joined[0]
+    coords_of, part = label[owner], label[lead]  # each coordinate's and column's part
+    scalar = (part < modes.size) & (np.bincount(coords_of, minlength=label.size)[part] == 1)
+    # A scalar mode's part, as in classify_eigenpairs.
+    keys, first, inverse = np.unique(part[scalar], return_index=True, return_inverse=True)
+    rows = modes.index[keys]
+    entries = positions[rows[inverse], np.flatnonzero(scalar)]
+    sigma = np.sqrt(np.bincount(inverse, (entries.conj() * entries).real, minlength=keys.size))
+    units = entries[first] / np.sqrt((entries[first].conj() * entries[first]).real)
+    xkx, xx = _unit_forms(units[None], modes.k[keys] * units[None])
+    dense = []
+    for p in sorted(set(part[~scalar].tolist())):
+        coords = np.flatnonzero(coords_of == p)
+        k = model.K if coords.size == n else model.K[np.ix_(coords, coords)]
+        dense.append((0, k, positions[np.ix_(coords, part == p)], coords))
+    ones = (np.zeros(keys.size, dtype=int), xkx, xx, sigma)
+    spans, ones_gram, parts = _span_grams(np.array([lam]), ones, [d[:3] for d in dense])
+    gram, mu, tau, dim = spans[0][:4]
+    min_abs = float(np.min(np.abs(mu)))
     witness = None
-    if not ok:
-        x = basis @ coeff[:, k]
+    if not min_abs > tau:
+        # The Gram null direction, on the coordinates of the part that holds it.
+        least = [np.abs(ones_gram)] + [np.abs(mu) for _, mu, _ in parts]
+        p = int(np.argmin([np.min(m) if m.size else np.inf for m in least]))
+        k = int(np.argmin(least[p]))
+        if p == 0:
+            coords, direction = rows[k : k + 1], units[k : k + 1]
+        else:
+            basis, _, coeff = parts[p - 1]
+            coords, direction = dense[p - 1][3], basis @ coeff[:, k]
+        x = np.zeros(n, dtype=direction.dtype)
+        x[coords] = direction
         witness = PhaseVector(x, lam * x)
     return NondegeneracyReport(
         eigenvalue=lam,
-        kernel_dim=basis.shape[1],
+        kernel_dim=dim,
         gram=gram,
         min_abs_eigenvalue=min_abs,
         threshold=tau,
-        nondegenerate=bool(ok),
+        nondegenerate=bool(min_abs > tau),
         witness=witness,
     )
 

@@ -528,6 +528,18 @@ def solve_qep(model: SystemModel) -> SpectrumReport:
     )
 
 
+def _component_columns(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
+    # The component of each eigenpair (the scalar modes, then the coupled
+    # blocks) and its column there, in mode_vectors or block_vectors.
+    modes = report.mode_pairs.shape[0]
+    component = np.empty(report.eigenvalues.size, dtype=int)
+    column = np.empty_like(component)
+    component[report.mode_pairs], column[report.mode_pairs] = np.arange(modes)[:, None], np.arange(2)
+    for b, pairs in enumerate(report.block_pairs):
+        component[pairs], column[pairs] = modes + b, np.arange(pairs.size)
+    return component, column
+
+
 def eigenvectors(model: SystemModel, report: SpectrumReport, members) -> np.ndarray:
     """Phase-space eigenvectors of the eigenpairs ``members`` of ``report``, as columns.
 
@@ -538,12 +550,7 @@ def eigenvectors(model: SystemModel, report: SpectrumReport, members) -> np.ndar
     members = np.asarray(members, dtype=int).reshape(-1)
     validation = validate(model)
     modes, n = validation.scalar_modes, model.n
-    # The component (the modes, then the blocks) and column of each eigenpair.
-    component = np.empty(report.eigenvalues.size, dtype=int)
-    column = np.empty_like(component)
-    component[report.mode_pairs], column[report.mode_pairs] = np.arange(modes.size)[:, None], np.arange(2)
-    for b, pairs in enumerate(report.block_pairs):
-        component[pairs], column[pairs] = modes.size + b, np.arange(pairs.size)
+    component, column = _component_columns(report)
     component, column = component[members], column[members]
     out = np.zeros((2 * n, members.size), dtype=complex)
     cols = np.flatnonzero(component < modes.size)

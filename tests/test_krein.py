@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import specdamp as sd
-from specdamp import conditions, krein
-from specdamp.tolerances import CLUSTER_TOL
+from specdamp import conditions, krein, linalg
+from specdamp.model import validate
+from specdamp.tolerances import CLUSTER_TOL, NEUTRAL_TOL, RANK_TOL
 
 import oracles
 
@@ -19,6 +21,76 @@ def energy_norm_sq(model, v):
         np.real(np.vdot(v.position, model.K @ v.position))
         + np.real(np.vdot(v.velocity, v.velocity))
     )
+
+
+def dense_span_gram(model, lam, positions):
+    # The whole-span route: an orthonormal basis B of the range of all the
+    # positions at once (one column normalized, else a thin SVD cut at
+    # RANK_TOL times the largest singular value), the Gram
+    # (B^H K B - |lam|^2 B^H B)^T with the full K, its eigh, and
+    # tau = NEUTRAL_TOL times the largest energy B^H K B + |lam|^2 B^H B.
+    if positions.shape[1] == 1:
+        basis = positions / np.linalg.norm(positions)
+    else:
+        u, sigma, _ = np.linalg.svd(positions, full_matrices=False)
+        basis = u[:, sigma > RANK_TOL * sigma[0]]
+    bkb = basis.conj().T @ (model.K @ basis)
+    bb = basis.conj().T @ basis
+    lam2 = abs(lam) ** 2
+    gram = (bkb - lam2 * bb).T
+    gram = 0.5 * (gram + gram.conj().T)
+    mu, coeff = np.linalg.eigh(gram)
+    tau = NEUTRAL_TOL * float(np.max(np.real(np.diag(bkb)) + lam2 * np.real(np.diag(bb))))
+    return basis, gram, mu, coeff, tau
+
+
+def sign_of(mu, tau):
+    if np.all(mu > tau):
+        return "positive"
+    if np.all(mu < -tau):
+        return "negative"
+    return "neutral" if np.all(np.abs(mu) <= tau) else "mixed"
+
+
+def dense_classification(model, rep, clusters):
+    # (mu, tau, kernel_dim) of each cluster by the whole-span route.  The
+    # singletons take x^H K x - |lam|^2 x^H x over the full K, all in one
+    # product, with x their unit positions; every other cluster takes
+    # dense_span_gram of all its members' positions.
+    singles = [c for c in clusters if c.size == 1]
+    x = sd.eigenvectors(model, rep, [c.member_indices[0] for c in singles])[: model.n]
+    x = x / np.linalg.norm(x, axis=0)
+    xkx = np.sum(x.conj() * linalg.real_times(model.K, x), axis=0).real
+    xx = np.sum(x.conj() * x, axis=0).real
+    lam2 = np.abs(np.array([c.eigenvalue for c in singles])) ** 2
+    out = dict(zip((c.member_indices for c in singles), zip(xkx - lam2 * xx, NEUTRAL_TOL * (xkx + lam2 * xx))))
+    for c in clusters:
+        if c.size == 1:
+            g, tau = out[c.member_indices]
+            out[c.member_indices] = (np.array([g]), float(tau), 1)
+        else:
+            positions = sd.eigenvectors(model, rep, c.member_indices)[: model.n]
+            basis, _, mu, _, tau = dense_span_gram(model, c.eigenvalue, positions)
+            out[c.member_indices] = (mu, tau, basis.shape[1])
+    return [out[c.member_indices] for c in clusters]
+
+
+def one_block(model):
+    validation = validate(model)
+    return validation.scalar_modes.size == 0 and len(validation.coupled_blocks) == 1
+
+
+def mixed_cluster_model():
+    # A rotated coupled block with modes (k, c) = (1, 3) and (4, 12) beside a
+    # scalar mode (1, 3): the roots (-3 +- sqrt 5) / 2 of the block's first
+    # mode and of the scalar mode form two clusters of one member each from
+    # the block and the scalar mode.
+    t = 0.6
+    q = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    stiff, damp = np.zeros((3, 3)), np.zeros((3, 3))
+    stiff[:2, :2], damp[:2, :2] = (q * [1.0, 4.0]) @ q.T, (q * [3.0, 12.0]) @ q.T
+    stiff[2, 2], damp[2, 2] = 1.0, 3.0
+    return sd.SystemModel(K=0.5 * (stiff + stiff.T), C=0.5 * (damp + damp.T))
 
 
 class TestIndefiniteProduct:
@@ -143,10 +215,21 @@ class TestClassify:
                     scale = np.sqrt(energy_norm_sq(m, vecs[i]) * energy_norm_sq(m, vecs[j]))
                     assert val <= 1e-8 * scale
 
+    def test_non_finite_gram_raises(self):
+        # A one-direction part with a non-finite form, and a coupled part
+        # whose K is not finite, each alone in its cluster at -1.
+        one = (np.array([0]), np.array([np.nan]), np.array([1.0]), np.array([1.0]))
+        with pytest.raises(krein.IllConditionedCluster):
+            krein._span_grams(np.array([-1.0]), one, [])
+        none = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros(0))
+        with pytest.raises(krein.IllConditionedCluster), np.errstate(invalid="ignore"):
+            krein._span_grams(np.array([-1.0]), none, [(0, np.diag([np.inf, 1.0]), np.eye(2))])
+
     @pytest.mark.parametrize("case", ["random", "two-patch-N32"])
     def test_singletons_match_cluster_gram_route(self, case):
-        # The singletons' scalar Grams against the per-cluster route every
-        # cluster of two or more takes: orthonormal range, _cluster_gram, eigh.
+        # The singletons' scalar Grams, all taken in one step, against the
+        # route a coupled block's part of two or more members takes, applied
+        # to the one column: normalize, Gram, eigh (dense_span_gram).
         if case == "random":
             rng = np.random.default_rng(48)
             models = [oracles.random_model(rng, int(rng.integers(2, 9))) for _ in range(20)]
@@ -161,10 +244,9 @@ class TestClassify:
                     continue
                 singletons += 1
                 cols = sd.eigenvectors(m, rep, c.member_indices)[: m.n]
-                basis = krein._orthonormal_range(cols)
-                gram, mu, _, tau = krein._cluster_gram(m, c.eigenvalue, basis)
-                scale = tau / krein.NEUTRAL_TOL
-                assert c.sign_type == krein._sign_type(mu, tau)[0]
+                basis, gram, mu, _, tau = dense_span_gram(m, c.eigenvalue, cols)
+                scale = tau / NEUTRAL_TOL
+                assert c.sign_type == sign_of(mu, tau)
                 assert (c.kernel_dim, c.jordan_defect) == (basis.shape[1], 0)
                 assert c.nonpositive_directions == int(np.count_nonzero(mu <= tau))
                 assert c.neutral_threshold == pytest.approx(tau, rel=1e-12, abs=0.0)
@@ -173,6 +255,98 @@ class TestClassify:
                 assert c.margin == pytest.approx(float(np.min(np.abs(mu)) - tau), rel=0.0, abs=1e-12 * scale)
         assert singletons >= 40
 
+
+def critical_block_beside_mode():
+    # The rotated critical blocks, one coupled 4 x 4 component with two
+    # Jordan blocks at -1 and two at -2, beside a critical scalar mode (1, 2):
+    # the cluster at -1 holds a coupled block's part of four members and a
+    # scalar mode's part of two.
+    block = oracles.critical_blocks(True)
+    stiff, damp = np.eye(5), 2.0 * np.eye(5)
+    stiff[:4, :4], damp[:4, :4] = block.K, block.C
+    return sd.SystemModel(K=stiff, C=damp)
+
+
+def oracle_models():
+    rng = np.random.default_rng(49)
+    two_patch = (sd.Patch(1.2, 0.0, 0.5), sd.Patch(2.5, 0.5, 1.0))
+    return [
+        ("rod-N64", sd.beam_assemble(sd.BeamSpec(E=1.0, patches=(sd.Patch(2.0, 0.0, 1.0),), N=64))),
+        ("critical-blocks", oracles.critical_blocks(False)),
+        ("mixed-cluster", mixed_cluster_model()),
+        ("rotated-critical-and-mode", critical_block_beside_mode()),
+        *((f"random-{i}", oracles.random_model(rng, int(rng.integers(2, 7)))) for i in range(6)),
+        ("two-patch-N32", sd.beam_assemble(sd.BeamSpec(E=1.0, patches=two_patch, N=32))),
+    ]
+
+
+class TestPerComponentOracle:
+    # The per-component route against the whole-span dense route: the
+    # verdicts must be equal, and every Gram-derived float must agree within
+    # 1e-12 of the cluster's energy scale, bit for bit on a model that is
+    # one coupled block, which the per-component route takes whole.
+    @pytest.mark.parametrize("name, m", oracle_models())
+    def test_classification(self, name, m):
+        rep = sd.solve_qep(m)
+        clusters = krein.classify_eigenpairs(m, rep).clusters
+        for c, (mu, tau, dim) in zip(clusters, dense_classification(m, rep, clusters)):
+            margin = float(np.min(np.abs(mu)) - tau)
+            assert (c.sign_type, c.kernel_dim, c.jordan_defect) == (sign_of(mu, tau), dim, c.size - dim)
+            assert c.nonpositive_directions == int(np.count_nonzero(mu <= tau))
+            assert c.degenerate == (margin <= 0.0)
+            if one_block(m):
+                assert np.array_equal(c.gram_eigenvalues, mu)
+                assert (c.margin, c.neutral_threshold) == (margin, tau)
+            else:
+                scale = tau / NEUTRAL_TOL
+                assert np.allclose(c.gram_eigenvalues, mu, rtol=0.0, atol=1e-12 * scale)
+                assert abs(c.margin - margin) <= 1e-12 * scale
+                assert abs(c.neutral_threshold - tau) <= 1e-12 * scale
+        if name in ("rod-N64", "critical-blocks", "mixed-cluster", "rotated-critical-and-mode"):
+            assert any(c.size > 1 for c in clusters)
+
+    @pytest.mark.parametrize("name, m", oracle_models())
+    def test_kernel_nondegeneracy(self, name, m):
+        rep = sd.solve_qep(m)
+        for c in krein.classify_eigenpairs(m, rep).clusters:
+            positions = sd.eigenvectors(m, rep, c.member_indices)[: m.n]
+            got = krein.kernel_gram_nondegeneracy(m, c.eigenvalue, positions)
+            basis, _, mu, _, tau = dense_span_gram(m, c.eigenvalue, positions)
+            min_abs = float(np.min(np.abs(mu)))
+            assert (got.kernel_dim, got.nondegenerate) == (basis.shape[1], min_abs > tau)
+            assert (got.witness is None) == got.nondegenerate
+            if one_block(m):
+                assert (got.min_abs_eigenvalue, got.threshold) == (min_abs, tau)
+            else:
+                scale = tau / NEUTRAL_TOL
+                assert abs(got.min_abs_eigenvalue - min_abs) <= 1e-12 * scale
+                assert abs(got.threshold - tau) <= 1e-12 * scale
+                assert np.allclose(np.linalg.eigvalsh(got.gram), mu, rtol=0.0, atol=1e-12 * scale)
+
+
+class TestGramBudget:
+    # The single-patch rod is diagonal, so every cluster's span is a direct
+    # sum of scalar modes' coordinates: classifying it and checking its
+    # conditions takes no SVD or eigh of anything wider than a scalar
+    # mode's 2 x 2.
+    def test_diagonal_rod_factorizes_nothing_wide(self, monkeypatch):
+        m = sd.beam_assemble(sd.BeamSpec(E=1.0, patches=(sd.Patch(2.0, 0.0, 1.0),), N=64))
+        rep = sd.solve_qep(m)
+        widths = []
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                widths.append(max(np.shape(a)[-2:]))
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        for mod, name in ((np.linalg, "svd"), (np.linalg, "eigh"), (scipy.linalg, "eigh")):
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+        krein.classify_eigenpairs(m, rep)
+        report = conditions.condition_report(m, rep)
+        assert [v.verdict for v in report.condition_ii] == ["holds"]
+        assert widths and max(widths) <= 2
 
 def solved_near(m, lam):
     # The positions of the eigenvectors solve_qep returns within cluster
@@ -204,6 +378,52 @@ class TestNondegeneracy:
         assert val <= 1e-10 * energy_norm_sq(m, w)
         # the witness really is an eigenvector: velocity = lam * position
         assert np.allclose(w.velocity, -1.0 * w.position, atol=1e-10)
+
+    def test_decoupled_critical_pair_degenerate(self):
+        # K = I, C = 2 I: two critical scalar modes put four eigenpairs at -1
+        # on a 2-D kernel, one direction per mode, where the Gram vanishes.
+        m = sd.SystemModel(K=np.eye(2), C=2.0 * np.eye(2))
+        rep = sd.solve_qep(m)
+        (c,) = krein.classify_eigenpairs(m, rep).clusters
+        assert (c.size, c.kernel_dim, c.jordan_defect, c.sign_type) == (4, 2, 2, "neutral")
+        (v,) = conditions.check_condition_ii(m, rep, [-1.0])
+        nd = v.nondegeneracy
+        assert v.verdict == "fails" and nd.kernel_dim == 2 and not nd.nondegenerate
+        w = nd.witness
+        assert abs(krein.indefinite_product(m, w, w)) <= 1e-12 * energy_norm_sq(m, w)
+        # The witness is an eigenvector: y = lam x and Q(-1) x = (K - C + I) x = 0.
+        assert np.allclose(w.velocity, -w.position, rtol=0.0, atol=1e-15)
+        assert np.linalg.norm((m.K - m.C + np.eye(2)) @ w.position) <= 1e-15 * np.linalg.norm(w.position)
+
+    @pytest.mark.parametrize(
+        "m, lam, mix",
+        [
+            # Columns 0 and 1 mixed across two of three scalar modes: one part
+            # of two components beside a scalar mode's part.
+            (sd.SystemModel(K=np.eye(3), C=3.0 * np.eye(3)), -0.3819660112501051, [[1, 1, 0], [1, -1, 0], [0, 0, 1]]),
+            # Every column across both critical modes: one part, degenerate.
+            (sd.SystemModel(K=np.eye(2), C=2.0 * np.eye(2)), -1.0, np.arange(16.0).reshape(4, 4) % 5 + np.eye(4)),
+            # The coupled block's member mixed with the scalar mode's.
+            (mixed_cluster_model(), -0.3819660112501051, [[1, 2], [-1, 1]]),
+        ],
+    )
+    def test_columns_spanning_components_keep_verdict(self, m, lam, mix):
+        # Columns whose rows span two components join them into one part; the
+        # verdict and the Gram spectrum are those of the whole-span route, and
+        # those of the unmixed columns.
+        positions = solved_near(m, lam)
+        mixed = positions @ np.asarray(mix, dtype=float)
+        got = krein.kernel_gram_nondegeneracy(m, lam, mixed)
+        basis, _, mu, _, tau = dense_span_gram(m, lam, mixed)
+        scale = tau / NEUTRAL_TOL
+        assert (got.kernel_dim, got.nondegenerate) == (basis.shape[1], bool(np.min(np.abs(mu)) > tau))
+        assert np.allclose(np.linalg.eigvalsh(got.gram), mu, rtol=0.0, atol=1e-12 * scale)
+        plain = krein.kernel_gram_nondegeneracy(m, lam, positions)
+        assert (plain.kernel_dim, plain.nondegenerate) == (got.kernel_dim, got.nondegenerate)
+        assert abs(plain.min_abs_eigenvalue - got.min_abs_eigenvalue) <= 1e-12 * scale
+        if not got.nondegenerate:
+            w = got.witness
+            assert abs(krein.indefinite_product(m, w, w)) <= 1e-12 * energy_norm_sq(m, w)
 
     def test_min_abs_eigenvalue_vs_threshold(self):
         m = scalar_model(1.0, 3.0)

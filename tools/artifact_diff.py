@@ -17,7 +17,9 @@ and BLAS on one thread, as the benchmark runs it.  Each request's artifacts
 CSV files cell by cell and other files token by token.  Numbers are
 reported as the worst relative change per JSON path (list indices
 dropped), per CSV column or per file.  A trajectory's energies are
-measured relative to its initial energy.  A JSON path or CSV column whose
+measured relative to its initial energy.  A number whose text changes
+while its value compares equal, such as ``0`` -> ``-0``, counts as moved,
+with a relative change of 0.  A JSON path or CSV column whose
 every compared value in both trees is an integer is an integer field and
 must match exactly, as must every string, bool, null, key set, exit code,
 non-numeric token and file name.  Any such mismatch makes the exit status
@@ -77,6 +79,10 @@ def _files(top: str) -> set[str]:
     return found
 
 
+class _Token(str):
+    """A JSON number, kept as the text it was written as."""
+
+
 def _number(text: str):
     # The CLI writes floats with format(x, ".17g") and ints with str(), so
     # an integral float reads back as an int; both are numbers here.
@@ -99,12 +105,13 @@ class Diff:
     def __init__(self, removed):
         self.removed = set(removed)
         self.mismatches: list[str] = []
-        self.numbers = defaultdict(list)  # field -> [(relative change, both ints, file)]
+        self.numbers = defaultdict(list)  # field -> [(relative change, both ints, file, text moved)]
         self.files = defaultdict(lambda: [0, 0])  # artifact name -> [files, byte-identical]
 
-    def number(self, field, a, b, where, scale=None):
+    def number(self, field, a, b, moved, where, scale=None):
+        # moved: the number's text changed, whether or not its value did.
         both_int = isinstance(a, int) and isinstance(b, int)
-        self.numbers[field].append((_relative(a, b, scale), both_int, where))
+        self.numbers[field].append((_relative(a, b, scale), both_int, where, moved))
 
     def json(self, a, b, path, where):
         if isinstance(a, dict) and isinstance(b, dict):
@@ -121,8 +128,8 @@ class Diff:
                 self.mismatches.append(f"{where}: {path} has {len(a)} items, now {len(b)}")
             for x, y in zip(a, b):
                 self.json(x, y, path + "[]", where)
-        elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
-            self.number(path, a, b, where)
+        elif isinstance(a, _Token) and isinstance(b, _Token):
+            self.number(path, _number(a), _number(b), a != b, where)
         elif a != b or type(a) is not type(b):
             self.mismatches.append(f"{where}: {path} {a!r} -> {b!r}")
 
@@ -145,14 +152,14 @@ class Diff:
                     if x != y:
                         self.mismatches.append(f"{where}: column {col} {x!r} -> {y!r}")
                     continue
-                self.number(f"{name}:{col}", nx, ny, where, scale if col == "energy" else None)
+                self.number(f"{name}:{col}", nx, ny, x != y, where, scale if col == "energy" else None)
 
     def text(self, name, a, b, where):
         if NUMBER.split(a) != NUMBER.split(b):
             self.mismatches.append(f"{where}: text outside numbers differs")
             return
         for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
-            self.number(name, float(_number(x)), float(_number(y)), where)
+            self.number(name, float(_number(x)), float(_number(y)), x != y, where)
 
     def file(self, rel, old_path, new_path):
         name = os.path.basename(rel)
@@ -168,7 +175,8 @@ class Diff:
         if name == "exit.txt":
             self.mismatches.append(f"{rel}: exit {a.strip()} -> {b.strip()}")
         elif name.endswith(".json"):
-            self.json(json.loads(a), json.loads(b), "", rel)
+            old, new = (json.loads(t, parse_float=_Token, parse_int=_Token, parse_constant=_Token) for t in (a, b))
+            self.json(old, new, "", rel)
         elif name.endswith(".csv"):
             self.csv(name, a, b, rel)
         else:
@@ -180,7 +188,7 @@ class Diff:
             print(f"| {name} | {count} | {same} |")
         print("\n| field | values | moved | worst relative change | where |\n| --- | --- | --- | --- | --- |")
         for field, seen in sorted(self.numbers.items()):
-            moved = [s for s in seen if s[0] != 0.0]
+            moved = [s for s in seen if s[3]]
             if not moved:
                 continue
             worst = max(moved, key=lambda s: s[0])

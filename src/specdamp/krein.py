@@ -154,6 +154,16 @@ def _unit_forms(x: np.ndarray, kx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(x.conj() * kx, axis=0).real, np.sum(x.conj() * x, axis=0).real
 
 
+def _mode_parts(k: np.ndarray, entries: np.ndarray, part: np.ndarray, first: np.ndarray):
+    # Scalar modes' parts: entries are their members' position entries, part
+    # numbers each entry's part and first picks each part's first entry.
+    # Returns x^H K x and x^H x of that first entry as a unit x, the norm of
+    # all the part's entries (its one singular value), and x.
+    x = entries[first] / np.sqrt((entries[first].conj() * entries[first]).real)
+    sigma = np.sqrt(np.bincount(part, (entries.conj() * entries).real, minlength=first.size))
+    return (*_unit_forms(x[None], k * x[None]), sigma, x)
+
+
 def _span_grams(lams: np.ndarray, ones, dense):
     """The Gram of each cluster's span, as a direct sum over its parts.
 
@@ -251,11 +261,12 @@ def classify_eigenpairs(model: SystemModel, report: spectrum.SpectrumReport) -> 
     A part whose span is one direction takes its scalar Gram ``x^H K x -
     |lam|^2 x^H x`` from its unit position ``x``: a scalar mode's part,
     whichever of its roots are members (its span is its coordinate, and its
-    Gram ``k - |lam|^2`` to rounding), and any part of one member.  All of them, over
-    all clusters, are taken at once.  Only the parts of two or more members
-    of one coupled block take a thin SVD of their positions, a Gram and an
-    ``eigh``, one by one.  The SVD keeps the directions whose singular value
-    exceeds ``RANK_TOL`` times the largest of the whole cluster.
+    Gram ``k - |lam|^2`` to rounding), and any part of one member.  All of
+    them, over all clusters, are taken at once.  Only the parts of two or
+    more members of one coupled block take a thin SVD of their positions, a
+    Gram and an ``eigh``, one by one.  The SVD keeps the directions whose
+    singular value exceeds ``RANK_TOL`` times the largest of the whole
+    cluster.
     """
     values = report.eigenvalues
     clusters = spectrum.cluster_eigenvalues(values, CLUSTER_TOL)
@@ -272,23 +283,20 @@ def classify_eigenpairs(model: SystemModel, report: spectrum.SpectrumReport) -> 
     # One part per cluster and component, in that order; lead is each part's
     # first member.
     components = modes.size + len(blocks)
-    keys, lead, part, count = np.unique(
+    keys, first, part, count = np.unique(
         np.repeat(np.arange(sizes.size), sizes) * components + component[flat],
         return_index=True,
         return_inverse=True,
         return_counts=True,
     )
     owner, comp = np.divmod(keys, components)
-    lead, scalar = flat[lead], comp < modes.size
+    lead, scalar = flat[first], comp < modes.size
     xkx, xx, sigma = np.zeros((3, keys.size))
-    # A scalar mode's part: its lead's one position entry, as a unit, and
-    # the norm of all its members' entries.
     on = scalar[part]
     entries = report.mode_vectors[component[flat[on]], 0, column[flat[on]]]
-    sigma[:] = np.sqrt(np.bincount(part[on], (entries.conj() * entries).real, minlength=keys.size))
-    x = report.mode_vectors[comp[scalar], 0, column[lead[scalar]]]
-    x = x / np.sqrt((x.conj() * x).real)
-    xkx[scalar], xx[scalar] = _unit_forms(x[None], modes.k[comp[scalar]] * x[None])
+    xkx[scalar], xx[scalar], sigma[scalar], _ = _mode_parts(
+        modes.k[comp[scalar]], entries, (np.cumsum(scalar) - 1)[part[on]], (np.cumsum(on) - 1)[first[scalar]]
+    )
     # A coupled block's one-member parts: their unit positions, block by block.
     single = np.flatnonzero(~scalar & (count == 1))
     if single.size:
@@ -381,13 +389,10 @@ def kernel_gram_nondegeneracy(model: SystemModel, lam: complex, positions) -> No
         label[np.isin(label, joined)] = joined[0]
     coords_of, part = label[owner], label[lead]  # each coordinate's and column's part
     scalar = (part < modes.size) & (np.bincount(coords_of, minlength=label.size)[part] == 1)
-    # A scalar mode's part, as in classify_eigenpairs.
     keys, first, inverse = np.unique(part[scalar], return_index=True, return_inverse=True)
     rows = modes.index[keys]
     entries = positions[rows[inverse], np.flatnonzero(scalar)]
-    sigma = np.sqrt(np.bincount(inverse, (entries.conj() * entries).real, minlength=keys.size))
-    units = entries[first] / np.sqrt((entries[first].conj() * entries[first]).real)
-    xkx, xx = _unit_forms(units[None], modes.k[keys] * units[None])
+    xkx, xx, sigma, units = _mode_parts(modes.k[keys], entries, inverse, first)
     dense = []
     for p in sorted(set(part[~scalar].tolist())):
         coords = np.flatnonzero(coords_of == p)

@@ -63,7 +63,8 @@ def dense_classification(model, rep, clusters):
     xkx = np.sum(x.conj() * linalg.real_times(model.K, x), axis=0).real
     xx = np.sum(x.conj() * x, axis=0).real
     lam2 = np.abs(np.array([c.eigenvalue for c in singles])) ** 2
-    out = dict(zip((c.member_indices for c in singles), zip(xkx - lam2 * xx, NEUTRAL_TOL * (xkx + lam2 * xx))))
+    scalars = zip(xkx - lam2 * xx, NEUTRAL_TOL * (xkx + lam2 * xx))
+    out = dict(zip((c.member_indices for c in singles), scalars))
     for c in clusters:
         if c.size == 1:
             g, tau = out[c.member_indices]
@@ -400,9 +401,17 @@ class TestNondegeneracy:
         [
             # Columns 0 and 1 mixed across two of three scalar modes: one part
             # of two components beside a scalar mode's part.
-            (sd.SystemModel(K=np.eye(3), C=3.0 * np.eye(3)), -0.3819660112501051, [[1, 1, 0], [1, -1, 0], [0, 0, 1]]),
+            (
+                sd.SystemModel(K=np.eye(3), C=3.0 * np.eye(3)),
+                -0.3819660112501051,
+                [[1, 1, 0], [1, -1, 0], [0, 0, 1]],
+            ),
             # Every column across both critical modes: one part, degenerate.
-            (sd.SystemModel(K=np.eye(2), C=2.0 * np.eye(2)), -1.0, np.arange(16.0).reshape(4, 4) % 5 + np.eye(4)),
+            (
+                sd.SystemModel(K=np.eye(2), C=2.0 * np.eye(2)),
+                -1.0,
+                np.arange(16.0).reshape(4, 4) % 5 + np.eye(4),
+            ),
             # The coupled block's member mixed with the scalar mode's.
             (mixed_cluster_model(), -0.3819660112501051, [[1, 2], [-1, 1]]),
         ],

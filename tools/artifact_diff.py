@@ -175,8 +175,8 @@ class Diff:
         if name == "exit.txt":
             self.mismatches.append(f"{rel}: exit {a.strip()} -> {b.strip()}")
         elif name.endswith(".json"):
-            old, new = (json.loads(t, parse_float=_Token, parse_int=_Token, parse_constant=_Token) for t in (a, b))
-            self.json(old, new, "", rel)
+            as_text = {"parse_float": _Token, "parse_int": _Token, "parse_constant": _Token}
+            self.json(json.loads(a, **as_text), json.loads(b, **as_text), "", rel)
         elif name.endswith(".csv"):
             self.csv(name, a, b, rel)
         else:

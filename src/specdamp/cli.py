@@ -35,6 +35,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -96,36 +98,93 @@ def _fmt_floats(values: np.ndarray) -> list[str]:
     return out
 
 
-def _emit_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+class _Table(dict):
+    """A JSON array of objects, held by key: ``table[key][i]`` is object ``i``'s value."""
+
+
+def _table(items, names: str) -> _Table:
+    # One object per item, key k holding its attribute k.
+    return _Table({k: [getattr(x, k) for x in items] for k in names.split()})
+
+
+def _fields(obj, names: str) -> dict:
+    return {k: getattr(obj, k) for k in names.split()}
+
+
+# The text of every value of a list whose values all have one of these types.
+_KIND_TEXT = {int: str, str: encode_basestring_ascii, bool: lambda b: "true" if b else "false"}
+
+
+def _json_list(cells: Iterable[str], indent: int) -> str:
     inner = "  " * (indent + 1)
+    # No JSON text is empty, so an empty join is an empty list.
+    text = f",\n{inner}".join(cells)
+    return f"[\n{inner}{text}\n" + "  " * indent + "]" if text else "[]"
+
+
+def _table_cells(table: _Table, indent: int) -> Iterator[str]:
+    # One row template for the whole table, filled from one list of texts
+    # per key; the rows are made as the caller joins them.
+    keys = sorted(table)
+    inner = "  " * (indent + 1)
+    names = [encode_basestring_ascii(str(k)).replace("{", "{{").replace("}", "}}") for k in keys]
+    row = "{{\n" + ",\n".join(f"{inner}{k}: {{}}" for k in names) + "\n" + "  " * indent + "}}"
+    return map(row.format, *[_cells(table[k], indent + 1) for k in keys])
+
+
+def _cells(values, indent: int) -> Iterable[str]:
+    """The JSON text of each of ``values``, as the items of a list at ``indent``.
+
+    A column of floats takes one ``_fmt_floats`` call, and so does a list
+    of 1-D float arrays (one per cluster, say) in all; a list of one other
+    type takes one mapped call.  Only a list of mixed values is written
+    value by value.
+    """
+    if isinstance(values, _Table):
+        return _table_cells(values, indent)
+    if isinstance(values, np.ndarray):
+        if values.ndim == 1 and values.dtype.kind == "f":
+            return _fmt_floats(values)
+        if values.ndim == 1 and values.dtype.kind == "c":
+            return _table_cells(_Table(re=values.real, im=values.imag), indent)
+        values = values.tolist()
+    if len(values) == 1:
+        return [_json_value(values[0], indent)]
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64}:
+        return _fmt_floats(np.array(values, dtype=float))
+    if kinds <= {complex, np.complex128}:
+        return _cells(np.array(values, dtype=complex), indent)
+    if len(kinds) == 1 and (kind := kinds.pop()) in _KIND_TEXT:
+        return list(map(_KIND_TEXT[kind], values))
+    if all(isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind == "f" for v in values):
+        ends = np.cumsum([v.size for v in values]).tolist()
+        flat = _fmt_floats(np.concatenate(values))
+        return [_json_list(flat[a:b], indent) for a, b in zip([0] + ends, ends)]
+    return [_json_value(v, indent) for v in values]
+
+
+def _json_value(obj, indent: int = 0) -> str:
+    """The JSON text of ``obj``: sorted keys, a two-space indent, ``.17g``
+    floats and the tokens ``NaN``, ``Infinity`` and ``-Infinity``."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 0:
+        obj = obj.tolist()
     if obj is None:
         return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, complex):
-        return _emit_json({"re": obj.real, "im": obj.imag}, indent)
+        obj = {"re": obj.real, "im": obj.imag}
     if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return _emit_json(obj.tolist(), indent)
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple, np.ndarray, _Table)):
+        return _json_list(_cells(obj, indent + 1), indent)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [
-            f"{inner}{json.dumps(str(k))}: {_emit_json(v, indent + 1)}"
-            for k, v in sorted(obj.items())
-        ]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{_emit_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+        return next(_table_cells(_Table({k: [v] for k, v in obj.items()}), indent)) if obj else "{}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -168,7 +227,10 @@ def _check_keys(mapping, where: str, required: tuple, optional: tuple = ()) -> N
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a double") from None
 
 
 def _parse_matrix(rows, where: str) -> np.ndarray:
@@ -179,7 +241,10 @@ def _parse_matrix(rows, where: str) -> np.ndarray:
         raise ConfigError(f"{where} must be a number")
     if any(len(row) != len(rows) for row in rows):
         raise ConfigError(f"{where} must be square")
-    return np.asarray(rows, dtype=float)
+    try:
+        return np.asarray(rows, dtype=float)
+    except OverflowError:
+        raise ConfigError(f"{where} has an entry too large for a double") from None
 
 
 def _build_model(cfg) -> tuple[SystemModel, dict]:
@@ -264,111 +329,57 @@ def _load_config(path: str) -> dict:
 
 
 def _spectrum_section(report: spectrum.SpectrumReport) -> dict:
+    values = report.eigenvalues
     return {
-        "eigenvalues": [
-            {"re": lam.real, "im": lam.imag, "residual": r}
-            for lam, r in zip(report.eigenvalues.tolist(), report.residuals.tolist())
-        ],
-        "bound": {
-            "norm_ainv": report.bound.norm_ainv,
-            "norm_ainv_d": report.bound.norm_ainv_d,
-            "value": report.bound.value,
-        },
-        "min_abs": report.min_abs,
-        "max_real": report.max_real,
+        "eigenvalues": _Table(re=values.real, im=values.imag, residual=report.residuals),
+        "bound": _fields(report.bound, "norm_ainv norm_ainv_d value"),
+        **_fields(report, "min_abs max_real"),
     }
 
 
 def _krein_section(
     model: SystemModel, report: spectrum.SpectrumReport, clf: krein.SignClassification
 ) -> dict:
-    clusters = [
-        {
-            "eigenvalue": c.eigenvalue,
-            "size": c.size,
-            "kernel_dim": c.kernel_dim,
-            "jordan_defect": c.jordan_defect,
-            "sign_type": c.sign_type,
-            "margin": c.margin,
-            "neutral_threshold": c.neutral_threshold,
-            "nonpositive_directions": c.nonpositive_directions,
-            "degenerate": c.degenerate,
-            "gram_eigenvalues": c.gram_eigenvalues,
-        }
-        for c in clf.clusters
-    ]
+    clusters = _table(
+        clf.clusters,
+        "eigenvalue size kernel_dim jordan_defect sign_type margin neutral_threshold"
+        " nonpositive_directions degenerate gram_eigenvalues",
+    )
     try:
-        dec = krein.decompose(model, report, clf)
-        decomposition = {
-            "h_prime": list(dec.h_prime),
-            "h_doubleprime": list(dec.h_doubleprime),
-            "m_cut": dec.m_cut,
-            "cross_gram_norm": dec.cross_gram_norm,
-            "orthogonal": dec.orthogonal,
-            "hprime_definiteness": dec.hprime_definiteness,
-            "neutral_real_eigenvalues": dec.neutral_real_eigenvalues,
-        }
+        decomposition = _fields(
+            krein.decompose(model, report, clf),
+            "h_prime h_doubleprime m_cut cross_gram_norm orthogonal hprime_definiteness"
+            " neutral_real_eigenvalues",
+        )
     except krein.MixedClusterObstruction as exc:
         decomposition = {"obstruction": str(exc)}
     return {"clusters": clusters, "decomposition": decomposition}
 
 
 def _conditions_section(rep: conditions.ConditionReport) -> dict:
-    cii = [
-        {
-            "mu": v.mu,
-            "candidate_eigenvalue": v.candidate_eigenvalue,
-            "nearest_distance": v.nearest_distance,
-            "verdict": v.verdict,
-            "gram_min_abs_eig": None
-            if v.nondegeneracy is None
-            else v.nondegeneracy.min_abs_eigenvalue,
-        }
+    cii = _table(rep.condition_ii, "mu candidate_eigenvalue nearest_distance verdict")
+    cii["gram_min_abs_eig"] = [
+        None if v.nondegeneracy is None else v.nondegeneracy.min_abs_eigenvalue
         for v in rep.condition_ii
     ]
-    ciii = None
-    if rep.condition_iii is not None:
-        ciii = {
-            "lhs": rep.condition_iii.lhs,
-            "rhs": rep.condition_iii.rhs,
-            "holds": rep.condition_iii.holds,
-        }
-    thresholds = None
-    if rep.patch_thresholds is not None:
-        pt = rep.patch_thresholds
-        thresholds = {
-            "nonreal_count": pt.nonreal_count,
-            "entries": [
-                {
-                    "a": e.a,
-                    "from": e.lo,
-                    "to": e.hi,
-                    "threshold_inv_sqrt_modulus": e.threshold_inv_sqrt_modulus,
-                    "threshold_sqrt_modulus": e.threshold_sqrt_modulus,
-                    "threshold_gap": e.threshold_gap,
-                    "above_inv_sqrt": e.above_inv_sqrt,
-                    "above_sqrt": e.above_sqrt,
-                    "above_gap": e.above_gap,
-                }
-                for e in pt.entries
-            ],
-        }
-    od = rep.overdamping
+    c3, pt, thresholds = rep.condition_iii, rep.patch_thresholds, None
+    if pt is not None:
+        entries = _table(
+            pt.entries,
+            "a lo hi threshold_inv_sqrt_modulus threshold_sqrt_modulus threshold_gap"
+            " above_inv_sqrt above_sqrt above_gap",
+        )
+        entries["from"], entries["to"] = entries.pop("lo"), entries.pop("hi")
+        thresholds = {"nonreal_count": pt.nonreal_count, "entries": entries}
     return {
-        "overdamping": {
-            "margin": od.margin,
-            "overdamped": od.overdamped,
-            "certificate_s": od.certificate_s,
-            "certificate_value": od.certificate_value,
-            "definite_point_exists": od.definite_point_exists,
-        },
+        "overdamping": _fields(
+            rep.overdamping,
+            "margin overdamped certificate_s certificate_value definite_point_exists",
+        ),
         "condition_ii": cii,
-        "condition_iii": ciii,
+        "condition_iii": None if c3 is None else _fields(c3, "lhs rhs holds"),
         "patch_thresholds": thresholds,
-        "equivalence_constants": {
-            "gamma": rep.equivalence_constants[0],
-            "alpha": rep.equivalence_constants[1],
-        },
+        "equivalence_constants": dict(zip(("gamma", "alpha"), rep.equivalence_constants)),
         "riesz_condition_number": rep.riesz_condition_number,
     }
 
@@ -385,17 +396,12 @@ def _semigroup_section(model: SystemModel, report: spectrum.SpectrumReport) -> d
     traj = semigroup.evolve(model, report, x0, np.linspace(0.0, 1.0, 21))
     drift = float(np.max(np.diff(traj.energies))) if traj.energies.size > 1 else 0.0
     probe = semigroup.smoothing_probe(model, report, x0, np.logspace(-3.0, 0.0, 13))
+    lam, norm, product = zip(*scan.samples)
+    lam = np.array(lam, dtype=complex)
     return {
         "resolvent_scan": {
-            "samples": [
-                {"re": s[0].real, "im": s[0].imag, "norm": s[1], "product": s[2]}
-                for s in scan.samples
-            ],
-            "fitted_M": scan.fitted_M,
-            "tail_slope": scan.tail_slope,
-            "products_bounded": scan.products_bounded,
-            "sector_angle": scan.sector_angle,
-            "sectorial": scan.sectorial,
+            "samples": _Table(re=lam.real, im=lam.imag, norm=norm, product=product),
+            **_fields(scan, "fitted_M tail_slope products_bounded sector_angle sectorial"),
         },
         "trajectory": {
             "method": traj.method,
@@ -410,14 +416,7 @@ def _semigroup_section(model: SystemModel, report: spectrum.SpectrumReport) -> d
 
 def _accumulation_section(model: SystemModel) -> dict:
     acc = spectrum.accumulation_experiment(model.beam, ACCUMULATION_ORDERS)
-    return {
-        "orders": list(acc.orders),
-        "points": list(acc.points),
-        "epsilon": acc.epsilon,
-        "counts": acc.counts.tolist(),
-        "nearest": acc.nearest.tolist(),
-        "counts_nondecreasing": acc.counts_nondecreasing,
-    }
+    return _fields(acc, "orders points epsilon counts nearest counts_nondecreasing")
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +620,24 @@ def _svg_energy(times: np.ndarray, energies: np.ndarray, method: str) -> str:
 # subcommands
 
 
+def _report_doc(model, echo, analyses, report, clf) -> dict:
+    # The document that report.json holds, one section per analysis asked for.
+    doc: dict = {"model": echo, "analyses": sorted(set(analyses))}
+    names = "RESIDUAL_TOL SNAP_REAL_TOL CLUSTER_TOL NEUTRAL_TOL ORTH_TOL RANK_TOL"
+    doc["tolerances"] = {name.lower(): getattr(tolerances, name) for name in names.split()}
+    if "spectrum" in analyses:
+        doc["spectrum"] = _spectrum_section(report)
+    if "krein" in analyses:
+        doc["krein"] = _krein_section(model, report, clf)
+    if "conditions" in analyses:
+        doc["conditions"] = _conditions_section(conditions.condition_report(model, report))
+    if "semigroup" in analyses:
+        doc["semigroup"] = _semigroup_section(model, report)
+    if "accumulation" in analyses:
+        doc["accumulation"] = _accumulation_section(model)
+    return doc
+
+
 def run_analyze(config_path: str, out_dir: str) -> int:
     """Run the analyses requested in the config; write report files."""
     cfg = _load_config(config_path)
@@ -632,28 +649,8 @@ def run_analyze(config_path: str, out_dir: str) -> int:
     report = spectrum.solve_qep(model)
     clf = krein.classify_eigenpairs(model, report)
     cluster_of = _cluster_of(clf, report.eigenvalues.size)
-
-    doc: dict = {"model": echo, "analyses": sorted(set(analyses))}
-    doc["tolerances"] = {
-        "residual_tol": tolerances.RESIDUAL_TOL,
-        "snap_real_tol": tolerances.SNAP_REAL_TOL,
-        "cluster_tol": tolerances.CLUSTER_TOL,
-        "neutral_tol": tolerances.NEUTRAL_TOL,
-        "orth_tol": tolerances.ORTH_TOL,
-        "rank_tol": tolerances.RANK_TOL,
-    }
-    if "spectrum" in analyses:
-        doc["spectrum"] = _spectrum_section(report)
-    if "krein" in analyses:
-        doc["krein"] = _krein_section(model, report, clf)
-    if "conditions" in analyses:
-        doc["conditions"] = _conditions_section(conditions.condition_report(model, report))
-    if "semigroup" in analyses:
-        doc["semigroup"] = _semigroup_section(model, report)
-    if "accumulation" in analyses:
-        doc["accumulation"] = _accumulation_section(model)
-
-    _atomic_write(os.path.join(out_dir, "report.json"), _emit_json(doc) + "\n")
+    doc = _report_doc(model, echo, analyses, report, clf)
+    _atomic_write(os.path.join(out_dir, "report.json"), _json_value(doc) + "\n")
     _atomic_write(os.path.join(out_dir, "eigenvalues.csv"), _eigenvalue_csv(report, clf, cluster_of))
     _atomic_write(
         os.path.join(out_dir, "spectrum.svg"), _svg_spectrum(model, report, clf, cluster_of)
@@ -737,60 +734,42 @@ def run_check(config_path: str) -> int:
 
     report = spectrum.solve_qep(model)
     rep = conditions.condition_report(model, report)
-    rows: list[tuple[str, str, bool | None]] = []
     od = rep.overdamping
-    rows.append(
+    rows: list[tuple[str, str, bool | None]] = [
         (
             "overdamping margin",
             f"{od.margin:+.6e} (certificate s* = {od.certificate_s:.6e}, "
             f"value {od.certificate_value:+.6e})",
             od.overdamped,
         )
-    )
-    for v in rep.condition_ii:
-        ok = v.verdict in ("holds", "holds-vacuously")
-        rows.append(
-            (
-                f"kernel nondegeneracy at 1/mu = {v.candidate_eigenvalue:.6g}",
-                f"nearest eigenvalue distance {v.nearest_distance:.3e} ({v.verdict})",
-                ok,
-            )
-        )
-    if rep.condition_iii is not None:
-        c3 = rep.condition_iii
-        rows.append(
-            (
-                "norm gap",
-                f"{c3.lhs:.6g} < {c3.rhs:.6g}" if c3.holds else f"{c3.lhs:.6g} >= {c3.rhs:.6g}",
-                c3.holds,
-            )
-        )
-    rows.append(
+    ]
+    rows += [
         (
-            "eigenvector basis conditioning",
-            f"cond = {rep.riesz_condition_number:.6e}",
-            None,
+            f"kernel nondegeneracy at 1/mu = {v.candidate_eigenvalue:.6g}",
+            f"nearest eigenvalue distance {v.nearest_distance:.3e} ({v.verdict})",
+            v.verdict in ("holds", "holds-vacuously"),
         )
-    )
-    if rep.patch_thresholds is not None:
-        pt = rep.patch_thresholds
-        for e in pt.entries:
-            rows.append(
-                (
-                    f"patch a = {e.a:g}",
-                    f"thresholds {e.threshold_inv_sqrt_modulus:.6g} / "
-                    f"{e.threshold_sqrt_modulus:.6g} / gap {e.threshold_gap:.6g}; "
-                    f"above: {e.above_inv_sqrt}/{e.above_sqrt}/{e.above_gap}",
-                    None,
-                )
-            )
-        rows.append(
+        for v in rep.condition_ii
+    ]
+    c3 = rep.condition_iii
+    if c3 is not None:
+        relation = "<" if c3.holds else ">="
+        rows.append(("norm gap", f"{c3.lhs:.6g} {relation} {c3.rhs:.6g}", c3.holds))
+    cond = f"cond = {rep.riesz_condition_number:.6e}"
+    rows.append(("eigenvector basis conditioning", cond, None))
+    pt = rep.patch_thresholds
+    if pt is not None:
+        rows += [
             (
-                "beam nonreal eigenvalues",
-                str(pt.nonreal_count),
+                f"patch a = {e.a:g}",
+                f"thresholds {e.threshold_inv_sqrt_modulus:.6g} / {e.threshold_sqrt_modulus:.6g}"
+                f" / gap {e.threshold_gap:.6g};"
+                f" above: {e.above_inv_sqrt}/{e.above_sqrt}/{e.above_gap}",
                 None,
             )
-        )
+            for e in pt.entries
+        ]
+        rows.append(("beam nonreal eigenvalues", str(pt.nonreal_count), None))
 
     name_w = max(len(r[0]) for r in rows)
     print(f"{'check':<{name_w}}  {'details':<58}  verdict")

@@ -78,11 +78,20 @@ def _as_square(m) -> np.ndarray:
 
 
 def _require_symmetric(a: np.ndarray, what: str) -> np.ndarray:
+    # A float64 a that is symmetric bit for bit (no -0.0 facing a 0.0) is
+    # returned as it is: 0.5 * (a + a.T) would give back the same bits, at
+    # several times the cost of this one pass.
+    bits = a.view(np.int64)
+    if np.array_equal(bits, bits.T):
+        return a
     scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale > 0.0 and np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * scale:
-        raise ValueError(f"{what} must be symmetric to {SYMMETRY_RTOL:g} relative")
-    # Symmetrize so downstream kernels see an exactly symmetric matrix.
-    return 0.5 * (a + a.T)
+    with np.errstate(over="ignore"):
+        if scale > 0.0 and np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * scale:
+            raise ValueError(f"{what} must be symmetric to {SYMMETRY_RTOL:g} relative")
+        # Symmetrize so downstream kernels see an exactly symmetric matrix.
+        sym = 0.5 * (a + a.T)
+    # a + a.T overflows above half the largest double; halving first cannot.
+    return sym if np.all(np.isfinite(sym)) else 0.5 * a + 0.5 * a.T
 
 
 def _frobenius_scale(a: np.ndarray) -> float:

@@ -149,8 +149,9 @@ class SystemModel:
     )
 
     def __post_init__(self):
-        k = np.asarray(self.K, dtype=float)
-        c = np.asarray(self.C, dtype=float)
+        # Copies: the model freezes its matrices, and never a caller's array.
+        k = np.array(self.K, dtype=float)
+        c = np.array(self.C, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise InvalidModel(f"K must be square, got shape {k.shape}")
         if c.shape != k.shape:

@@ -5,10 +5,18 @@ roots come from a hand-rolled Faddeev-LeVerrier + Durand-Kerner pipeline
 instead of any eigensolver, beam mode roots from 50-digit arithmetic,
 sphere minima from brute-force angular scanning or closed form, overlap
 integrals from adaptive quadrature, and the spectrum of an overdamped model
-from a Hermitian-definite linearization.
+from a Hermitian-definite linearization.  The text of ``report.json``
+comes from a recursive writer, one call per value.  The benchmark's own
+workload module is loaded here too, so tests can run its requests.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import json
+import math
+import os
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -502,3 +510,70 @@ def multiset_distance(got, want) -> float:
         worst = max(worst, abs(rest[j] - z) / (1.0 + abs(rest[j])))
         rest.pop(j)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# report.json text
+
+
+def _fmt_float(x: float) -> str:
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(float(x), ".17g")
+
+
+def emit_json(obj, indent: int = 0) -> str:
+    """Reference writer for report.json, one recursive call per value.
+
+    Sorted keys, a two-space indent, floats as ``.17g`` and the non-finite
+    ones as ``NaN``, ``Infinity`` and ``-Infinity``.  Takes plain values:
+    dicts, lists, tuples, arrays and scalars, numpy's among them.
+    """
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(float(obj))
+    if isinstance(obj, complex):
+        return emit_json({"re": obj.real, "im": obj.imag}, indent)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return emit_json(obj.tolist(), indent)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = [
+            f"{inner}{json.dumps(str(k))}: {emit_json(v, indent + 1)}"
+            for k, v in sorted(obj.items())
+        ]
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rows = [f"{inner}{emit_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+# ---------------------------------------------------------------------------
+# benchmark requests
+
+
+def benchmark_workloads():
+    """``perfbench/workloads.py``, loaded once by file path."""
+    workloads = sys.modules.get("perfbench_workloads")
+    if workloads is None:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.path.join(root, "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    return workloads

@@ -319,6 +319,108 @@ class TestSchemaErrors:
         assert "'tolerances'" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"type": "generic", "K": [[10**400]], "C": [[0.0]]}, '"K" has an entry too large'),
+            ({"type": "perturbed", "K": [[1.0]], "alpha": 0.5, "B": [[10**400]]},
+             '"B" has an entry too large'),
+            ({**BEAM_CONFIG["model"], "E": 10**400}, '"E" is too large'),
+            ({"type": "perturbed", "K": [[1.0]], "alpha": 10**400, "B": [[1.0]]},
+             '"alpha" is too large'),
+            ({**BEAM_CONFIG["model"], "patches": [{"a": 10**400, "from": 0.0, "to": 1.0}]},
+             'patch a is too large'),
+        ],
+        ids=["matrix-entry", "B-entry", "E", "alpha", "patch-a"],
+    )
+    def test_integer_too_large_for_a_double(self, tmp_path, capsys, model, message):
+        # json reads an integer literal of any size as an int; float() of
+        # one beyond the largest double raises OverflowError.
+        path = write_config(tmp_path / "cfg.json", {"model": model, "analyses": ["spectrum"]})
+        assert cli.main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("matrix", ["K", "C"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_matrix_entry(self, tmp_path, capsys, matrix, bad):
+        # json writes and reads these three tokens; the model refuses them.
+        cfg = {
+            "model": {"type": "generic", "K": [[1.0, 0.0], [0.0, 1.0]], "C": [[0.5, 0.0], [0.0, 0.5]]},
+            "analyses": ["spectrum"],
+        }
+        cfg["model"][matrix][1][1] = bad
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert cli.main(["analyze", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "invalid model: K and C must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
+def plain(doc):
+    # The report document as the reference writer takes it: each table
+    # (one column per key) spelled out as its list of dicts.
+    if isinstance(doc, cli._Table):
+        return [dict(zip(doc, row)) for row in zip(*doc.values())]
+    if isinstance(doc, dict):
+        return {k: plain(v) for k, v in doc.items()}
+    return doc
+
+
+class TestReportText:
+    """report.json's writer against the recursive reference in oracles."""
+
+    def test_workload_reports_match_reference(self, tmp_path, monkeypatch):
+        workloads = oracles.benchmark_workloads()
+        docs = []
+        build = cli._report_doc
+        monkeypatch.setattr(cli, "_report_doc", lambda *args: docs.append(build(*args)) or docs[-1])
+        compared = []
+        for workload in workloads.WORKLOADS:
+            for req in workloads.build(workload, 1, str(tmp_path / "cfg" / workload)):
+                if req.kind != "analyze":
+                    continue
+                out = tmp_path / workload / req.rid
+                argv = [a.replace("{out}", str(out)) for a in req.argv]
+                assert cli.main(argv) == 0
+                want = oracles.emit_json(plain(docs.pop())) + "\n"
+                assert (out / "report.json").read_bytes() == want.encode("utf-8"), req.rid
+                compared.append(req.rid)
+        assert {"two-patch-N128", "rod-a2-N256-analyze", "critical-blocks-analyze"} <= set(compared)
+
+    def test_synthetic_report_matches_reference(self):
+        odd = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0 / 3.0, 5e-324, 1e300])
+        doc = {
+            "floats": odd,
+            "float_list": odd.tolist(),
+            "scalars": {
+                "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "-0": -0.0,
+                "none": None, "true": True, "false": False, "np_true": np.bool_(True),
+                "np_int": np.int64(-7), "np_float": np.float64(-0.0), "np_float32": np.float32(0.1),
+                "big_int": 10**20, "complex": complex(-0.0, np.inf), "text": 'a "quoted"\n\u00e9',
+                "0-d": np.array(-2.5), "0-d_int": np.array(3), "0-d_complex": np.array(1j),
+            },
+            "empty": {"list": [], "dict": {}, "tuple": (), "array": np.zeros(0)},
+            "ints": np.arange(3), "bools": [True, False], "np_bools": np.array([True, False]),
+            "matrix": np.arange(6.0).reshape(2, 3) - 2.0, "int_matrix": np.eye(2, dtype=int),
+            "complexes": np.array([1 + 2j, complex(np.nan, -0.0)]),
+            "mixed": [None, 1.5, 2, "x", np.float64(np.nan), True, [], {}, {"k": [1.0]}, (10**20, 2.5)],
+            "nested": [[[1.0, -0.0], []], [[np.inf]]],
+            "clusters": cli._Table(
+                eigenvalue=[complex(-1.0, 0.0), np.complex128(-2.0 - 0.0j), 3j],
+                size=[1, np.int64(2), 0],
+                sign_type=["positive", "mixed", "neutral"],
+                degenerate=[False, np.bool_(True), True],
+                margin=np.array([np.nan, -0.0, 1e-300]),
+                gram_eigenvalues=[np.array([-1.0, np.inf]), np.zeros(0), np.array([-0.0])],
+                gram_min_abs_eig=[None, 0.5, np.nan],
+            ),
+            "no_rows": cli._Table(gram_eigenvalues=[], mu=np.zeros(0)),
+            "all_empty_grams": cli._Table(gram_eigenvalues=[np.zeros(0), np.zeros(0)]),
+        }
+        assert cli._json_value(doc) == oracles.emit_json(plain(doc))
+        for value in (None, -0.0, np.nan, [], {}, 3j, odd, doc["clusters"], doc["mixed"]):
+            assert cli._json_value(value, 2) == oracles.emit_json(plain(value), 2)
+
 
 def analyze_and_check(tmp_path, capsys, name, cfg, extra=()):
     # The bytes of every analyze artifact and of check's stdout, after both

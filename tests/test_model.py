@@ -1,5 +1,7 @@
 """Tests for model construction, validation, and the beam assembler."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,38 @@ class TestSystemModel:
         m = sd.SystemModel(K=np.eye(2), C=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             m.K[0, 0] = 2.0
+
+    def test_caller_arrays_neither_frozen_nor_aliased(self):
+        k, c = np.eye(2), np.zeros((2, 2))
+        m = sd.SystemModel(K=k, C=c)
+        assert k.flags.writeable and c.flags.writeable
+        assert not np.shares_memory(m.K, k) and not np.shares_memory(m.C, c)
+        k[0, 0] = 5.0
+        assert m.K[0, 0] == 1.0
+
+    def test_symmetrized_bit_for_bit(self):
+        # -0.0 faces 0.0: equal, but not the same bits; the stored K is.
+        m = sd.SystemModel(K=np.array([[1.0, -0.0], [0.0, 1.0]]), C=np.eye(2))
+        assert np.array_equal(m.K.view(np.int64), m.K.T.view(np.int64))
+        # Nearly symmetric: the mean of the two, as before.
+        k = np.array([[2.0, 1.0], [1.0 + 2e-16, 2.0]])
+        assert sd.SystemModel(K=k, C=np.eye(2)).K[0, 1] == 0.5 * (k[0, 1] + k[1, 0])
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["symmetric", "nearly-symmetric"])
+    def test_huge_finite_entries_stay_finite(self, exact):
+        # Above half the largest double, a + a.T overflows; the stored
+        # matrices must stay finite, with no warning on the way.
+        big = 1e308
+        k = np.array([[big, 0.5 * big], [0.5 * big * (1.0 if exact else 1.0 + 4e-16), big]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = sd.SystemModel(K=k, C=k)
+            scalar = sd.SystemModel(K=[[big]], C=[[1.0]])
+            assert validate(scalar).k_min_eigenvalue == big
+        for mat in (m.K, m.C):
+            assert np.all(np.isfinite(mat)) and mat[0, 1] == mat[1, 0]
+            np.testing.assert_allclose(mat, k, rtol=1e-15)
+        assert scalar.K[0, 0] == big
 
     def test_n_property(self):
         m = sd.SystemModel(K=np.eye(3), C=np.zeros((3, 3)))

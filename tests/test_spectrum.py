@@ -178,18 +178,9 @@ class TestCoupledSolver:
 
 def edge_case_models(seed, names):
     # The benchmark's edge-cases models of that seed, built by its own code.
-    import importlib.util
-    import os
-    import sys
     import tempfile
 
-    workloads = sys.modules.get("perfbench_workloads")
-    if workloads is None:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        path = os.path.join(root, "perfbench", "workloads.py")
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+    workloads = oracles.benchmark_workloads()
     with tempfile.TemporaryDirectory() as tmp:
         requests = workloads.build("edge-cases", seed, tmp)
     return [sd.SystemModel(K=r.K, C=r.C) for r in requests if r.rid in {name + "-analyze" for name in names}]

@@ -10,11 +10,15 @@ Three independently checkable conditions are implemented:
   computed by one convex search with a primal witness.  ``phi(s) =
   lam_max(L(s))`` with ``L(s) = s^2 I + s Wt + K^{-1}`` is a maximum of
   convex parabolas, hence convex in ``s``, and its slope comes with the top
-  eigenvector, so a tangent-cut search finds its global minimum ``s*``,
+  eigenvector, so a bracketing search finds its global minimum ``s*``,
   kinks included, and stops once the best value is within roundoff of the
-  tangents' lower bound.  For every ``s`` and unit ``g``, ``f(g) + 4 g^T
-  L(s) g = (g^T Wt g + 2 s)^2 >= 0`` (Duffin, 1955), so the margin lies in
-  ``[-4 phi(s*), f(g)]``.  The witness ``g`` comes from the top eigenvectors
+  lower bound where the tangents at the bracket's ends meet.  It steps to
+  the zero of the chord through the slopes of its last two points, which
+  converges superlinearly at a smooth minimum, where the tangents' meeting
+  point is only a bisection; at a kink, where the slope jumps and chords
+  gain little, it steps to the tangents' meeting point instead.  For every
+  ``s`` and unit ``g``, ``f(g) + 4 g^T L(s) g = (g^T Wt g + 2 s)^2 >= 0``
+  (Duffin, 1955), so the margin lies in ``[-4 phi(s*), f(g)]``.  The witness ``g`` comes from the top eigenvectors
   at the search's final bracket: the zero of ``g^T (Wt + 2 s* I) g`` on
   their span, or one of them.  The duality gap is zero (Brickman, 1961, for
   ``n >= 3``; for ``n <= 2`` because ``f`` has no interior critical point),
@@ -79,7 +83,7 @@ __all__ = [
 ]
 
 # The definiteness search stops once the best value is within CUT_ROUNDOFF
-# roundoff units of the tangent lower bound, or the bracket is that narrow,
+# roundoff units of the tangents' lower bound, or the bracket is that narrow,
 # and after MAX_CUTS evaluations at most.
 CUT_ROUNDOFF = 8.0
 MAX_CUTS = 200
@@ -107,7 +111,7 @@ class OptimizerDisagreement(Exception):
 class OverdampingReport:
     """Certified overdamping margin.
 
-    ``certificate_s`` is the best point the tangent-cut search on
+    ``certificate_s`` is the best point the bracketing search on
     ``phi(s) = lam_max(s^2 I + s Wt + K^{-1})`` evaluated, and
     ``certificate_value = phi(certificate_s)``; it doubles as the
     hyperbolicity certificate when that value is negative.  ``minimizer`` is
@@ -143,9 +147,22 @@ def _definiteness_search(parts, wt_norm: float, kinv_norm: float) -> tuple[float
     # parabolas, so it is convex; with top eigenvector v its slope (a
     # subgradient at a kink) is 2 s + v^T Wt v.  The bracket [a, b] keeps
     # slope(a) < 0 < slope(b), so it holds the minimum.  The tangents at its
-    # ends meet at the next point, and their common value there bounds
-    # min phi from below.  Every point with negative slope lies at or left
-    # of a and every other one at or right of b, so the best point is an end.
+    # ends meet at a point where their common value bounds min phi from
+    # below.  Every point with negative slope lies at or left of a and every
+    # other one at or right of b, so the best point is an end.
+    #
+    # The next point is the zero of the chord through the slopes of the
+    # last two points evaluated (the secant rule on the slope), when it lies
+    # inside the bracket and the minimum looks smooth; otherwise it is the
+    # tangents' meeting point, and the midpoint if rounding puts that
+    # outside.  At a smooth minimum phi is nearly a parabola, whose tangents
+    # meet at the bracket's midpoint but whose slope the chord follows, so
+    # chords shrink the gap between the best value and the tangents' bound
+    # superlinearly and tangent cuts only about fourfold.  At a kink the
+    # slope jumps: chords shrink the gap only linearly, and the tangents
+    # meet close to the kink.  So the minimum looks smooth after a chord
+    # step that at least halved the gap, or a tangent step that cut it less
+    # than tenfold.
     #
     # L(s) is a direct sum over the coupling components, the (index, Wt,
     # K^{-1}) triples of ``parts``, so phi is the largest of their top
@@ -174,7 +191,8 @@ def _definiteness_search(parts, wt_norm: float, kinv_norm: float) -> tuple[float
 
     a, b = -(wt_norm + np.sqrt(kinv_norm) + 1.0), 0.0
     (fa, ga, va), (fb, gb, vb) = phi(a), phi(b)
-    eps = np.finfo(float).eps
+    recent = ((a, ga), (b, gb))  # the last two points evaluated, with slopes
+    eps, last_gap, chorded = np.finfo(float).eps, np.inf, True
     for _ in range(MAX_CUTS):
         if gb <= 0.0:  # b is a minimizer (slope(a) < 0 holds from the start)
             break
@@ -182,11 +200,19 @@ def _definiteness_search(parts, wt_norm: float, kinv_norm: float) -> tuple[float
         lower = fa + ga * (s - a)
         # phi is evaluated to about eps * ||L(s)||, bounded here at s = a.
         scale = a * a - a * wt_norm + kinv_norm
-        if min(fa, fb) - lower <= CUT_ROUNDOFF * eps * scale or b - a <= CUT_ROUNDOFF * eps * -a:
+        gap = min(fa, fb) - lower
+        if gap <= CUT_ROUNDOFF * eps * scale or b - a <= CUT_ROUNDOFF * eps * -a:
             break
-        if not a < s < b:
+        (s0, g0), (s1, g1) = recent
+        chord = s1 - g1 * (s1 - s0) / (g1 - g0) if g1 != g0 else s
+        smooth = gap <= 0.5 * last_gap if chorded else gap > 0.1 * last_gap
+        chorded = smooth and a < chord < b
+        if chorded:
+            s = chord
+        elif not a < s < b:
             s = 0.5 * (a + b)
         fs, gs, vs = phi(s)
+        recent, last_gap = (recent[1], (s, gs)), gap
         if gs < 0.0:
             a, fa, ga, va = s, fs, gs, vs
         else:
@@ -196,8 +222,8 @@ def _definiteness_search(parts, wt_norm: float, kinv_norm: float) -> tuple[float
     # The witness.  f(g) = -4 g^T L(s) g whenever g^T (Wt + 2 s I) g = 0, and
     # the top eigenvectors at the ends lean to either side of that cone.  At
     # a kink the zero of the form on span{v_a, v_b} recovers the top
-    # eigenspace's witness; at a smooth minimum v_a ~ v_b, the span's second
-    # direction is roundoff, and f(v_a) = -4 phi(a) + slope(a)^2 is already
+    # eigenspace's witness; at a smooth minimum the end the search closed in
+    # on has a slope near zero, and f(v) = -4 phi + slope^2 there is already
     # within roundoff.  Each candidate is an upper bound, so the least is kept.
     candidates = [va, vb]
     if gb > 0.0 and n > 1:

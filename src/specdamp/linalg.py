@@ -156,10 +156,12 @@ def cholesky(m) -> np.ndarray:
     """
     a = _as_square(m).astype(float)
     # potrf reports info = 0 for a NaN pivot, so non-finite input is
-    # rejected here, at the first row whose lower part holds such an entry.
-    bad_rows = ~np.all(np.isfinite(np.tril(a)), axis=1)
-    if np.any(bad_rows):
-        raise NotPositiveDefinite(pivot_index=int(np.argmax(bad_rows)))
+    # rejected here, at the first row whose lower part holds such an entry;
+    # the rows are searched only when the whole matrix is not finite.
+    if not np.isfinite(a).all():
+        bad_rows = ~np.all(np.isfinite(np.tril(a)), axis=1)
+        if np.any(bad_rows):
+            raise NotPositiveDefinite(pivot_index=int(np.argmax(bad_rows)))
     a = _require_symmetric(a, "cholesky input")
     low, info = dpotrf(a, lower=1, clean=1)
     if info > 0:

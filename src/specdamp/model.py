@@ -233,9 +233,11 @@ class CoupledBlock:
     ``index`` lists its coordinates ascending; ``K`` and ``C`` are the
     model's matrices on them, ``k_sqrt``, ``k_inv_sqrt`` and
     ``weighted_damping`` (``K^{-1/2} C K^{-1/2}``) those of the block
-    itself.  For a model that is one component ``K`` and ``C`` are the
-    model's very arrays.  A block has ``n``, ``K`` and ``C`` like a model,
-    so :func:`phase_operator` takes it.
+    itself, and ``k_eigenvalues`` (ascending) and ``k_vectors`` the
+    eigendecomposition of its ``K`` that they come from.  For a model that
+    is one component ``K`` and ``C`` are the model's very arrays.  A block
+    has ``n``, ``K`` and ``C`` like a model, so :func:`phase_operator` takes
+    it.
     """
 
     index: np.ndarray
@@ -244,6 +246,8 @@ class CoupledBlock:
     k_sqrt: np.ndarray = field(repr=False)
     k_inv_sqrt: np.ndarray = field(repr=False)
     weighted_damping: np.ndarray = field(repr=False)
+    k_eigenvalues: np.ndarray = field(repr=False)
+    k_vectors: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -262,8 +266,9 @@ class ValidationReport:
     is, up to a permutation, the direct sum of one ``2 x 2`` block per
     scalar mode and one block per coupled component, and every layer works
     component by component.  Each coupled block carries its own ``K^{1/2}``,
-    ``K^{-1/2}`` and weighted damping, from one eigendecomposition of its
-    ``K``; a scalar mode has the closed forms ``sqrt(k)`` and ``c / k``.
+    ``K^{-1/2}`` and weighted damping, and the one eigendecomposition of its
+    ``K`` they come from; a scalar mode has the closed forms ``sqrt(k)`` and
+    ``c / k``.
     No direct sum over the components is formed: the extreme eigenvalues
     above are taken over the components' spectra.
     """
@@ -313,10 +318,10 @@ def _block_validation(model: SystemModel, index: np.ndarray):
     k_half, k_inv_half = linalg.sqrt_pair_from_eig(k_eigs, k_vecs)
     weighted = k_inv_half @ c @ k_inv_half
     weighted = 0.5 * (weighted + weighted.T)
-    for shared in (k_half, k_inv_half, weighted):
+    for shared in (k_half, k_inv_half, weighted, k_eigs, k_vecs):
         shared.setflags(write=False)  # every later validate() returns these
     c_eigs, w_eigs = np.linalg.eigvalsh(c), np.linalg.eigvalsh(weighted)
-    block = CoupledBlock(index, k, c, k_half, k_inv_half, weighted)
+    block = CoupledBlock(index, k, c, k_half, k_inv_half, weighted, k_eigs, k_vecs)
     return block, c_eigs[0], k_eigs[0], w_eigs[0], w_eigs[-1]
 
 

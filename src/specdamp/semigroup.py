@@ -81,28 +81,41 @@ by :func:`~specdamp.linalg.solve_stack` (the LAPACK calls of
 :class:`~specdamp.linalg.LUFactors` point by point, then one pivot test
 and one residual check of the whole stack, by its rules), one stack of
 ``R_E = [[-K^{1/2} Z1, -K^{1/2} Z3], [Z2, -lam Z3]]`` and one batched SVD.
-From there on each point's ``Q(lam)`` is factored by itself and ``R_E`` is
-never formed: Lanczos with full reorthogonalization on ``R_E^H R_E``, from
-a seeded random start, applies it through the LU factors, two ``n x n``
-solves with two right-hand sides each per step (Trefethen & Embree,
-*Spectra and Pseudospectra*, 2005; Wright & Trefethen, SISC 23, 2001).
-Each point stops when its top Ritz residual falls to ``LANCZOS_RTOL`` of
-its Ritz value and returns ``||R_E u|| / ||u||`` for that Ritz vector
-``u``, through a residual-checked solve.
+From there on ``R_E`` is never formed, and the block is taken in the
+eigenbasis ``V`` of its ``K``, which validation has already computed:
+there ``K`` is ``diag(k_i)``, ``K^{+-1/2}`` are scalings by ``k_i^{+-1/2}``,
+``C`` becomes ``V^T C V`` and ``R_E`` becomes
+``diag(V, V)^T R_E diag(V, V)``, which has the same norm.  Each point's
+``Q(lam) = diag(k_i) + lam V^T C V + lam^2 I`` is factored by itself, and
+Lanczos with full reorthogonalization on ``R_E^H R_E``, from a seeded
+random start, applies it through the LU factors, two ``n x n`` solves
+with two right-hand sides each per step and one real product with
+``V^T C V`` per application (Trefethen & Embree, *Spectra and
+Pseudospectra*, 2005; Wright & Trefethen, SISC 23, 2001).  A diagonal
+``K``, as the beam's, has ``V = I`` exactly, so there ``Q(lam)``, the
+solves and the norms are bit for bit those in the model's own
+coordinates.  Each point stops when its top Ritz residual falls to
+``LANCZOS_RTOL`` of its Ritz value and returns ``||R_E u|| / ||u||`` for
+that Ritz vector ``u``, through a residual-checked solve.
 
 A scan runs the Lanczos of all its points in lockstep.  Their vectors
-live in one ``(points, steps, 2n)`` array; each step applies ``K^{-1/2}``,
-``C`` and ``K^{1/2}`` to all points' columns in one real product each and
-reorthogonalizes all of them in one batched product, and only the
-triangular solves and the tridiagonal Ritz pair run point by point.  A
-point that converges leaves the active set, so every point keeps its own
-start, stop test and value.  On both routes the points go through in
-chunks whose working set fits ``RESOLVENT_CHUNK_BYTES``, so stacking
-raises no peak memory; every stacked step treats each point as a
-one-point call would, bit for bit, so `resolvent_norm_at` is the
-one-point case of the same code.  The scalar modes of all points are
-normed at once, as one ``(points, modes)`` array.  The first failing
-point in grid order raises, as if the points ran one by one.
+live in one ``(points, steps, 2n)`` array; each of a step's two
+resolvent applications multiplies all points' columns by ``V^T C V`` in
+one real product, each step reorthogonalizes all of them in one batched
+product, and only the triangular solves and the tridiagonal Ritz pair run
+point by point.  A point that converges leaves the active set, so every
+point keeps its own start, stop test and value.  On both routes the points go through in chunks whose working set fits
+``RESOLVENT_CHUNK_BYTES``, so stacking raises no peak memory, and
+`resolvent_norm_at` is the one-point case of the same code.  On the
+explicit route a scan sample is the one-point value bit for bit.  On the
+Lanczos route a product over a chunk's columns need not round as a
+one-column product does, so a sample and the one-point value, or the
+samples of two chunk sizes, agree to 1e-14 relative only: on the
+two-patch rod's 25-point scan 20 samples differ at ``N = 32``, 22 at
+``N = 64`` and 19 at ``N = 128``, by at most 3.1e-15.  The scalar modes
+of all points are normed at once, as one ``(points, modes)`` array.  The
+first failing point in grid order raises, as if the points ran one by
+one.
 
 Every truncation order generates a trivially analytic semigroup, so the
 honest finite-order statement is uniformity: bounded ``fitted_M`` and
@@ -112,6 +125,7 @@ sector angle as the order grows, which callers check across orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm, lapack
@@ -139,24 +153,24 @@ MODAL_CONDITION_LIMIT = 1e8
 
 # The coupled-block dimension 2n from which the resolvent norm runs Lanczos
 # through the LU factors of Q(lam); below it R_E is formed and normed
-# densely.  Against the stacked explicit route, a 25-point scan of the
-# two-patch rod (PYTHONPATH=src python3 tools/scan_crossover.py, one core)
-# is faster by Lanczos from between dimensions 56 and 64 on: 15.7 against
-# 13.0 ms at N = 32 (dimension 64), 4.0 against 9.2 ms at N = 16.  The
-# value stays 128: the routes agree only to about 2e-15 relative, so moving
-# it would move the last digits of the reported norms of every order it
-# crosses.
-LANCZOS_MIN_DIMENSION = 128
+# densely.  A 25-point scan of the two-patch rod (PYTHONPATH=src python3
+# tools/scan_crossover.py 24 28 32 --repeat 15, one core) takes, explicit
+# against Lanczos, 6.3 against 7.7 ms at N = 24 (dimension 48), 8.4 against
+# 8.4 ms at N = 28 and 11.4 against 9.2 ms at N = 32.  The routes agree to
+# about 2e-15 relative, and the spectral bracket of the tier-1 tests checks
+# both.
+LANCZOS_MIN_DIMENSION = 64
 
 # The points of a scan go through in chunks of at most this many bytes of
 # working set, at least one point each.  On the Lanczos route a point holds
 # Q(lam) and its LU factors (32 n^2 bytes, complex), which all stay alive
-# through the lockstep: 16 points at N = 64, 4 at N = 128 and 1 at N = 256.
-# On the explicit route a point's share of the stacks of Q(lam), right-hand
-# sides, solutions, residuals and R_E is about 288 n^2 bytes: 7 points at
-# N = 32 and every point of the 25 up to n = 17.  The budget is no more
-# than a one-point Lanczos keeping a full dim x dim complex basis and its
-# conjugate holds at N = 128 (dim = 256), so the scan raises no peak memory.
+# through the lockstep: 64 points at N = 32, 16 at N = 64, 4 at N = 128 and
+# 1 at N = 256.  On the explicit route a point's share of the stacks of
+# Q(lam), right-hand sides, solutions, residuals and R_E is about 288 n^2
+# bytes: 12 points at N = 24 and every point of the 25 up to n = 17.  The
+# budget is no more than a one-point Lanczos keeping a full dim x dim
+# complex basis and its conjugate holds at N = 128 (dim = 256), so the scan
+# raises no peak memory.
 RESOLVENT_CHUNK_BYTES = 2 << 20
 
 # Lanczos stops once the top Ritz residual is at most this times the Ritz
@@ -378,50 +392,71 @@ def _explicit_norms(block: CoupledBlock, lams: np.ndarray, quads: np.ndarray, te
     return norms + [error] if error else norms
 
 
-def _apply_resolvent(block: CoupledBlock, lams: np.ndarray, solves, v: np.ndarray) -> np.ndarray:
-    # R_E (a, g) = (K^{1/2} x, y) for each column (a, g) of v, the i-th at
-    # lams[i], with x = -Q^{-1}(g + (C + lam) K^{-1/2} a) and
+class _EigenFrame(NamedTuple):
+    # A coupled block in the eigenbasis V of its K, the k_vectors of its
+    # validation: K is diag(values), K^{1/2} and K^{-1/2} scale by root and
+    # inv_root, and damping is V^T C V, symmetrized.
+    n: int
+    values: np.ndarray
+    root: np.ndarray
+    inv_root: np.ndarray
+    damping: np.ndarray
+
+
+def _eigen_frame(block: CoupledBlock) -> _EigenFrame:
+    # inv_root is 1 / root, as sqrt_pair_from_eig divides, so a diagonal K
+    # (V = I) gives the bits of block.k_inv_sqrt's diagonal.
+    v = block.k_vectors
+    damping = v.T @ block.C @ v
+    root = np.sqrt(block.k_eigenvalues)
+    return _EigenFrame(block.n, block.k_eigenvalues, root, 1.0 / root, 0.5 * (damping + damping.T))
+
+
+def _apply_resolvent(frame: _EigenFrame, lams: np.ndarray, solves, v: np.ndarray) -> np.ndarray:
+    # R_E (a, g) = (K^{1/2} x, y) in the frame for each column (a, g) of v,
+    # the i-th at lams[i], with x = -Q^{-1}(g + (C + lam) K^{-1/2} a) and
     # y = Q^{-1}(K^{1/2} a - lam g) from one solve for both; solves[i]
     # applies Q(lams[i])^{-1} to an (n, 2) block.  Forming
     # y = K^{-1/2} a + lam x instead cancels on low modes at large |lam|.
-    n = block.n
+    n = frame.n
     a, g = v[:n], v[n:]
-    p = linalg.real_times(block.k_inv_sqrt, a)
+    p = frame.inv_root[:, None] * a
     # rhs[i].T is the F-contiguous (n, 2) block of point i.
     rhs = np.empty((len(solves), 2, n), dtype=complex)
-    rhs[:, 0] = (g + linalg.real_times(block.C, p) + lams * p).T
-    rhs[:, 1] = (linalg.real_times(block.k_sqrt, a) - lams * g).T
+    rhs[:, 0] = (g + linalg.real_times(frame.damping, p) + lams * p).T
+    rhs[:, 1] = (frame.root[:, None] * a - lams * g).T
     xy = np.empty((2, n, len(solves)), dtype=complex)
     for i, solve in enumerate(solves):
         xy[:, :, i] = solve(rhs[i].T).T
-    return np.concatenate([-linalg.real_times(block.k_sqrt, xy[0]), xy[1]])
+    return np.concatenate([-(frame.root[:, None] * xy[0]), xy[1]])
 
 
-def _ritz_norm(block: CoupledBlock, lam: complex, lu: linalg.LUFactors, u: np.ndarray):
+def _ritz_norm(frame: _EigenFrame, lam: complex, lu: linalg.LUFactors, u: np.ndarray):
     # ||R_E u|| / ||u|| through the residual-checked solve, or the Singular
     # that solve raised.
     try:
-        x = _apply_resolvent(block, np.array([lam]), [lu.solve], u[:, None])
+        x = _apply_resolvent(frame, np.array([lam]), [lu.solve], u[:, None])
     except linalg.Singular as exc:
         return exc
     return float(np.linalg.norm(x) / np.linalg.norm(u))
 
 
-def _lanczos_norms(block: CoupledBlock, lams: np.ndarray, factors: list) -> list:
+def _lanczos_norms(frame: _EigenFrame, lams: np.ndarray, factors: list) -> list:
     # sigma_max of each point's R_E by Lanczos with full reorthogonalization
     # on the Hermitian R_E^H R_E, every point in lockstep; factors[i] holds
-    # the LU factors of Q(lams[i]).  Each entry of the result is a norm, or
-    # the Singular that the point's final, residual-checked solve raised.
-    n, dim = block.n, 2 * block.n
+    # the LU factors of the frame's Q(lams[i]).  Each entry of the result is
+    # a norm, or the Singular that the point's final, residual-checked solve
+    # raised.
+    n, dim = frame.n, 2 * frame.n
     getrs = lapack.get_lapack_funcs("getrs", (factors[0].factors[0],))
     solves = [lambda b, f=lu.factors: getrs(*f, b, overwrite_b=True)[0] for lu in factors]
 
     def gram(v, lams, solves):
         # R_E^H R_E on every column: A_E^T = J A_E J with J = diag(I, -I) and
         # A_E real, so R_E^H w = J conj(R_E conj(J w)), no adjoint solve.
-        w = _apply_resolvent(block, lams, solves, v).conj()
+        w = _apply_resolvent(frame, lams, solves, v).conj()
         w[n:] *= -1.0
-        w = _apply_resolvent(block, lams, solves, w).conj()
+        w = _apply_resolvent(frame, lams, solves, w).conj()
         w[n:] *= -1.0
         return w
 
@@ -455,7 +490,7 @@ def _lanczos_norms(block: CoupledBlock, lams: np.ndarray, factors: list) -> list
             # b * |s_j| is the Ritz residual ||H u - theta u|| of the top Ritz
             # pair, u = s @ done.  A full basis makes the Ritz pair exact.
             if b[i] * abs(s[-1]) <= LANCZOS_RTOL * theta or j + 1 == dim:
-                results[point] = _ritz_norm(block, lams[point], factors[point], s @ done[i])
+                results[point] = _ritz_norm(frame, lams[point], factors[point], s @ done[i])
             else:
                 keep.append(i)
         if len(keep) < active.size:
@@ -481,6 +516,8 @@ def _block_norms(block: CoupledBlock, lams: np.ndarray, failures: dict) -> np.nd
     n = block.n
     norms = np.zeros(lams.size)
     lanczos = 2 * n >= LANCZOS_MIN_DIMENSION
+    # Lanczos runs in the eigenbasis of K, where K is diag(frame.values).
+    frame = _eigen_frame(block) if lanczos else None
     chunk = max(1, RESOLVENT_CHUNK_BYTES // ((32 if lanczos else 288) * n * n))
     mags, mag_sq, squares = _point_scalars(lams)
     # Near the spectrum the three terms of Q cancel, so the pivots are judged
@@ -491,7 +528,11 @@ def _block_norms(block: CoupledBlock, lams: np.ndarray, failures: dict) -> np.nd
         stop = min(first + chunk, min(failures, default=lams.size))
         if stop <= first:
             break
-        quads = block.C * lams[first:stop, None, None] + block.K
+        if lanczos:
+            quads = frame.damping * lams[first:stop, None, None]
+            quads[:, diag, diag] += frame.values
+        else:
+            quads = block.C * lams[first:stop, None, None] + block.K
         quads[:, diag, diag] += squares[first:stop, None]
         if not lanczos:
             results = _explicit_norms(block, lams[first:stop], quads, terms[first:stop])
@@ -503,7 +544,7 @@ def _block_norms(block: CoupledBlock, lams: np.ndarray, failures: dict) -> np.nd
                 except linalg.Singular as exc:
                     failures[first + len(factors)] = exc
                     break
-            results = _lanczos_norms(block, lams[first : first + len(factors)], factors) if factors else []
+            results = _lanczos_norms(frame, lams[first : first + len(factors)], factors) if factors else []
         for i, result in enumerate(results, first):
             if isinstance(result, linalg.Singular):
                 failures[i] = result
@@ -555,10 +596,10 @@ def resolvent_norm_at(model: SystemModel, report: SpectrumReport, lam: complex) 
     works on its ``n x n`` ``Q(lam)``: below ``LANCZOS_MIN_DIMENSION`` (of
     ``2n``) its pivots are tested and its explicit ``R_E`` is formed from
     one residual-checked solve and normed densely; from there on ``Q(lam)``
-    is factored once, ``R_E`` is never formed, and Lanczos on
-    ``R_E^H R_E`` applies it through the factors and returns
-    ``||R_E u|| / ||u||`` for its converged Ritz vector ``u``, computed
-    through a residual-checked solve.  This is the one-point case of
+    in the eigenbasis of ``K`` is factored once, ``R_E`` is never formed,
+    and Lanczos on ``R_E^H R_E`` applies it through the factors and
+    returns ``||R_E u|| / ||u||`` for its converged Ritz vector ``u``,
+    computed through a residual-checked solve.  This is the one-point case of
     :func:`resolvent_scan`'s computation.
     """
     return float(_resolvent_norms(model, report, np.array([complex(lam)]))[0])

@@ -264,12 +264,61 @@ def cluster_eigenvalues(values: np.ndarray, cluster_tol: float) -> list[list[int
     spurious imaginary split.  On the two-patch rod (``E = 1``, ``a = 0.3``
     on ``[0, 1/2]``, ``2.5`` on ``[1/2, 1]``) one genuine pair does at
     ``N = 128``; at ``N = 256`` it and 40 spurious pairs do.
+
+    The sweep is cut into runs before each value ``v`` whose ``Re v``
+    exceeds the running maximum of ``Re u + 2 cluster_tol (1 + |u|)`` over
+    the values ``u`` before it.  A running mean is a mean of earlier
+    values, so it lies more than ``cluster_tol (1 + |mu|)`` left of ``v``,
+    with a factor of two to spare for rounding, and no value joins a
+    cluster of an earlier run.  A run of one value is a singleton and a run
+    of two one join test, all taken in one step; only the longer runs go
+    through the sweep.
     """
+    return _cluster_sweep(values, cluster_tol)[0]
+
+
+def _cluster_sweep(values: np.ndarray, cluster_tol: float) -> tuple[list[list[int]], np.ndarray]:
+    # The clusters of cluster_eigenvalues and their running means.  In a run
+    # of two values u, v the sweep joins v to u exactly when
+    # |v - u| <= cluster_tol (1 + |u|), decided for all such runs at once.
     values = np.asarray(values)
     order = np.lexsort((values.imag, np.abs(values.imag), values.real))
-    clusters: list[list[int]] = []
-    means = np.empty(values.shape[0], dtype=complex)  # running mean of each cluster
-    for idx in order.tolist():
+    swept = np.asarray(values[order], dtype=complex)
+    size = np.abs(swept)
+    reach = np.maximum.accumulate(swept.real + 2.0 * cluster_tol * (1.0 + size))
+    bounds = np.concatenate([[0], np.flatnonzero(swept.real[1:] > reach[:-1]) + 1, [swept.size]])
+    lengths = np.diff(bounds)
+    runs = np.flatnonzero(lengths > 1)
+    pairs = bounds[:-1][lengths == 2]  # the runs of two, by their first position
+    joined = set(pairs[np.abs(swept[pairs + 1] - swept[pairs]) <= cluster_tol * (1.0 + size[pairs])].tolist())
+    sweep, points = order.tolist(), swept.tolist()
+    clusters, means, done = [], [], 0
+    for lo, hi in zip(bounds[runs].tolist(), bounds[runs + 1].tolist()):
+        clusters += [[idx] for idx in sweep[done:lo]]
+        means += points[done:lo]
+        if hi - lo > 2:
+            run, run_means = _chain_clusters(values, sweep[lo:hi], cluster_tol)
+            clusters += run
+            means += run_means.tolist()
+        elif lo in joined:
+            u, v = points[lo], points[lo + 1]
+            clusters.append(sweep[lo:hi])
+            means.append(u + (v - u) / 2)
+        else:
+            clusters += [[sweep[lo]], [sweep[lo + 1]]]
+            means += points[lo:hi]
+        done = hi
+    clusters += [[idx] for idx in sweep[done:]]
+    return clusters, np.array(means + points[done:], dtype=complex)
+
+
+def _chain_clusters(values: np.ndarray, sweep: list, cluster_tol: float) -> tuple[list[list[int]], np.ndarray]:
+    # The chain rule over the indices of sweep, in order: the clusters and
+    # their running means.  The first index starts the first cluster.
+    clusters = [sweep[:1]]
+    means = np.empty(len(sweep), dtype=complex)
+    means[0] = values[sweep[0]]
+    for idx in sweep[1:]:
         lam = complex(values[idx])
         current = means[: len(clusters)]
         hits = np.flatnonzero(np.abs(lam - current) <= cluster_tol * (1.0 + np.abs(current)))
@@ -281,7 +330,7 @@ def cluster_eigenvalues(values: np.ndarray, cluster_tol: float) -> list[list[int
         else:
             means[len(clusters)] = lam
             clusters.append([idx])
-    return clusters
+    return clusters, means[: len(clusters)]
 
 
 def _snap_real(values: np.ndarray, snap_tol: float) -> np.ndarray:

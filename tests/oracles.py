@@ -494,6 +494,54 @@ def cluster_eigenvalues_loop(values, cluster_tol: float) -> list[list[int]]:
     return clusters
 
 
+def cluster_sweep(values, cluster_tol: float) -> tuple[list[list[int]], np.ndarray]:
+    """The whole-sweep clustering of ``spectrum.cluster_eigenvalues``, with its running means.
+
+    Every value in ``(Re, |Im|, Im)`` order is compared with the running
+    means of all clusters made so far, in one array step, and joins the
+    first within ``cluster_tol * (1 + |mean|)``; the mean is updated in
+    Python complex arithmetic.  Returns the clusters and their means.
+    """
+    values = np.asarray(values)
+    order = np.lexsort((values.imag, np.abs(values.imag), values.real))
+    clusters: list[list[int]] = []
+    means = np.empty(values.shape[0], dtype=complex)
+    for idx in order.tolist():
+        lam = complex(values[idx])
+        current = means[: len(clusters)]
+        hits = np.flatnonzero(np.abs(lam - current) <= cluster_tol * (1.0 + np.abs(current)))
+        if hits.size:
+            c = int(hits[0])
+            clusters[c].append(idx)
+            mean = complex(means[c])
+            means[c] = mean + (lam - mean) / len(clusters[c])
+        else:
+            means[len(clusters)] = lam
+            clusters.append([idx])
+    return clusters, means[: len(clusters)]
+
+
+# ---------------------------------------------------------------------------
+# the resolvent bracket
+
+
+def resolvent_bracket_violations(model, report, samples, rtol: float = 1e-12) -> np.ndarray:
+    """Positions of the scan samples outside ``[1/d, kappa/d] * (1 -+ rtol)``.
+
+    ``samples`` are a resolvent scan's ``(lam, norm, product)``; ``d`` is
+    the distance from ``lam`` to the solved spectrum and ``kappa`` the
+    Riesz number of ``report``.  For a diagonalizable phase operator
+    ``R_E(lam) = V_E (L - lam)^{-1} V_E^{-1}`` in the energy norm, so
+    ``1/d <= ||R_E|| <= kappa/d`` (Bauer-Fike).  The bracket needs the
+    spectrum and the energy basis, and no factorization of ``Q(lam)``.
+    """
+    kappa = sd.energy_basis(model, report).condition_number
+    lams = np.array([lam for lam, _, _ in samples])
+    norms = np.array([norm for _, norm, _ in samples])
+    dist = np.min(np.abs(report.eigenvalues[None, :] - lams[:, None]), axis=1)
+    return np.flatnonzero((norms < (1.0 - rtol) / dist) | (norms > (1.0 + rtol) * kappa / dist))
+
+
 # ---------------------------------------------------------------------------
 # multiset comparison
 
@@ -565,6 +613,24 @@ def emit_json(obj, indent: int = 0) -> str:
 
 # ---------------------------------------------------------------------------
 # benchmark requests
+
+
+def edge_case_models(seed: int, names=None) -> dict:
+    """The benchmark's edge-cases generic models of ``seed``, built by its own code.
+
+    Keyed by name (``n1``, ``near-critical-above``, ...); ``names``, when
+    given, keeps only those.  The beam request is left out.
+    """
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        requests = benchmark_workloads().build("edge-cases", seed, tmp)
+    models = {}
+    for r in requests:
+        name = r.rid[: -len("-analyze")]
+        if r.kind == "analyze" and not name.startswith("rod-") and (names is None or name in names):
+            models[name] = sd.SystemModel(K=r.K, C=r.C)
+    return models
 
 
 def benchmark_workloads():

@@ -194,7 +194,28 @@ class TestEigensolveBudget:
         ):
             monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
         conditions.check_overdamping(m)
-        assert 0 < len(calls) <= 40
+        # A chord step can land on the vertex of a scalar mode's parabola,
+        # a minimizer, and then the witness needs no eigensolve at all.
+        assert len(calls) <= 40
+
+    @pytest.mark.parametrize("N", [12, 32, 64, 128])
+    def test_two_patch_rod_top_eigenpairs(self, monkeypatch, N):
+        # phi is smooth at the rod's s*, where a tangent cut only halves the
+        # bracket (26-28 solves); the chord of the slopes converges
+        # superlinearly there.
+        spec = sd.BeamSpec(E=1.0, patches=((1.2, 0.0, 0.5), (2.5, 0.5, 1.0)), N=N)
+        m = sd.beam_assemble(spec)
+        solves = []
+        eigh = scipy.linalg.eigh
+
+        def counted(*args, **kwargs):
+            solves.append(kwargs.get("subset_by_index"))
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counted)
+        od = conditions.check_overdamping(m)
+        assert od.overdamped and od.definite_point_exists
+        assert solves == [[N - 1, N - 1]] * len(solves) and 0 < len(solves) <= 14
 
 
 class TestDefinitePencil:

@@ -46,11 +46,14 @@ class TestCholesky:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected(self, bad):
-        for i, j in ((0, 0), (2, 2), (2, 1)):
-            a = np.diag([4.0, 1.0, 3.0])
+        # The pivot reported is the first row whose lower part is not finite.
+        for i, j in ((0, 0), (2, 2), (2, 1), (3, 0)):
+            a = np.diag([4.0, 1.0, 3.0, 2.0])
             a[i, j] = a[j, i] = bad
-            with pytest.raises(linalg.NotPositiveDefinite):
+            with pytest.raises(linalg.NotPositiveDefinite) as exc:
                 linalg.cholesky(a)
+            assert exc.value.pivot_index == i
+            assert str(exc.value) == f"matrix is not positive definite (pivot {i})"
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):

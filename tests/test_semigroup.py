@@ -1,5 +1,6 @@
 """Tests for the phase-flow integrator and resolvent statistics."""
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -464,7 +465,7 @@ class TestResolventLanczos:
         semigroup.resolvent_scan(m, rep, 1.0, CLI_GRID)
         assert calls == [("lu", (64, 64))] * CLI_GRID.size
 
-    @pytest.mark.parametrize("N", [64, 128])
+    @pytest.mark.parametrize("N", [32, 64, 128])
     def test_scan_matches_one_point_and_any_chunk(self, N, monkeypatch):
         # The scan's points run their Lanczos in lockstep, in chunks of a
         # byte budget of factors; each sample is the one-point value, and
@@ -508,7 +509,7 @@ def explicit_route_models():
     # Models whose every norm comes from the stacked explicit route or the
     # closed form of the scalar modes: n = 1, rotated critical Jordan blocks
     # (n = 4), near-critical (n = 8), K over 1e-4..1e4 (n = 12), a coupled
-    # block beside two scalar modes, and the two-patch rod at N = 32.
+    # block beside two scalar modes, and the two-patch rod at N = 24.
     rng = np.random.default_rng(21)
     kw = rng.uniform(1.0, 10.0, 8)
     mixed = np.zeros((5, 5))
@@ -520,7 +521,7 @@ def explicit_route_models():
         "near-critical": rotated(rng, kw, 2.0 * 1.001 * np.sqrt(kw)),
         "wide-K": oracles.wide_k_model(),
         "mixed": sd.SystemModel(K=mixed, C=np.diag([0.5, 1.0, 0.2, 0.3, 4.0])),
-        "two-patch-N32": two_patch_rod(32),
+        "two-patch-N24": two_patch_rod(24),
     }
 
 
@@ -540,9 +541,9 @@ class TestResolventStacked:
         assert single.samples == scan.samples
 
     def test_one_stacked_svd_per_chunk_and_no_lu_factor(self, monkeypatch):
-        # At N = 32 a chunk holds 7 points (RESOLVENT_CHUNK_BYTES), so the
-        # 25-point scan runs 4 chunks, one batched SVD each.
-        m = two_patch_rod(32)
+        # At N = 24 a chunk holds 12 points (RESOLVENT_CHUNK_BYTES), so the
+        # 25-point scan runs 3 chunks, one batched SVD each.
+        m = two_patch_rod(24)
         rep = sd.solve_qep(m)
         calls = []
 
@@ -556,10 +557,10 @@ class TestResolventStacked:
         monkeypatch.setattr(linalg, "lu_factor", counted("lu_factor", linalg.lu_factor))
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         semigroup.resolvent_scan(m, rep, 1.0, CLI_GRID)
-        assert calls == [("svd", (size, 64, 64)) for size in (7, 7, 7, 4)]
+        assert calls == [("svd", (size, 48, 48)) for size in (12, 12, 1)]
         calls.clear()
         semigroup.resolvent_norm_at(m, rep, 1.0 + 10.0j)
-        assert calls == [("svd", (1, 64, 64))]
+        assert calls == [("svd", (1, 48, 48))]
 
     @pytest.mark.parametrize("coupled", [True, False])
     def test_non_finite_point_rejected(self, coupled):
@@ -593,6 +594,63 @@ class TestResolventStacked:
         with pytest.raises(linalg.Singular) as exc:
             semigroup.resolvent_scan(m, rep, 0.0, [0.5, 2.0, 2.5, 3.5])
         assert exc.value.rank_estimate == (7 if coupled else 15)
+
+
+@functools.lru_cache(maxsize=None)
+def solved_rod(a1, N):
+    m = sd.beam_assemble(sd.BeamSpec(E=1.0, patches=(sd.Patch(a1, 0.0, 0.5), sd.Patch(2.5, 0.5, 1.0)), N=N))
+    return m, sd.solve_qep(m)
+
+
+# LANCZOS_MIN_DIMENSION values that put every coupled block on one route.
+ROUTES = {"explicit": 1 << 30, "lanczos": 2}
+
+
+class TestSpectralBracket:
+    """Every scan sample within [1/d, kappa/d] (1 -+ 1e-12), d the distance to the spectrum.
+
+    The bracket (Bauer-Fike in the energy norm, :func:`oracles.resolvent_bracket_violations`)
+    is an oracle for both routes that factors nothing; it applies while the
+    Riesz number kappa is at most MODAL_CONDITION_LIMIT.
+    """
+
+    @staticmethod
+    def violations(m, rep, route, monkeypatch):
+        monkeypatch.setattr(semigroup, "LANCZOS_MIN_DIMENSION", ROUTES[route])
+        scan = semigroup.resolvent_scan(m, rep, 1.0, CLI_GRID)
+        return oracles.resolvent_bracket_violations(m, rep, scan.samples)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("a1, N", [(1.2, 16), (1.2, 32), (1.2, 64), (1.2, 128), (0.3, 64)])
+    def test_two_patch_rods(self, a1, N, route, monkeypatch):
+        m, rep = solved_rod(a1, N)
+        assert sd.energy_basis(m, rep).condition_number <= semigroup.MODAL_CONDITION_LIMIT
+        assert self.violations(m, rep, route, monkeypatch).size == 0
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_edge_case_models(self, seed, route, monkeypatch):
+        covered = 0
+        for name, m in oracles.edge_case_models(seed).items():
+            rep = sd.solve_qep(m)
+            if sd.energy_basis(m, rep).condition_number <= semigroup.MODAL_CONDITION_LIMIT:
+                assert self.violations(m, rep, route, monkeypatch).size == 0, name
+                covered += 1
+        # n = 1, both near-critical models and wide-K; the Jordan blocks' kappa is roundoff noise.
+        assert covered >= 4
+
+    @pytest.mark.parametrize("route, kernel", [("explicit", "_explicit_norms"), ("lanczos", "_lanczos_norms")])
+    def test_scaled_route_fails(self, route, kernel, monkeypatch):
+        # On the paper's rod ||R|| d lies within 7% of 1, so norms 10% low
+        # fall below 1/d: the bracket sees a route that is off by 0.9.
+        m, rep = solved_rod(1.2, 32)
+        honest = getattr(semigroup, kernel)
+
+        def scaled(*args):
+            return [0.9 * r if isinstance(r, float) else r for r in honest(*args)]
+
+        monkeypatch.setattr(semigroup, kernel, scaled)
+        assert self.violations(m, rep, route, monkeypatch).size > 0
 
 
 class TestResolventScan:

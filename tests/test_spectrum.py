@@ -176,16 +176,6 @@ class TestCoupledSolver:
         assert np.array_equal(np.sort_complex(got), np.sort_complex(got.conj()))
 
 
-def edge_case_models(seed, names):
-    # The benchmark's edge-cases models of that seed, built by its own code.
-    import tempfile
-
-    workloads = oracles.benchmark_workloads()
-    with tempfile.TemporaryDirectory() as tmp:
-        requests = workloads.build("edge-cases", seed, tmp)
-    return [sd.SystemModel(K=r.K, C=r.C) for r in requests if r.rid in {name + "-analyze" for name in names}]
-
-
 def assert_exactly_conjugate_closed(values):
     nonreal = values[values.imag != 0.0]
     order = np.lexsort((nonreal.imag, nonreal.real))
@@ -198,7 +188,8 @@ class TestConjugateClosure:
 
     @pytest.mark.parametrize("seed", range(1, 13))
     def test_edge_case_models(self, seed):
-        models = edge_case_models(seed, ("near-critical-below", "wide-K", "critical-blocks-rotated"))
+        names = ("near-critical-below", "wide-K", "critical-blocks-rotated")
+        models = list(oracles.edge_case_models(seed, names).values())
         assert len(models) == 3
         for m in models:
             assert_exactly_conjugate_closed(sd.solve_qep(m).eigenvalues)
@@ -369,6 +360,72 @@ class TestClustering:
         if family == "rod":
             # The slow branch accumulates at -E / a = -0.5: most of it joins a few clusters.
             assert len(want) < len(spectra[0])
+
+
+def boundary_values(rng, tol):
+    # Real values at the edges of both rules: for a random u, the doubles
+    # on either side of the join distance tol (1 + |u|) as |v - u| computes
+    # it, and of the cut distance 2 tol (1 + |u|) in Re v - Re u.
+    out = []
+    for u in rng.uniform(-5.0, 0.0, 6):
+        for scale in (1.0, 2.0):
+            v = u + scale * tol * (1.0 + abs(u))
+            while abs(v - u) > scale * tol * (1.0 + abs(u)):
+                v = np.nextafter(v, -np.inf)
+            while abs(np.nextafter(v, np.inf) - u) <= scale * tol * (1.0 + abs(u)):
+                v = np.nextafter(v, np.inf)
+            out += [u, v, np.nextafter(v, np.inf)]
+    return np.array(out)
+
+
+class TestClusterRuns:
+    # The run-split sweep against the whole-sweep reference it replaced
+    # (oracles.cluster_sweep): the same clusters in the same order, members
+    # in sweep order, and the same running means, bit for bit.
+    TOL = 1e-7
+
+    def check(self, values, tol=TOL):
+        clusters, means = spectrum._cluster_sweep(values, tol)
+        want_clusters, want_means = oracles.cluster_sweep(values, tol)
+        assert clusters == want_clusters
+        assert np.array_equal(means, want_means)
+        assert spectrum.cluster_eigenvalues(values, tol) == want_clusters
+
+    @pytest.mark.parametrize("a1", [1.2, 0.3])
+    @pytest.mark.parametrize("N", [32, 128, 256])
+    def test_two_patch_rods(self, a1, N):
+        spec = sd.BeamSpec(E=1.0, patches=(sd.Patch(a1, 0.0, 0.5), sd.Patch(2.5, 0.5, 1.0)), N=N)
+        self.check(sd.solve_qep(sd.beam_assemble(spec)).eigenvalues)
+
+    def test_exact_conjugate_pairs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            z = rng.uniform(-3.0, 0.0, 20) + 1j * rng.uniform(0.0, 1.0, 20)
+            z[:6] = z[0] + rng.uniform(-1.0, 1.0, 6) * 4e-8  # a chain within the tolerance
+            z[6:10].imag = rng.uniform(0.0, 1e-7, 4)  # pairs near the join distance
+            z[10:12] = z[12:14] + 1.5e-7  # near the cut distance
+            self.check(rng.permutation(np.concatenate([z, z.conj(), z[:3].real])))
+
+    def test_distances_at_the_thresholds(self):
+        rng = np.random.default_rng(8)
+        for tol in (self.TOL, 1e-3, 0.0):
+            values = boundary_values(rng, tol)
+            self.check(values, tol)
+            self.check(values + 1j * rng.uniform(0.0, 2.0 * tol, values.size), tol)
+
+    def test_runs_of_two(self):
+        # Well separated pairs a fraction of the tolerance apart: each is a
+        # run of two, joined, with the running mean u + (v - u) / 2.
+        rng = np.random.default_rng(9)
+        u = -np.arange(1.0, 61.0) + rng.uniform(-0.1, 0.1, 60) + 1j * rng.uniform(0.0, 2.0, 60)
+        step = self.TOL * (1.0 + np.abs(u)) * rng.uniform(0.05, 0.7, 60) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 60))
+        self.check(rng.permutation(np.concatenate([u, u + step])))
+
+    def test_singletons_and_one_run(self):
+        self.check(np.array([], dtype=complex))
+        self.check(np.array([-2.0]))
+        self.check(np.linspace(-3.0, -1.0, 50))  # every value a run of its own
+        self.check(-1.0 + np.arange(50) * 5e-8)  # one chained run
 
 
 class TestAccumulation:
